@@ -9,6 +9,7 @@ fixed configuration (no timestamps).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -137,6 +138,8 @@ def _merge(args: argparse.Namespace) -> dict:
             cfg[key] = file_values[key]
         elif key in _DEFAULTS:
             cfg[key] = _DEFAULTS[key]
+        if _TYPES[key] is float and cfg.get(key) is not None and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be a finite number, got {cfg[key]}")
     return cfg
 
 

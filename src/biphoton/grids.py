@@ -8,6 +8,7 @@ maps grid points to grid points exactly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -59,8 +60,8 @@ def make_grid(n: int, half_width: float) -> Grid:
     """Build a reflection-closed grid; n must be even and >= 8."""
     if n % 2 != 0 or n < 8:
         raise ValueError(f"grid size must be even and >= 8, got {n}")
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
     return Grid(n, float(half_width))
 
 

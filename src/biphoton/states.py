@@ -18,13 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .amplitudes import TwoPhotonAmplitude, from_modes, normalize
 from .errors import TruncationError
 from .grids import Grid, Representation, TransverseMode, normalize_mode
 
 _MAX_DENSE_SPDC_N = 48
+
+
+def _hermite(k: int, x: np.ndarray) -> np.ndarray:
+    """Physicists' Hermite polynomial H_k(x) by the three-term recurrence
+    H_0 = 1, H_1 = 2x, H_{j+1} = 2x H_j - 2j H_{j-1}."""
+    if k < 0:
+        raise ValueError(f"Hermite order must be non-negative, got {k}")
+    if k == 0:
+        return np.ones_like(x)
+    two_x = 2.0 * x
+    prev, cur = np.ones_like(x), two_x
+    for j in range(1, k):
+        prev, cur = cur, two_x * cur - 2.0 * j * prev
+    return cur
 
 
 def _mesh(grid: Grid):
@@ -66,7 +79,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
     else:
         sx, sy = np.sqrt(2.0) * qx / w0, np.sqrt(2.0) * qy / w0
         env = np.exp(-(qx ** 2 + qy ** 2) / w0 ** 2)
-    values = eval_hermite(m, sx) * eval_hermite(n, sy) * env
+    values = _hermite(m, sx) * _hermite(n, sy) * env
     return normalize_mode(TransverseMode(values, grid, representation))
 
 
@@ -126,7 +139,7 @@ class PumpMode:
             return env
         if self.kind == "hermite":
             s = self.waist / np.sqrt(2.0)
-            return eval_hermite(self.m, qx * s) * eval_hermite(self.n, qy * s) * env
+            return _hermite(self.m, qx * s) * _hermite(self.n, qy * s) * env
         raise ValueError(f"unknown pump kind {self.kind!r}")
 
     @property

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import biphoton
 
 from biphoton.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, build_state,
                           main)
@@ -109,3 +115,33 @@ def test_build_state_thin_crystal_grid_tracks_aperture():
                        "pump_wavenumber": 2.0, "grid_n": 32, "half_width": None,
                        "aperture_factor": 4.0})
     assert amp.grid.half_width == pytest.approx(4.0 * np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["pc", "--state", "bell:phi-plus", "--w0", "nan"], "w0"),
+    (["scan", "--aperture-factor", "nan", "--grid-n", "64", "--steps", "2"],
+     "aperture_factor"),
+    (["pc", "--state", "thin-crystal", "--z", "inf", "--grid-n", "16"], "z"),
+])
+def test_non_finite_value_is_config_error(argv, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a scan would write its default scan.csv
+    assert main(argv) == EXIT_CONFIG
+    assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_config_file_value(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("state = product\nw0 = nan\n")
+    assert main(["pc", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "w0" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(biphoton.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, biphoton, biphoton.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -15,7 +15,8 @@ def test_make_grid_basic():
     assert np.all(np.diff(g2.axis) > 0)
 
 
-@pytest.mark.parametrize("n,hw", [(7, 1.0), (4, 1.0), (8, 0.0), (8, -2.0)])
+@pytest.mark.parametrize("n,hw", [(7, 1.0), (4, 1.0), (8, 0.0), (8, -2.0),
+                                  (8, float("nan")), (8, float("inf"))])
 def test_make_grid_rejects(n, hw):
     with pytest.raises(ValueError):
         make_grid(n, hw)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
+from biphoton import mzi as mzi_module
 from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
                       MziGeometry, MziPhases, Representation, SppParams,
                       azimuth, circular_aperture, coincidence_probability,
@@ -115,6 +119,48 @@ def test_fast_path_matches_brute_force(zeta, alpha):
     assert fast.throughput_eta == pytest.approx(eta, abs=1e-10)
 
 
+def _fftconvolve_pc(source, spp, phases, geom, grid_n):
+    """Gaussian-weighted sums over full 2-D linear convolutions on the
+    (2n-1)^2 grid of x1 + x2 values, the direct form of the fast path."""
+    w = source.spot_size
+    grid = make_grid(grid_n, geom.aperture_factor * w)
+    x, y = grid.meshgrid()
+    if geom.circular:
+        mask = (x ** 2 + y ** 2 <= grid.half_width ** 2).astype(float)
+    else:
+        mask = np.ones_like(x)
+    envelope = sine_envelope(grid, spp.zeta, phases.alpha_plus) * mask
+    sum_axis = (np.arange(2 * grid_n - 1) - (grid_n - 1)) * grid.spacing
+    u, v = np.meshgrid(sum_axis, sum_axis, indexing="ij")
+    gauss = np.exp(-(u ** 2 + v ** 2) / (2.0 * w ** 2))
+    num = np.sum(gauss * fftconvolve(envelope, envelope[:, ::-1]))
+    den = np.sum(gauss * fftconvolve(envelope ** 2, mask))
+    tot = np.sum(gauss * fftconvolve(mask, mask))
+    return (1.0 - num / den) / 2.0, den / tot
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 24, 64, 256]),
+       aperture=st.floats(4.0, 40.0),
+       circular=st.booleans(),
+       z=st.floats(0.0, 3.0),
+       zeta=st.floats(0.25, 4.0),
+       alpha=st.floats(0.0, np.pi))
+# at aperture 4 (the first two examples) the +-9.2 w kernel band spans the grid
+@example(n=8, aperture=4.0, circular=True, z=1.0, zeta=1.0, alpha=0.0)
+@example(n=24, aperture=4.0, circular=False, z=0.0, zeta=2.5, alpha=0.3)
+@example(n=256, aperture=40.0, circular=True, z=1.0, zeta=1.5, alpha=1.0)
+def test_fast_path_matches_convolution_reference(n, aperture, circular, z,
+                                                  zeta, alpha):
+    source = GaussianBeamParams(1.0, z, 2.0)
+    geom = MziGeometry(z, z, aperture_factor=aperture, circular=circular)
+    spp, phases = SppParams(zeta), MziPhases(alpha)
+    fast = mzi_coincidence(source, spp, phases, geom, grid_n=n)
+    pc, eta = _fftconvolve_pc(source, spp, phases, geom, n)
+    assert abs(fast.conditional_pc - pc) <= 1e-13
+    assert abs(fast.throughput_eta - eta) <= 1e-13
+
+
 def test_fast_path_matches_generic_low_rank():
     # the generic path: low-rank thin-crystal state propagated through the
     # interferometer against the dedicated convolution path
@@ -172,6 +218,12 @@ def test_mzi_coincidence_validations():
                         MziPhases(0.0), MziGeometry(1.0, 1.0))
     with pytest.raises(ValueError):
         MziGeometry(-1.0, 1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(z1=nan), dict(z2=inf), dict(k=nan), dict(aperture_factor=nan),
+                dict(aperture_factor=inf), dict(aperture_factor=0.0),
+                dict(aperture_factor=-6.0)):
+        with pytest.raises(ValueError):
+            MziGeometry(**{"z1": 1.0, "z2": 1.0, **bad})
     with pytest.warns(UserWarning):
         MziGeometry(1.0, 1.0, aperture_factor=2.0)
 
@@ -202,10 +254,27 @@ def test_scan_validations():
         scan("zeta", 0.0, 1.0, 1)
 
 
+def _row_bytes(result):
+    return np.array([(r.parameter, r.conditional_pc, r.oracle_pc, r.throughput)
+                     for r in result.rows]).tobytes()
+
+
 def test_scan_threaded_matches_serial(monkeypatch):
     geom = MziGeometry(1.0, 1.0, aperture_factor=8.0)
     serial = scan("zeta", 0.5, 2.5, 5, geom=geom, grid_n=128)
     monkeypatch.setenv("BIPHOTON_THREADS", "4")
+    # from a cold cache: the geometry is built once, before the pool starts
+    mzi_module._fast_geometry.cache_clear()
     threaded = scan("zeta", 0.5, 2.5, 5, geom=geom, grid_n=128)
+    assert mzi_module._fast_geometry.cache_info().misses == 1
     for a, b in zip(serial.rows, threaded.rows):
         assert a == b
+    assert _row_bytes(threaded) == _row_bytes(serial)
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+def test_scan_rejects_bad_thread_count(monkeypatch, value):
+    monkeypatch.setenv("BIPHOTON_THREADS", value)
+    with pytest.raises(ValueError, match="BIPHOTON_THREADS"):
+        scan("zeta", 0.5, 2.5, 2, geom=MziGeometry(1.0, 1.0, aperture_factor=8.0),
+             grid_n=16)
