@@ -238,6 +238,10 @@ def write_csv(result: ScanResult, path: str) -> None:
 
 
 def cmd_scan(cfg: dict) -> int:
+    for key, flag in (("state", "--state"), ("half_width", "--half-width")):
+        if cfg.get(key) is not None:
+            raise ConfigError(f"scan does not take {flag}: it sweeps the thin-crystal "
+                              f"source on a grid sized by --aperture-factor")
     try:
         lo_s, hi_s = cfg["range"].split(",")
         lo, hi = float(lo_s), float(hi_s)

@@ -17,16 +17,16 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import (TwoPhotonAmplitude, normalize, norm_squared,
+from .amplitudes import (TwoPhotonAmplitude, _gram, _norm, _real_overlap,
+                         _sigma_grams, normalize, norm_squared,
                          position_representation)
 from .errors import DegenerateInterferenceError
 from .grids import Grid, Representation, TransverseMode, make_grid
-from .interference import coincidence_probability
 from .states import GaussianBeamParams, thin_crystal_gaussian
 
 _ETA_FLOOR = 1e-12
@@ -124,10 +124,7 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
     q2 = qx ** 2 + qy ** 2
     ph1 = np.exp(1j * (k * z1 - q2 * z1 / (2.0 * k)))
     ph2 = np.exp(1j * (k * z2 - q2 * z2 / (2.0 * k)))
-    return TwoPhotonAmplitude(
-        amp.coeffs, amp.photon1 * ph1, amp.photon2 * ph2,
-        amp.grid, amp.representation, amp.truncation_error,
-    )
+    return replace(amp, photon1=amp.photon1 * ph1, photon2=amp.photon2 * ph2)
 
 
 def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:
@@ -138,18 +135,28 @@ def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:
     )
 
 
-def circular_aperture(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
-    """Clip both photons to the disc inscribed in the grid and renormalize."""
+def _clip(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
+    """Both photons clipped to the disc inscribed in the grid, not renormalized."""
     x, y = amp.grid.meshgrid()
     mask = (x ** 2 + y ** 2 <= amp.grid.half_width ** 2).astype(float)
-    return normalize(TwoPhotonAmplitude(
-        amp.coeffs, amp.photon1 * mask, amp.photon2 * mask,
-        amp.grid, amp.representation, amp.truncation_error,
-    ))
+    return replace(amp, photon1=amp.photon1 * mask, photon2=amp.photon2 * mask)
+
+
+def circular_aperture(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
+    """Clip both photons to the disc inscribed in the grid and renormalize."""
+    return normalize(_clip(amp))
 
 
 def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
     return np.sin(zeta * (azimuth(grid) - np.pi) + alpha_plus)
+
+
+def _check_eta(eta: float, spp: SppParams, phases: MziPhases) -> float:
+    if eta < _ETA_FLOOR:
+        raise DegenerateInterferenceError(
+            f"MZI output vanished (eta = {eta:.3e}) for zeta = {spp.zeta}, "
+            f"alpha_plus = {phases.alpha_plus}")
+    return eta
 
 
 def mzi_effective_amplitude(amp: TwoPhotonAmplitude, spp: SppParams,
@@ -164,16 +171,9 @@ def mzi_effective_amplitude(amp: TwoPhotonAmplitude, spp: SppParams,
     if amp.representation is not Representation.POSITION:
         raise ValueError("the sine envelope acts in the position representation")
     envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
-    out = TwoPhotonAmplitude(
-        amp.coeffs, amp.photon1 * envelope, amp.photon2,
-        amp.grid, amp.representation, amp.truncation_error,
-    )
-    eta = norm_squared(out)
-    if eta < _ETA_FLOOR:
-        raise DegenerateInterferenceError(
-            f"MZI output vanished (eta = {eta:.3e}) for zeta = {spp.zeta}, "
-            f"alpha_plus = {phases.alpha_plus}")
-    return normalize(out), float(eta)
+    out = replace(amp, photon1=amp.photon1 * envelope)
+    eta = _check_eta(norm_squared(out), spp, phases)
+    return replace(out, coeffs=out.coeffs / np.sqrt(eta)), eta
 
 
 # Gaussian taps g(s) = exp(-s^2 / (2 w^2)) with |s| > _TAP_CUTOFF * w are
@@ -318,11 +318,20 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
     amp = source
     if amp.representation is Representation.MOMENTUM:
         amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
-    if geom.circular:
-        amp = circular_aperture(amp)
-    effective, eta = mzi_effective_amplitude(amp, spp, phases)
+    # circular_aperture, mzi_effective_amplitude and coincidence_probability
+    # in turn, with each distinct Gram evaluated once: the masked photon-2
+    # Gram serves the aperture norm, eta and J.
+    amp = _clip(amp) if geom.circular else amp
+    g2 = _gram(amp.photon2, weight=amp.grid.weight)
+    aperture_nsq = (_norm(amp.coeffs, _gram(amp.photon1, weight=amp.grid.weight), g2)
+                    if geom.circular else 1.0)
+    if aperture_nsq <= 0.0:
+        raise ValueError("cannot normalize a zero-norm amplitude")
+    envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
+    nsq, j = _sigma_grams(replace(amp, photon1=amp.photon1 * envelope), g2)
+    eta = _check_eta(nsq / aperture_nsq, spp, phases)
     return MziResult(
-        conditional_pc=coincidence_probability(effective),
+        conditional_pc=(1.0 - _real_overlap(j / nsq)) / 2.0,
         throughput_eta=eta,
         parameters={"zeta": spp.zeta, "alpha_plus": phases.alpha_plus,
                     "grid_n": amp.grid.n, "circular": geom.circular},

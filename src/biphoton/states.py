@@ -15,6 +15,7 @@ All outputs are normalized on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +41,13 @@ def _hermite(k: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _mesh(grid: Grid):
-    return grid.meshgrid()
-
-
 def gaussian_g00(w0: float, grid: Grid,
                  representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Fundamental Gaussian mode, normalized on the grid."""
     if w0 <= 0:
         raise ValueError("waist must be positive")
     _check_resolution(w0, grid, representation)
-    qx, qy = _mesh(grid)
+    qx, qy = grid.meshgrid()
     if representation is Representation.MOMENTUM:
         values = np.exp(-(qx ** 2 + qy ** 2) * w0 ** 2 / 4.0)
     else:
@@ -72,7 +69,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     _check_resolution(w0, grid, representation)
-    qx, qy = _mesh(grid)
+    qx, qy = grid.meshgrid()
     if representation is Representation.MOMENTUM:
         sx, sy = qx * w0 / np.sqrt(2.0), qy * w0 / np.sqrt(2.0)
         env = np.exp(-(qx ** 2 + qy ** 2) * w0 ** 2 / 4.0)
@@ -86,7 +83,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
 def oam_ring(l: int, w0: float, grid: Grid,
              representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Ring mode R(q) e^{i l theta}; y-reflection maps it to the -l mode."""
-    qx, qy = _mesh(grid)
+    qx, qy = grid.meshgrid()
     q = np.hypot(qx, qy)
     theta = np.arctan2(qy, qx)
     radial = q ** abs(l) * np.exp(-q ** 2 * w0 ** 2 / 4.0)
@@ -158,6 +155,24 @@ class SpdcParams:
             raise ValueError("crystal length and pump wavenumber must be positive")
 
 
+def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
+              max_rank: int | None) -> tuple[np.ndarray, float]:
+    """Keep the leading terms of descending singular weights until the dropped
+    relative norm is below rank_tol; returns the normalized coefficients and
+    that error.  The factors are singular vectors, so both Grams are
+    grid.weight times the identity and ||Phi||^2 = grid.weight^2 |kept|^2."""
+    total = float(np.sum(weights ** 2))
+    tail = total - np.cumsum(weights ** 2)
+    rank = min(int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1), weights.size)
+    if max_rank is not None and rank > max_rank:
+        raise TruncationError(
+            f"rank {rank} needed for tolerance {rank_tol:g}, cap is {max_rank}; "
+            f"use a smaller grid half-width or loosen the tolerance")
+    kept = weights[:rank]
+    return ((kept / (grid.weight * np.linalg.norm(kept))).astype(complex),
+            float(np.sqrt(max(tail[rank - 1], 0.0) / total)))
+
+
 def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)  # sin(x)/x with sinc(0) = 1
 
@@ -185,21 +200,13 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
                         / (4.0 * params.pump_wavenumber))
     dense = (pump * phase_match).reshape(n * n, n * n)
     u, sv, vh = np.linalg.svd(dense, full_matrices=False)
-    total = float(np.sum(sv ** 2))
-    tail = total - np.cumsum(sv ** 2)
-    rank = int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1)
-    rank = min(rank, sv.size)
-    if max_rank is not None and rank > max_rank:
-        raise TruncationError(
-            f"rank {rank} needed for tolerance {rank_tol:g}, cap is {max_rank}")
-    err = float(np.sqrt(max(tail[rank - 1], 0.0) / total))
-    amp = TwoPhotonAmplitude(
-        sv[:rank].astype(complex),
-        u[:, :rank].T.reshape(rank, n, n),
+    coeffs, err = _truncate(sv, grid, rank_tol, max_rank)
+    rank = coeffs.size
+    return TwoPhotonAmplitude(
+        coeffs, u[:, :rank].T.reshape(rank, n, n),
         vh[:rank].reshape(rank, n, n),
         grid, Representation.MOMENTUM, truncation_error=err,
     )
-    return normalize(amp)
 
 
 @dataclass(frozen=True)
@@ -211,6 +218,9 @@ class GaussianBeamParams:
     pump_wavenumber: float
 
     def __post_init__(self):
+        for name in ("waist", "z", "pump_wavenumber"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.waist <= 0 or self.pump_wavenumber <= 0:
             raise ValueError("waist and pump wavenumber must be positive")
         if self.z < 0:
@@ -261,21 +271,9 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
     pair_w = np.outer(sv, sv).ravel()
     order = np.argsort(pair_w)[::-1]
-    total = float(np.sum(pair_w ** 2))
-    tail = total - np.cumsum(pair_w[order] ** 2)
-    rank = int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1)
-    rank = min(rank, pair_w.size)
-    if rank > max_rank:
-        raise TruncationError(
-            f"rank {rank} needed for tolerance {rank_tol:g}, cap is {max_rank}; "
-            f"reduce the aperture or loosen the tolerance")
-    err = float(np.sqrt(max(tail[rank - 1], 0.0) / total))
-    kept = order[:rank]
-    kx, ky = np.unravel_index(kept, (sv.size, sv.size))
+    coeffs, err = _truncate(pair_w[order], grid, rank_tol, max_rank)
+    kx, ky = np.unravel_index(order[:coeffs.size], (sv.size, sv.size))
     photon1 = u[:, kx].T[:, :, None] * u[:, ky].T[:, None, :]
     photon2 = vh[kx][:, :, None] * vh[ky][:, None, :]
-    amp = TwoPhotonAmplitude(
-        pair_w[kept].astype(complex), photon1, photon2,
-        grid, Representation.POSITION, truncation_error=err,
-    )
-    return normalize(amp)
+    return TwoPhotonAmplitude(coeffs, photon1, photon2, grid, Representation.POSITION,
+                              truncation_error=err)

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from biphoton import (Representation, TwoPhotonAmplitude, apply_sigma,
-                      bell_state, compress, dense_normalize, dense_sigma,
-                      dense_sigma_overlap, from_modes, gaussian_g00,
-                      hermite_gaussian, make_grid, normalize, norm_squared,
-                      oam_ring, position_representation, product_state,
-                      sigma_overlap, symmetry_decompose, to_dense)
+from biphoton import amplitudes
+from biphoton import mzi as mzi_module
+from biphoton import (MziGeometry, MziPhases, Representation, SppParams,
+                      TwoPhotonAmplitude, apply_sigma, beamsplitter_output,
+                      bell_state, coincidence_probability, compress,
+                      dense_normalize, dense_norm_squared, dense_sigma,
+                      dense_sigma_overlap, entanglement_witness, from_modes,
+                      gaussian_g00, hermite_gaussian, make_grid,
+                      mzi_coincidence, normalize, norm_squared, oam_ring,
+                      position_representation, product_state, sigma_overlap,
+                      symmetry_decompose, to_dense)
 
 from _helpers import random_amplitude, small_grid, smooth_random_mode
 
@@ -145,6 +152,74 @@ def test_dense_oracle_agrees_on_overlap_and_norm():
         assert dense_sigma_overlap(dense) == pytest.approx(sigma_overlap(amp), abs=1e-10)
         dn = np.sum(np.abs(dense.values) ** 2) * amp.grid.weight ** 2
         assert dn == pytest.approx(norm_squared(amp), abs=1e-10)
+        assert symmetry_decompose(amp) == pytest.approx(_dense_weights(dense), abs=1e-10)
+
+
+def _dense_weights(dense):
+    """||(Phi + sigma Phi)/2||^2 and ||(Phi - sigma Phi)/2||^2 from the 4D form."""
+    phi, sig = dense.values, dense_sigma(dense).values
+    return [float(np.sum(np.abs((phi + sign * sig) / 2.0) ** 2)) * dense.grid.weight ** 2
+            for sign in (1.0, -1.0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 6),
+       n=st.sampled_from([8, 12, 16]))
+def test_gram_engine_matches_dense_oracle(seed, rank, n):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 3.0)
+    shape = (rank, n, n)
+    amp = normalize(TwoPhotonAmplitude(
+        rng.normal(size=rank) + 1j * rng.normal(size=rank),
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        grid, Representation.MOMENTUM))
+    dense = to_dense(amp)
+    nsq, j = amplitudes._sigma_grams(amp)
+    assert nsq == pytest.approx(dense_norm_squared(dense), abs=1e-10)
+    dense_j = np.vdot(dense_sigma(dense).values, dense.values) * grid.weight ** 2
+    assert abs(j - dense_j) <= 1e-10
+    assert sigma_overlap(amp) == pytest.approx(dense_sigma_overlap(dense), abs=1e-10)
+    assert symmetry_decompose(amp) == pytest.approx(_dense_weights(dense), abs=1e-10)
+
+
+def test_syrk_self_gram_matches_direct_sum():
+    rng = np.random.default_rng(11)
+    rank = amplitudes._SYRK_MIN_RANK + 3
+    a = rng.normal(size=(rank, 8, 8)) + 1j * rng.normal(size=(rank, 8, 8))
+    for factors in (a, a[:, :, ::-1]):
+        g = amplitudes._gram(factors, weight=0.3)
+        direct = np.einsum("rab,sab->rs", factors.conj(), factors) * 0.3
+        assert np.abs(g - direct).max() <= 1e-12 * np.abs(direct).max()
+        assert np.array_equal(g, g.conj().T)
+
+
+def test_gram_products_per_call(monkeypatch):
+    # Regression guard on the Gram engine's cost: two self-Grams and one
+    # sigma cross-Gram per analysis call, at most four products per generic
+    # interferometer call.
+    calls = []
+    gram = amplitudes._gram
+
+    def counting(a, b=None, weight=1.0):
+        calls.append("self" if b is None else "cross")
+        return gram(a, b, weight)
+
+    for module in (amplitudes, mzi_module):
+        monkeypatch.setattr(module, "_gram", counting)
+    rng = np.random.default_rng(12)
+    amp = random_amplitude(rng, small_grid())
+    for fn in (sigma_overlap, symmetry_decompose, coincidence_probability,
+               entanglement_witness, beamsplitter_output):
+        calls.clear()
+        fn(amp)
+        assert sorted(calls) == ["cross", "self", "self"], fn.__name__
+    pos = random_amplitude(rng, small_grid(16, 3.0), representation=Representation.POSITION)
+    for circular in (True, False):
+        calls.clear()
+        mzi_coincidence(pos, SppParams(1.0), MziPhases(0.3),
+                        MziGeometry(1.0, 1.0, circular=circular))
+        assert 0 < len(calls) <= 4
 
 
 def test_dense_sigma_is_involution():

@@ -110,6 +110,17 @@ def test_scan_all_degenerate_exit_code(tmp_path, capsys):
     assert all(r.endswith(",degenerate") and ",nan," in r for r in rows)
 
 
+@pytest.mark.parametrize("extra,flag", [
+    (["--state", "bell:psi-minus"], "--state"),
+    (["--half-width", "3"], "--half-width"),
+])
+def test_scan_rejects_flags_it_would_ignore(extra, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "--grid-n", "64", "--steps", "2"] + extra) == EXIT_CONFIG
+    assert f"scan does not take {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_state_thin_crystal_grid_tracks_aperture():
     amp = build_state({"state": "thin-crystal", "w0": 1.0, "z": 1.0,
                        "pump_wavenumber": 2.0, "grid_n": 32, "half_width": None,

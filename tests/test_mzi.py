@@ -82,6 +82,10 @@ def test_effective_amplitude_zeta0():
     # zeta = 0, alpha_plus = 0: the envelope vanishes identically
     with pytest.raises(DegenerateInterferenceError):
         mzi_effective_amplitude(amp, SppParams(0.0), MziPhases(0.0))
+    for circular in (True, False):
+        with pytest.raises(DegenerateInterferenceError):
+            mzi_coincidence(amp, SppParams(0.0), MziPhases(0.0),
+                            MziGeometry(1.0, 1.0, circular=circular))
 
 
 def test_effective_amplitude_requires_position():

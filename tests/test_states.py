@@ -160,6 +160,12 @@ def test_gaussian_beam_derived_quantities():
     assert at_focus.curvature_radius == np.inf
     with pytest.raises(ValueError):
         GaussianBeamParams(1.0, -0.5, 2.0)
+    for field, args in [("waist", (np.nan, 1.0, 2.0)), ("waist", (np.inf, 1.0, 2.0)),
+                        ("z", (1.0, np.nan, 2.0)), ("z", (1.0, np.inf, 2.0)),
+                        ("pump_wavenumber", (1.0, 1.0, np.nan)),
+                        ("pump_wavenumber", (1.0, 1.0, -np.inf))]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GaussianBeamParams(*args)
 
 
 def test_thin_crystal_is_symmetric_dense_oracle():
