@@ -3,9 +3,8 @@
 An amplitude Phi(r1, r2) is stored as sum_r c_r f_r(r1) g_r(r2) over a shared
 grid.  The exchange-reflection involution sigma (swap photons, flip both
 y components) acts term-wise.  The norm, the overlap <sigma Phi, Phi> that
-controls the beamsplitter coincidence rate and the symmetric/antisymmetric
-weights all follow from three R x R Gram matrices of the factors: two
-Hermitian self-Grams and one sigma cross-Gram, O(R^2 n^2) work in all.
+controls the beamsplitter coincidence rate and the symmetry weights follow
+from two self-Grams and one sigma cross-Gram of the factors.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -19,9 +18,6 @@ import numpy as np
 from .grids import Grid, Representation, TransverseMode, fourier_kernel_1d
 
 _DENSE_MAX_N = 32
-# Rank from which the syrk self-Gram beats the plain complex product (the
-# crossover measured 128-256 on a 2-core OpenBLAS host).
-_SYRK_MIN_RANK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,43 +82,36 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
 
 
 def _gram(a: np.ndarray, b: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
-    """G[r, s] = <a_r, b_s> with midpoint weights; b None gives the Hermitian
-    self-Gram.  From rank _SYRK_MIN_RANK on, that runs at half the FLOPs and
-    with no conjugated copy: on the interleaved real view V of a,
-    Re G = V V^T (a BLAS syrk) and Im G = K - K^T with K = Re(a) Im(a)^T."""
-    r = a.shape[0]
-    if b is None and r >= _SYRK_MIN_RANK:
-        v = np.ascontiguousarray(a).reshape(r, -1).view(float)
-        re, im = np.ascontiguousarray(v.reshape(r, -1, 2).transpose(2, 0, 1))
-        k = re @ im.T
-        return (v @ v.T + 1j * (k - k.T)) * weight
+    """G[r, s] = <a_r, b_s> with midpoint weights; b defaults to a."""
     b = a if b is None else b
-    return (np.conj(a).reshape(r, -1) @ b.reshape(b.shape[0], -1).T) * weight
+    return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
 
 
-def _sigma_grams(amp: TwoPhotonAmplitude, g2: np.ndarray | None = None) -> tuple[float, complex]:
-    """||Phi||^2 = c^H (G1 o G2) c and J = <sigma Phi, Phi> = c^H (X o X^H) c
-    from the self-Grams G1 = <f_r, f_s>, G2 = <g_r, g_s> (passed in when the
-    caller holds it) and the sigma cross-Gram X = <Pi_y g_r, f_s>; the
-    photon-2 Gram of sigma Phi is X^H, as <Pi_y f_r, g_s> = conj(X[s, r])."""
+def _sigma_grams(amp: TwoPhotonAmplitude,
+                 envelope: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(||Phi||^2, ||Phi'||^2, J' = <sigma Phi', Phi'>) for Phi' = Phi with
+    `envelope` on photon 1 (Phi' = Phi when None), from the self-Grams
+    G1 = <f_r, f_s>, G2 = <g_r, g_s> and the cross-Gram X = <Pi_y g_r, f_s>:
+    ||Phi||^2 = c^H (G1 o G2) c and J = c^H (X o X^H) c, as the photon-2 Gram
+    of sigma Phi is X^H.  G2 serves both norms."""
     c, w = amp.coeffs, amp.grid.weight
-    g2 = _gram(amp.photon2, weight=w) if g2 is None else g2
-    x = _gram(amp.photon2[:, :, ::-1], amp.photon1, w)
-    return _norm(c, _gram(amp.photon1, weight=w), g2), complex(c.conj() @ (x * x.conj().T) @ c)
+    g2 = _gram(amp.photon2, weight=w)
+    f = amp.photon1 if envelope is None else amp.photon1 * envelope
+    nsq = _norm(c, _gram(amp.photon1, weight=w), g2)
+    nsq_env = nsq if envelope is None else _norm(c, _gram(f, weight=w), g2)
+    x = _gram(amp.photon2[:, :, ::-1], f, w)
+    j = complex(c.conj() @ (x * x.conj().T) @ c)
+    if abs(j.imag) > 1e-10 * nsq_env:  # J' / ||Phi'||^2 must be real
+        raise AssertionError(f"sigma overlap has imaginary part {j.imag}")
+    return nsq, nsq_env, j.real
 
 
 def _norm(c: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> float:
     return float((c.conj() @ (g1 * g2) @ c).real)
 
 
-def _real_overlap(j: complex) -> float:
-    if abs(j.imag) > 1e-10:
-        raise AssertionError(f"sigma overlap has imaginary part {j.imag}")
-    return j.real
-
-
-def _normalized_grams(amp: TwoPhotonAmplitude, norm_tol: float) -> tuple[float, complex]:
-    nsq, j = _sigma_grams(amp)
+def _normalized_overlap(amp: TwoPhotonAmplitude, norm_tol: float) -> tuple[float, float]:
+    nsq, _, j = _sigma_grams(amp)
     if abs(nsq - 1.0) > norm_tol:
         raise ValueError(f"amplitude not normalized: ||Phi||^2 = {nsq}")
     return nsq, j
@@ -154,7 +143,7 @@ def sigma_overlap(amp: TwoPhotonAmplitude, *, norm_tol: float = 1e-6) -> float:
     J = 1 for sigma-symmetric amplitudes (perfect coalescence), J = -1 for
     antisymmetric ones (perfect anti-coalescence).
     """
-    return _real_overlap(_normalized_grams(amp, norm_tol)[1])
+    return _normalized_overlap(amp, norm_tol)[1]
 
 
 def symmetry_decompose(amp: TwoPhotonAmplitude) -> tuple[float, float]:
@@ -164,8 +153,8 @@ def symmetry_decompose(amp: TwoPhotonAmplitude) -> tuple[float, float]:
     same three Grams as J, without building the parts; they sum to 1 for a
     normalized input.
     """
-    nsq, j = _normalized_grams(amp, 1e-6)
-    return max((nsq + j.real) / 2.0, 0.0), max((nsq - j.real) / 2.0, 0.0)  # roundoff
+    nsq, j = _normalized_overlap(amp, 1e-6)
+    return max((nsq + j) / 2.0, 0.0), max((nsq - j) / 2.0, 0.0)  # roundoff
 
 
 def to_dense(amp: TwoPhotonAmplitude) -> DenseAmplitude:

@@ -198,7 +198,7 @@ def cmd_pc(cfg: dict) -> int:
     sym, asym = symmetry_decompose(amp)
     pc = coincidence_probability(amp)
     verdict = entanglement_witness(amp)
-    print(f"P_c = {pc:.6f}")
+    print(f"P_c = {max(0.0, pc):.6f}")  # no "-0.000000" from roundoff
     print(f"symmetric_weight = {sym:.6f}")
     print(f"antisymmetric_weight = {asym:.6f}")
     print(f"verdict = {verdict.value}")

@@ -22,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import (TwoPhotonAmplitude, _gram, _norm, _real_overlap,
-                         _sigma_grams, normalize, norm_squared,
+from .amplitudes import (TwoPhotonAmplitude, _sigma_grams, normalize,
                          position_representation)
 from .errors import DegenerateInterferenceError
 from .grids import Grid, Representation, TransverseMode, make_grid
@@ -151,12 +150,20 @@ def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
     return np.sin(zeta * (azimuth(grid) - np.pi) + alpha_plus)
 
 
-def _check_eta(eta: float, spp: SppParams, phases: MziPhases) -> float:
+def _envelope_grams(amp: TwoPhotonAmplitude, spp: SppParams,
+                    phases: MziPhases) -> tuple[np.ndarray, float, float]:
+    """The sine envelope, the throughput eta (its share of the squared norm)
+    and J of the renormalized output, from one Gram-engine call."""
+    envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
+    nsq, nsq_out, j = _sigma_grams(amp, envelope)
+    if nsq <= 0.0:
+        raise ValueError("cannot normalize a zero-norm amplitude")
+    eta = nsq_out / nsq
     if eta < _ETA_FLOOR:
         raise DegenerateInterferenceError(
             f"MZI output vanished (eta = {eta:.3e}) for zeta = {spp.zeta}, "
             f"alpha_plus = {phases.alpha_plus}")
-    return eta
+    return envelope, eta, j / nsq_out
 
 
 def mzi_effective_amplitude(amp: TwoPhotonAmplitude, spp: SppParams,
@@ -170,10 +177,8 @@ def mzi_effective_amplitude(amp: TwoPhotonAmplitude, spp: SppParams,
     """
     if amp.representation is not Representation.POSITION:
         raise ValueError("the sine envelope acts in the position representation")
-    envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
-    out = replace(amp, photon1=amp.photon1 * envelope)
-    eta = _check_eta(norm_squared(out), spp, phases)
-    return replace(out, coeffs=out.coeffs / np.sqrt(eta)), eta
+    envelope, eta, _ = _envelope_grams(amp, spp, phases)
+    return replace(amp, coeffs=amp.coeffs / np.sqrt(eta), photon1=amp.photon1 * envelope), eta
 
 
 # Gaussian taps g(s) = exp(-s^2 / (2 w^2)) with |s| > _TAP_CUTOFF * w are
@@ -318,20 +323,10 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
     amp = source
     if amp.representation is Representation.MOMENTUM:
         amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
-    # circular_aperture, mzi_effective_amplitude and coincidence_probability
-    # in turn, with each distinct Gram evaluated once: the masked photon-2
-    # Gram serves the aperture norm, eta and J.
-    amp = _clip(amp) if geom.circular else amp
-    g2 = _gram(amp.photon2, weight=amp.grid.weight)
-    aperture_nsq = (_norm(amp.coeffs, _gram(amp.photon1, weight=amp.grid.weight), g2)
-                    if geom.circular else 1.0)
-    if aperture_nsq <= 0.0:
-        raise ValueError("cannot normalize a zero-norm amplitude")
-    envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
-    nsq, j = _sigma_grams(replace(amp, photon1=amp.photon1 * envelope), g2)
-    eta = _check_eta(nsq / aperture_nsq, spp, phases)
+    # eta relative to the clipped norm stands in for circular_aperture.
+    _, eta, j = _envelope_grams(_clip(amp) if geom.circular else amp, spp, phases)
     return MziResult(
-        conditional_pc=(1.0 - _real_overlap(j / nsq)) / 2.0,
+        conditional_pc=(1.0 - j) / 2.0,
         throughput_eta=eta,
         parameters={"zeta": spp.zeta, "alpha_plus": phases.alpha_plus,
                     "grid_n": amp.grid.n, "circular": geom.circular},

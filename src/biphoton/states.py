@@ -157,10 +157,9 @@ class SpdcParams:
 
 def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
               max_rank: int | None) -> tuple[np.ndarray, float]:
-    """Keep the leading terms of descending singular weights until the dropped
-    relative norm is below rank_tol; returns the normalized coefficients and
-    that error.  The factors are singular vectors, so both Grams are
-    grid.weight times the identity and ||Phi||^2 = grid.weight^2 |kept|^2."""
+    """Normalized leading coefficients of descending singular weights, kept
+    until the dropped relative norm is below rank_tol, and that error.  Both
+    Grams of singular-vector factors are grid.weight I, so the norm is closed-form."""
     total = float(np.sum(weights ** 2))
     tail = total - np.cumsum(weights ** 2)
     rank = min(int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1), weights.size)
@@ -202,11 +201,9 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     u, sv, vh = np.linalg.svd(dense, full_matrices=False)
     coeffs, err = _truncate(sv, grid, rank_tol, max_rank)
     rank = coeffs.size
-    return TwoPhotonAmplitude(
-        coeffs, u[:, :rank].T.reshape(rank, n, n),
-        vh[:rank].reshape(rank, n, n),
-        grid, Representation.MOMENTUM, truncation_error=err,
-    )
+    return TwoPhotonAmplitude(coeffs, u[:, :rank].T.reshape(rank, n, n),
+                              vh[:rank].reshape(rank, n, n), grid, Representation.MOMENTUM,
+                              truncation_error=err)
 
 
 @dataclass(frozen=True)

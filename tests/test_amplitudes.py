@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import amplitudes
-from biphoton import mzi as mzi_module
 from biphoton import (MziGeometry, MziPhases, Representation, SppParams,
                       TwoPhotonAmplitude, apply_sigma, beamsplitter_output,
                       bell_state, coincidence_probability, compress,
@@ -175,23 +176,17 @@ def test_gram_engine_matches_dense_oracle(seed, rank, n):
         rng.normal(size=shape) + 1j * rng.normal(size=shape),
         grid, Representation.MOMENTUM))
     dense = to_dense(amp)
-    nsq, j = amplitudes._sigma_grams(amp)
-    assert nsq == pytest.approx(dense_norm_squared(dense), abs=1e-10)
-    dense_j = np.vdot(dense_sigma(dense).values, dense.values) * grid.weight ** 2
-    assert abs(j - dense_j) <= 1e-10
     assert sigma_overlap(amp) == pytest.approx(dense_sigma_overlap(dense), abs=1e-10)
     assert symmetry_decompose(amp) == pytest.approx(_dense_weights(dense), abs=1e-10)
-
-
-def test_syrk_self_gram_matches_direct_sum():
-    rng = np.random.default_rng(11)
-    rank = amplitudes._SYRK_MIN_RANK + 3
-    a = rng.normal(size=(rank, 8, 8)) + 1j * rng.normal(size=(rank, 8, 8))
-    for factors in (a, a[:, :, ::-1]):
-        g = amplitudes._gram(factors, weight=0.3)
-        direct = np.einsum("rab,sab->rs", factors.conj(), factors) * 0.3
-        assert np.abs(g - direct).max() <= 1e-12 * np.abs(direct).max()
-        assert np.array_equal(g, g.conj().T)
+    # The envelope branch: norms before and after a photon-1 envelope, and
+    # J of the enveloped amplitude.
+    envelope = rng.normal(size=(n, n))
+    nsq, nsq_env, j = amplitudes._sigma_grams(amp, envelope)
+    out = to_dense(replace(amp, photon1=amp.photon1 * envelope))
+    assert nsq == pytest.approx(dense_norm_squared(dense), abs=1e-10)
+    assert nsq_env == pytest.approx(dense_norm_squared(out), abs=1e-10)
+    dense_j = np.vdot(dense_sigma(out).values, out.values) * grid.weight ** 2
+    assert abs(j - dense_j) <= 1e-10 * max(1.0, abs(dense_j))
 
 
 def test_gram_products_per_call(monkeypatch):
@@ -205,8 +200,7 @@ def test_gram_products_per_call(monkeypatch):
         calls.append("self" if b is None else "cross")
         return gram(a, b, weight)
 
-    for module in (amplitudes, mzi_module):
-        monkeypatch.setattr(module, "_gram", counting)
+    monkeypatch.setattr(amplitudes, "_gram", counting)
     rng = np.random.default_rng(12)
     amp = random_amplitude(rng, small_grid())
     for fn in (sigma_overlap, symmetry_decompose, coincidence_probability,

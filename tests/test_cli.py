@@ -25,6 +25,12 @@ def test_pc_product(capsys):
     assert "verdict = inconclusive" in out
 
 
+def test_pc_prints_no_negative_zero(capsys):
+    # The thin-crystal P_c is zero up to roundoff of either sign.
+    assert main(["pc", "--state", "thin-crystal", "--grid-n", "32"]) == EXIT_OK
+    assert "P_c = 0.000000" in capsys.readouterr().out
+
+
 def test_classify_labels(capsys):
     assert main(["classify", "--state", "bell:phi-plus"]) == EXIT_OK
     assert "label = symmetric" in capsys.readouterr().out
