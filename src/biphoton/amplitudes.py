@@ -11,6 +11,7 @@ A dense 4D form is kept for small grids purely as a brute-force oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,8 +102,10 @@ def _sigma_grams(amp: TwoPhotonAmplitude,
     nsq_env = nsq if envelope is None else _norm(c, _gram(f, weight=w), g2)
     x = _gram(amp.photon2[:, :, ::-1], f, w)
     j = complex(c.conj() @ (x * x.conj().T) @ c)
+    if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
+        raise ValueError(f"non-finite amplitude: ||Phi||^2 = {nsq}, J = {j}")
     if abs(j.imag) > 1e-10 * nsq_env:  # J' / ||Phi'||^2 must be real
-        raise AssertionError(f"sigma overlap has imaginary part {j.imag}")
+        raise ValueError(f"sigma overlap has imaginary part {j.imag}")
     return nsq, nsq_env, j.real
 
 
@@ -124,8 +127,8 @@ def norm_squared(amp: TwoPhotonAmplitude) -> float:
 
 def normalize(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     nsq = norm_squared(amp)
-    if nsq <= 0.0:
-        raise ValueError("cannot normalize a zero-norm amplitude")
+    if not (math.isfinite(nsq) and nsq > 0.0):
+        raise ValueError(f"cannot normalize an amplitude of squared norm {nsq}")
     return replace(amp, coeffs=amp.coeffs / np.sqrt(nsq))
 
 

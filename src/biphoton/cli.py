@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,25 +32,51 @@ class ConfigError(ValueError):
     pass
 
 
-# Defaults applied after merging flags and config file.
-_DEFAULTS = {
-    "l": 1, "l1": 1, "l2": 1, "pump": "g00", "w0": 1.0,
-    "grid_n": None,  # per-state default, see _default_grid_n
-    "half_width": None,  # per-state default
-    "crystal_length": 1.0, "pump_wavenumber": 2.0,
-    "z": 1.0, "k": 1.0, "aperture_factor": 40.0,
-    "zeta": 1.0, "alpha_plus": 0.0, "steps": 16, "range": "0.25,4",
-    "parameter": "zeta", "out": "scan.csv", "square_aperture": False,
+_PC = ("pc", "classify")
+_SCAN = ("scan",)
+_ALL = _PC + _SCAN
+
+
+class _Key(NamedTuple):
+    type: type
+    default: object
+    help: str
+    commands: tuple[str, ...]  # the commands that read the key
+    choices: tuple[str, ...] | None = None
+
+
+# The one list of keys.  Each is a flag (--grid-n for grid_n) and a config-file
+# key; a command rejects every key it does not read.
+_KEYS = {
+    "state": _Key(str, None, "two-photon state", _PC, (
+        "bell:psi-plus", "bell:psi-minus", "bell:phi-plus", "bell:phi-minus",
+        "product", "spdc", "thin-crystal")),
+    "l": _Key(int, 1, "OAM index for Bell states", _PC),
+    "l1": _Key(int, 1, "OAM index of photon 1 (product state)", _PC),
+    "l2": _Key(int, 1, "OAM index of photon 2 (product state)", _PC),
+    "pump": _Key(str, "g00", "SPDC pump mode: g00 or hg:m,n", _PC),
+    "w0": _Key(float, 1.0, "beam waist", _ALL),
+    "grid_n": _Key(int, None, "grid points per axis (scan: 1024, else per state)", _ALL),
+    "half_width": _Key(float, None, "grid half-width (default per state)", _PC),
+    "crystal_length": _Key(float, 1.0, "SPDC crystal length", _PC),
+    "pump_wavenumber": _Key(float, 2.0, "pump wavenumber (SPDC and thin crystal)", _PC),
+    "z": _Key(float, 1.0, "propagation distance (thin crystal)", _ALL),
+    "k": _Key(float, 1.0, "photon wavenumber; the source is pumped at 2k", _SCAN),
+    "aperture_factor": _Key(float, 40.0, "aperture radius in units of the spot size w(z)", _ALL),
+    "parameter": _Key(str, "zeta", "swept parameter", _SCAN, ("zeta", "alpha_plus")),
+    "zeta": _Key(float, 1.0, "fixed SPP parameter", _SCAN),
+    "alpha_plus": _Key(float, 0.0, "fixed interferometer phase", _SCAN),
+    "range": _Key(str, "0.25,4", "scan range as lo,hi", _SCAN),
+    "steps": _Key(int, 16, "number of scan points", _SCAN),
+    "out": _Key(str, "scan.csv", "output CSV path", _SCAN),
+    "square_aperture": _Key(bool, False, "truncate on the square grid, not the disc", _SCAN),
 }
 
-_TYPES = {
-    "l": int, "l1": int, "l2": int, "pump": str, "w0": float,
-    "grid_n": int, "half_width": float, "crystal_length": float,
-    "pump_wavenumber": float, "z": float, "k": float,
-    "aperture_factor": float, "zeta": float, "alpha_plus": float,
-    "steps": int, "range": str, "parameter": str, "out": str,
-    "state": str, "square_aperture": bool,
-}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,45 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="biphoton",
         description="Two-photon transverse-mode interference simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--state", choices=[
-            "bell:psi-plus", "bell:psi-minus", "bell:phi-plus", "bell:phi-minus",
-            "product", "spdc", "thin-crystal"])
-        p.add_argument("--l", type=int, help="OAM index for Bell states")
-        p.add_argument("--l1", type=int, help="OAM index of photon 1 (product state)")
-        p.add_argument("--l2", type=int, help="OAM index of photon 2 (product state)")
-        p.add_argument("--pump", help="SPDC pump mode: g00 or hg:m,n")
-        p.add_argument("--w0", type=float, help="beam waist (default 1.0)")
-        p.add_argument("--grid-n", type=int, dest="grid_n", help="grid points per axis")
-        p.add_argument("--half-width", type=float, dest="half_width",
-                       help="grid half-width (momentum or position units)")
-        p.add_argument("--crystal-length", type=float, dest="crystal_length")
-        p.add_argument("--pump-wavenumber", type=float, dest="pump_wavenumber")
-        p.add_argument("--z", type=float, help="propagation distance (thin crystal)")
-        p.add_argument("--k", type=float, help="photon wavenumber")
-        p.add_argument("--aperture-factor", type=float, dest="aperture_factor",
-                       help="aperture radius in units of the spot size w(z)")
-
-    p_pc = sub.add_parser("pc", help="coincidence probability and witness verdict")
-    add_common(p_pc)
-
-    p_classify = sub.add_parser("classify", help="topological symmetry of the state")
-    add_common(p_classify)
-
-    p_scan = sub.add_parser("scan", help="sweep zeta or alpha_plus, write CSV")
-    add_common(p_scan)
-    p_scan.add_argument("--parameter", choices=["zeta", "alpha_plus"])
-    p_scan.add_argument("--zeta", type=float, help="fixed SPP parameter")
-    p_scan.add_argument("--alpha-plus", type=float, dest="alpha_plus",
-                        help="fixed interferometer phase")
-    p_scan.add_argument("--range", help="scan range as lo,hi")
-    p_scan.add_argument("--steps", type=int)
-    p_scan.add_argument("--out", help="output CSV path")
-    p_scan.add_argument("--square-aperture", action="store_const", const=True,
-                        dest="square_aperture",
-                        help="truncate on the square grid instead of the inscribed disc")
+        for key, spec in _KEYS.items():
+            reads = command in spec.commands
+            if spec.type is bool:
+                kwargs = {"action": "store_const", "const": True}
+            else:  # any value parses for a key not read, so that _merge names it
+                kwargs = {"type": spec.type, "choices": spec.choices} if reads else {}
+            if not reads:
+                kwargs["help"] = argparse.SUPPRESS
+            elif spec.default is None or spec.type is bool:
+                kwargs["help"] = spec.help
+            else:
+                kwargs["help"] = f"{spec.help}; default {spec.default}"
+            p.add_argument(_flag(key), dest=key, **kwargs)
     return parser
 
 
@@ -115,30 +119,31 @@ def _read_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in _TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = _KEYS[key].type
         try:
-            if _TYPES[key] is bool:
-                values[key] = val.lower() in ("1", "true", "yes")
-            else:
-                values[key] = _TYPES[key](val)
-        except ValueError as exc:
+            values[key] = _BOOLS[val.lower()] if kind is bool else kind(val)
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values
 
 
 def _merge(args: argparse.Namespace) -> dict:
+    """The keys the command reads: flag, else config file, else default.  A
+    key the command does not read is an error, from a flag or from the file."""
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = {}
-    for key in _TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-        elif key in file_values:
-            cfg[key] = file_values[key]
-        elif key in _DEFAULTS:
-            cfg[key] = _DEFAULTS[key]
-        if _TYPES[key] is float and cfg.get(key) is not None and not math.isfinite(cfg[key]):
+    for key, spec in _KEYS.items():
+        flag = getattr(args, key)
+        value = flag if flag is not None else file_values.get(key)
+        if args.command not in spec.commands:
+            if value is not None:
+                where = "" if flag is not None else f" (set in {args.config})"
+                raise ConfigError(f"{args.command} does not take {_flag(key)}{where}")
+            continue
+        cfg[key] = spec.default if value is None else value
+        if spec.type is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be a finite number, got {cfg[key]}")
     return cfg
 
@@ -238,19 +243,11 @@ def write_csv(result: ScanResult, path: str) -> None:
 
 
 def cmd_scan(cfg: dict) -> int:
-    for key, flag in (("state", "--state"), ("half_width", "--half-width")):
-        if cfg.get(key) is not None:
-            raise ConfigError(f"scan does not take {flag}: it sweeps the thin-crystal "
-                              f"source on a grid sized by --aperture-factor")
     try:
         lo_s, hi_s = cfg["range"].split(",")
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise ConfigError(f"bad range {cfg['range']!r}; expected lo,hi") from exc
-    if cfg["steps"] < 2:
-        raise ConfigError("steps must be at least 2")
-    if not lo < hi:
-        raise ConfigError(f"empty scan range: {cfg['range']!r}")
     geom = MziGeometry(z1=cfg["z"], z2=cfg["z"], k=cfg["k"],
                        aperture_factor=cfg["aperture_factor"],
                        circular=not cfg["square_aperture"])
@@ -265,16 +262,17 @@ def cmd_scan(cfg: dict) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "pc": (cmd_pc, "coincidence probability and witness verdict"),
+    "classify": (cmd_classify, "topological symmetry of the state"),
+    "scan": (cmd_scan, "sweep zeta or alpha_plus, write CSV"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge(args)
-        if args.command == "pc":
-            return cmd_pc(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        return cmd_scan(cfg)
+        return _COMMANDS[args.command][0](_merge(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -58,10 +58,10 @@ class MziPhases:
 class MziGeometry:
     """Propagation distances, photon wavenumber and aperture.
 
-    The aperture is aperture_factor times the spot size w(z): a disc of
-    radius aperture_factor * w(z) when circular (the default, which is what
+    The aperture is a disc when circular (the default, which is what
     converges to the delta-correlation limit), otherwise the full square
-    grid of half-width aperture_factor * w(z).
+    grid.  For the thin-crystal source its radius or half-width is
+    aperture_factor * w(z); an amplitude source's own grid sets it instead.
     """
 
     z1: float
@@ -295,31 +295,27 @@ def _thin_crystal_fast(source: GaussianBeamParams, spp: SppParams, phases: MziPh
     )
 
 
-def _default_source(geom: MziGeometry, waist: float) -> GaussianBeamParams:
-    if geom.z1 != geom.z2:
-        raise ValueError("the default thin-crystal source assumes z1 == z2")
-    return GaussianBeamParams(waist, geom.z1, 2.0 * geom.k)
-
-
 def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry,
-                    *, grid_n: int = 1024, waist: float = 1.0) -> MziResult:
+                    *, grid_n: int = 1024) -> MziResult:
     """Conditional coincidence probability and throughput at the last BS.
 
-    `source` may be:
-      * None - thin-crystal Gaussian biphoton with the default waist,
-        propagated z = z1 = z2 (requires equal arms);
-      * GaussianBeamParams - thin-crystal biphoton with those parameters
-        (fast dedicated path, exact for this source);
+    `source` is either
+      * GaussianBeamParams - thin-crystal biphoton propagated z = z1 = z2
+        (fast dedicated path, exact for this source), on grid_n points per
+        axis over a half-width of aperture_factor * w(z); or
       * TwoPhotonAmplitude - generic low-rank state; momentum-representation
         input is propagated (Fresnel) and Fourier-transformed, a
         position-representation input is taken as already at the last BS.
+        Its aperture is the disc inscribed in its grid (the whole grid if
+        not geom.circular); aperture_factor and grid_n are not read.
     """
-    if source is None:
-        source = _default_source(geom, waist)
     if isinstance(source, GaussianBeamParams):
         if not (geom.z1 == geom.z2 == source.z):
             raise ValueError("thin-crystal source requires z1 == z2 == source.z")
         return _thin_crystal_fast(source, spp, phases, geom, grid_n)
+    if not isinstance(source, TwoPhotonAmplitude):
+        raise TypeError("source must be GaussianBeamParams or TwoPhotonAmplitude, "
+                        f"got {type(source).__name__}")
     amp = source
     if amp.representation is Representation.MOMENTUM:
         amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
@@ -361,14 +357,14 @@ def delta_limit_oracle(spp: SppParams, phases: MziPhases, nodes: int = 4096) -> 
     return (1.0 - float(np.sum(s * s_ref)) / den) / 2.0
 
 
-def _scan_row(value: float, parameter: str, spp: SppParams, phases: MziPhases,
-              geom: MziGeometry, grid_n: int, waist: float) -> ScanRow:
+def _scan_row(value: float, parameter: str, source: GaussianBeamParams, spp: SppParams,
+              phases: MziPhases, geom: MziGeometry, grid_n: int) -> ScanRow:
     if parameter == "zeta":
         spp = SppParams(zeta=value)
     else:
         phases = MziPhases(alpha_plus=value, alpha_minus=phases.alpha_minus)
     try:
-        full = mzi_coincidence(None, spp, phases, geom, grid_n=grid_n, waist=waist)
+        full = mzi_coincidence(source, spp, phases, geom, grid_n=grid_n)
         oracle = delta_limit_oracle(spp, phases)
         return ScanRow(value, full.conditional_pc, oracle, full.throughput_eta, "ok")
     except DegenerateInterferenceError:
@@ -392,18 +388,22 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
          waist: float = 1.0) -> ScanResult:
     """Sweep zeta or alpha_plus; each row carries the full finite-aperture
     result, the infinite-aperture oracle, and the throughput.  Degenerate
-    rows are flagged instead of aborting the sweep."""
+    rows are flagged instead of aborting the sweep.  The source is the
+    thin-crystal biphoton of this waist, pumped at 2k."""
     if parameter not in ("zeta", "alpha_plus"):
         raise ValueError(f"scan parameter must be 'zeta' or 'alpha_plus', got {parameter!r}")
     if steps < 2:
         raise ValueError("need at least 2 scan steps")
     if not lo < hi:
         raise ValueError("scan range must satisfy lo < hi")
+    if geom.z1 != geom.z2:
+        raise ValueError("the thin-crystal source of a scan needs z1 == z2")
     n_workers = _scan_workers()
+    source = GaussianBeamParams(waist, geom.z1, 2.0 * geom.k)
     # Build the cached geometry here, so pool threads never build it twice.
-    _geometry_for(_default_source(geom, waist), geom, grid_n)
+    _geometry_for(source, geom, grid_n)
     values = np.linspace(lo, hi, steps)
-    args = [(float(v), parameter, spp, phases, geom, grid_n, waist) for v in values]
+    args = [(float(v), parameter, source, spp, phases, geom, grid_n) for v in values]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(lambda a: _scan_row(*a), args))

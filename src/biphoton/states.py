@@ -41,18 +41,15 @@ def _hermite(k: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def gaussian_g00(w0: float, grid: Grid,
                  representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Fundamental Gaussian mode, normalized on the grid."""
-    if w0 <= 0:
-        raise ValueError("waist must be positive")
-    _check_resolution(w0, grid, representation)
-    qx, qy = grid.meshgrid()
-    if representation is Representation.MOMENTUM:
-        values = np.exp(-(qx ** 2 + qy ** 2) * w0 ** 2 / 4.0)
-    else:
-        values = np.exp(-(qx ** 2 + qy ** 2) / w0 ** 2)
-    return normalize_mode(TransverseMode(values, grid, representation))
+    return hermite_gaussian(0, 0, w0, grid, representation)
 
 
 def _check_resolution(w0: float, grid: Grid, representation: Representation) -> None:
@@ -68,6 +65,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
     """HG_mn mode with m along x and n along y; y-parity is (-1)^n."""
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
+    _check_positive("waist", w0)
     _check_resolution(w0, grid, representation)
     qx, qy = grid.meshgrid()
     if representation is Representation.MOMENTUM:
@@ -83,6 +81,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
 def oam_ring(l: int, w0: float, grid: Grid,
              representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Ring mode R(q) e^{i l theta}; y-reflection maps it to the -l mode."""
+    _check_positive("waist", w0)
     qx, qy = grid.meshgrid()
     q = np.hypot(qx, qy)
     theta = np.arctan2(qy, qx)
@@ -130,14 +129,19 @@ class PumpMode:
     m: int = 0
     n: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "hermite"):
+            raise ValueError(f"unknown pump kind {self.kind!r}")
+        _check_positive("waist", self.waist)
+        if self.m < 0 or self.n < 0:
+            raise ValueError("mode indices must be non-negative")
+
     def evaluate(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
         env = np.exp(-(qx ** 2 + qy ** 2) * self.waist ** 2 / 4.0)
         if self.kind == "gaussian":
             return env
-        if self.kind == "hermite":
-            s = self.waist / np.sqrt(2.0)
-            return _hermite(self.m, qx * s) * _hermite(self.n, qy * s) * env
-        raise ValueError(f"unknown pump kind {self.kind!r}")
+        s = self.waist / np.sqrt(2.0)
+        return _hermite(self.m, qx * s) * _hermite(self.n, qy * s) * env
 
     @property
     def y_parity(self) -> int:
@@ -151,8 +155,8 @@ class SpdcParams:
     pump: PumpMode
 
     def __post_init__(self):
-        if self.crystal_length <= 0 or self.pump_wavenumber <= 0:
-            raise ValueError("crystal length and pump wavenumber must be positive")
+        _check_positive("crystal_length", self.crystal_length)
+        _check_positive("pump_wavenumber", self.pump_wavenumber)
 
 
 def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
@@ -215,13 +219,10 @@ class GaussianBeamParams:
     pump_wavenumber: float
 
     def __post_init__(self):
-        for name in ("waist", "z", "pump_wavenumber"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.waist <= 0 or self.pump_wavenumber <= 0:
-            raise ValueError("waist and pump wavenumber must be positive")
-        if self.z < 0:
-            raise ValueError("propagation distance must be non-negative")
+        _check_positive("waist", self.waist)
+        _check_positive("pump_wavenumber", self.pump_wavenumber)
+        if not (math.isfinite(self.z) and self.z >= 0):
+            raise ValueError(f"z must be finite and non-negative, got {self.z}")
 
     @property
     def rayleigh_length(self) -> float:

@@ -90,8 +90,8 @@ def test_criterion_05_spp_winding_sweep():
     for zeta, alpha, expected in ((1, 0.0, 0.0), (2, 0.0, 1.0), (3, 0.0, 0.0),
                                   (4, 0.0, 1.0), (1, np.pi / 2, 1.0),
                                   (2, np.pi / 2, 0.0)):
-        res = mzi_coincidence(None, SppParams(float(zeta)), MziPhases(alpha),
-                              geom, grid_n=1024)
+        res = mzi_coincidence(GaussianBeamParams(1.0, 1.0, 2.0), SppParams(float(zeta)),
+                              MziPhases(alpha), geom, grid_n=1024)
         worst_target = max(worst_target, abs(res.conditional_pc - expected))
     start = time.perf_counter()
     result = scan("zeta", 0.25, 4.0, 16, geom=geom, grid_n=1024)
@@ -112,8 +112,8 @@ def test_criterion_06_phase_sweep_fringes():
     for zeta in (1, 2):
         pcs = {}
         for alpha in alphas:
-            res = mzi_coincidence(None, SppParams(float(zeta)), MziPhases(alpha),
-                                  geom, grid_n=1024)
+            res = mzi_coincidence(GaussianBeamParams(1.0, 1.0, 2.0), SppParams(float(zeta)),
+                                  MziPhases(alpha), geom, grid_n=1024)
             pcs[alpha] = res.conditional_pc
             closed = 0.5 * (1.0 + (-1.0) ** zeta * np.cos(2.0 * alpha))
             worst_fringe = max(worst_fringe, abs(res.conditional_pc - closed))

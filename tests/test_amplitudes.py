@@ -99,6 +99,19 @@ def test_sigma_overlap_requires_normalization():
         sigma_overlap(bad)
 
 
+def test_non_finite_amplitude_raises():
+    amp = random_amplitude(np.random.default_rng(5), small_grid())
+    photon1 = amp.photon1.copy()
+    photon1[1, 3, 4] = np.nan
+    bad = replace(amp, photon1=photon1)
+    with pytest.raises(ValueError, match="non-finite"):
+        sigma_overlap(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        coincidence_probability(bad)
+    with pytest.raises(ValueError, match="squared norm nan"):
+        normalize(bad)
+
+
 def test_symmetry_decompose_matches_overlap():
     rng = np.random.default_rng(4)
     for seed in range(5):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -119,12 +120,75 @@ def test_scan_all_degenerate_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("extra,flag", [
     (["--state", "bell:psi-minus"], "--state"),
     (["--half-width", "3"], "--half-width"),
+    (["--l", "4"], "--l"),
+    (["--l1", "2"], "--l1"),
+    (["--l2", "2"], "--l2"),
+    (["--pump", "hg:0,1"], "--pump"),
+    (["--crystal-length", "9"], "--crystal-length"),
+    (["--pump-wavenumber", "7"], "--pump-wavenumber"),
 ])
 def test_scan_rejects_flags_it_would_ignore(extra, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["scan", "--grid-n", "64", "--steps", "2"] + extra) == EXIT_CONFIG
     assert f"scan does not take {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["pc", "--state", "bell:psi-minus", "--k", "7"], None, "pc does not take --k"),
+    (["classify", "--state", "product", "--square-aperture"], None,
+     "classify does not take --square-aperture"),
+    (["pc"], "state = product\nsteps = 3\n", "pc does not take --steps (set in run.cfg)"),
+    (["classify"], "state = product\nzeta = 2\n", "classify does not take --zeta (set in run.cfg)"),
+    (["scan", "--grid-n", "64", "--steps", "2"], "state = spdc\n",
+     "scan does not take --state (set in run.cfg)"),
+], ids=["pc-flag", "classify-flag", "pc-file", "classify-file", "scan-file"])
+def test_commands_reject_keys_they_do_not_read(argv, config, message, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+_PC_KEYS = {"state", "l", "l1", "l2", "pump", "w0", "grid-n", "half-width",
+            "crystal-length", "pump-wavenumber", "z", "aperture-factor"}
+_SCAN_KEYS = {"w0", "grid-n", "z", "k", "aperture-factor", "parameter", "zeta",
+              "alpha-plus", "range", "steps", "out", "square-aperture"}
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("pc", _PC_KEYS), ("classify", _PC_KEYS), ("scan", _SCAN_KEYS)])
+def test_help_lists_only_the_keys_a_command_reads(command, keys, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+    assert listed == keys | {"config", "help"}
+
+
+@pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+def test_config_file_rejects_bad_boolean(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"steps = 2\nsquare_aperture = {value}\n")
+    assert main(["scan", "--grid-n", "64", "--config", "run.cfg"]) == EXIT_CONFIG
+    assert "run.cfg:2: bad value for square_aperture" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_config_file_boolean_matches_flag(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("square_aperture = Yes\n")
+    argv = ["scan", "--grid-n", "64", "--steps", "2"]
+    assert main(argv + ["--config", str(tmp_path / "run.cfg"),
+                        "--out", str(tmp_path / "file.csv")]) == EXIT_OK
+    assert main(argv + ["--square-aperture", "--out", str(tmp_path / "flag.csv")]) == EXIT_OK
+    capsys.readouterr()
+    text = (tmp_path / "file.csv").read_text()
+    assert "# circular = False" in text
+    assert text == (tmp_path / "flag.csv").read_text()
 
 
 def test_build_state_thin_crystal_grid_tracks_aperture():

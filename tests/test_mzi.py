@@ -197,9 +197,10 @@ def test_oracle_rejects_vanishing_envelope_and_few_nodes():
 
 def test_large_aperture_converges_to_oracle():
     geom = MziGeometry(1.0, 1.0, aperture_factor=40.0)
-    res = mzi_coincidence(None, SppParams(1.0), MziPhases(0.0), geom, grid_n=1024)
+    source = GaussianBeamParams(1.0, 1.0, 2.0)
+    res = mzi_coincidence(source, SppParams(1.0), MziPhases(0.0), geom, grid_n=1024)
     assert res.conditional_pc == pytest.approx(0.0, abs=0.02)
-    res2 = mzi_coincidence(None, SppParams(2.0), MziPhases(0.0), geom, grid_n=1024)
+    res2 = mzi_coincidence(source, SppParams(2.0), MziPhases(0.0), geom, grid_n=1024)
     assert res2.conditional_pc == pytest.approx(1.0, abs=0.02)
 
 
@@ -209,14 +210,15 @@ def test_independent_of_propagation_distance():
     out = []
     for z in (0.5, 1.0, 2.0):
         geom = MziGeometry(z, z, aperture_factor=40.0)
-        out.append(mzi_coincidence(None, SppParams(1.0), MziPhases(0.3), geom,
-                                   grid_n=512).conditional_pc)
+        out.append(mzi_coincidence(GaussianBeamParams(1.0, z, 2.0), SppParams(1.0),
+                                   MziPhases(0.3), geom, grid_n=512).conditional_pc)
     assert max(out) - min(out) < 5e-3
 
 
 def test_mzi_coincidence_validations():
     with pytest.raises(ValueError):
-        mzi_coincidence(None, SppParams(1.0), MziPhases(0.0), MziGeometry(1.0, 2.0))
+        mzi_coincidence(GaussianBeamParams(1.0, 1.0, 2.0), SppParams(1.0), MziPhases(0.0),
+                        MziGeometry(1.0, 2.0))
     with pytest.raises(ValueError):
         mzi_coincidence(GaussianBeamParams(1.0, 0.5, 2.0), SppParams(1.0),
                         MziPhases(0.0), MziGeometry(1.0, 1.0))
@@ -230,6 +232,12 @@ def test_mzi_coincidence_validations():
             MziGeometry(**{"z1": 1.0, "z2": 1.0, **bad})
     with pytest.warns(UserWarning):
         MziGeometry(1.0, 1.0, aperture_factor=2.0)
+
+
+@pytest.mark.parametrize("source", [None, 1.0, "thin-crystal"])
+def test_mzi_coincidence_rejects_other_sources(source):
+    with pytest.raises(TypeError, match="GaussianBeamParams or TwoPhotonAmplitude"):
+        mzi_coincidence(source, SppParams(1.0), MziPhases(0.0), MziGeometry(1.0, 1.0))
 
 
 def test_phases_from_raw():
@@ -256,6 +264,8 @@ def test_scan_validations():
         scan("zeta", 1.0, 1.0, 4)
     with pytest.raises(ValueError):
         scan("zeta", 0.0, 1.0, 1)
+    with pytest.raises(ValueError):
+        scan("zeta", 0.0, 1.0, 4, geom=MziGeometry(1.0, 2.0))  # z1 != z2
 
 
 def _row_bytes(result):

@@ -61,6 +61,18 @@ def test_hermite_gaussian_rejects_negative_indices():
         hermite_gaussian(-1, 0, 1.0, GRID)
 
 
+@pytest.mark.parametrize("waist", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("factory", [
+    lambda w: hermite_gaussian(1, 0, w, GRID),
+    lambda w: gaussian_g00(w, GRID),
+    lambda w: oam_ring(1, w, GRID),
+    lambda w: bell_state("psi-minus", 1, w, GRID),
+], ids=["hermite_gaussian", "gaussian_g00", "oam_ring", "bell_state"])
+def test_mode_factories_reject_bad_waist(factory, waist):
+    with pytest.raises(ValueError, match="waist must be finite and positive"):
+        factory(waist)
+
+
 def test_oam_ring_l0_real_rotation_symmetric():
     ring = oam_ring(0, 1.0, GRID)
     assert np.abs(ring.values.imag).max() == 0.0
@@ -137,6 +149,22 @@ def test_spdc_symmetry_follows_pump_parity(pump, expected_j):
     assert amp.truncation_error < 1e-6
     assert sigma_overlap(amp) == pytest.approx(expected_j, abs=1e-6)
     assert pump.y_parity == (1 if expected_j > 0 else -1)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SpdcParams(np.nan, 2.0, PumpMode("gaussian", 1.0)), "crystal_length"),
+    (lambda: SpdcParams(0.0, 2.0, PumpMode("gaussian", 1.0)), "crystal_length"),
+    (lambda: SpdcParams(1.0, np.inf, PumpMode("gaussian", 1.0)), "pump_wavenumber"),
+    (lambda: SpdcParams(1.0, -2.0, PumpMode("gaussian", 1.0)), "pump_wavenumber"),
+    (lambda: PumpMode("gaussian", np.nan), "waist"),
+    (lambda: PumpMode("hermite", 0.0, 1, 0), "waist"),
+    (lambda: PumpMode("hermite", 1.0, -1, 0), "mode indices"),
+    (lambda: PumpMode("hermite", 1.0, 0, -2), "mode indices"),
+    (lambda: PumpMode("laguerre", 1.0), "pump kind"),
+])
+def test_spdc_params_and_pump_reject_bad_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_spdc_truncation_cap():
