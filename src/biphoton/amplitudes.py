@@ -85,7 +85,8 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
 def _gram(a: np.ndarray, b: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
     """G[r, s] = <a_r, b_s> with midpoint weights; b defaults to a."""
     b = a if b is None else b
-    return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
+    with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
+        return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
 
 
 def _sigma_grams(amp: TwoPhotonAmplitude,
@@ -113,9 +114,9 @@ def _norm(c: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> float:
     return float((c.conj() @ (g1 * g2) @ c).real)
 
 
-def _normalized_overlap(amp: TwoPhotonAmplitude, norm_tol: float) -> tuple[float, float]:
+def _normalized_overlap(amp: TwoPhotonAmplitude) -> tuple[float, float]:
     nsq, _, j = _sigma_grams(amp)
-    if abs(nsq - 1.0) > norm_tol:
+    if abs(nsq - 1.0) > 1e-6:
         raise ValueError(f"amplitude not normalized: ||Phi||^2 = {nsq}")
     return nsq, j
 
@@ -140,13 +141,13 @@ def apply_sigma(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     )
 
 
-def sigma_overlap(amp: TwoPhotonAmplitude, *, norm_tol: float = 1e-6) -> float:
+def sigma_overlap(amp: TwoPhotonAmplitude) -> float:
     """J = <sigma Phi, Phi>, real in [-1, 1] for a normalized amplitude.
 
     J = 1 for sigma-symmetric amplitudes (perfect coalescence), J = -1 for
     antisymmetric ones (perfect anti-coalescence).
     """
-    return _normalized_overlap(amp, norm_tol)[1]
+    return _normalized_overlap(amp)[1]
 
 
 def symmetry_decompose(amp: TwoPhotonAmplitude) -> tuple[float, float]:
@@ -156,7 +157,7 @@ def symmetry_decompose(amp: TwoPhotonAmplitude) -> tuple[float, float]:
     same three Grams as J, without building the parts; they sum to 1 for a
     normalized input.
     """
-    nsq, j = _normalized_overlap(amp, 1e-6)
+    nsq, j = _normalized_overlap(amp)
     return max((nsq + j) / 2.0, 0.0), max((nsq - j) / 2.0, 0.0)  # roundoff
 
 

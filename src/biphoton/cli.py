@@ -18,7 +18,7 @@ import numpy as np
 from .amplitudes import TwoPhotonAmplitude, symmetry_decompose
 from .errors import DegenerateInterferenceError
 from .grids import make_grid
-from .interference import coincidence_probability, entanglement_witness
+from .interference import beamsplitter_output
 from .mzi import MziGeometry, MziPhases, ScanResult, SppParams, scan
 from .states import (GaussianBeamParams, PumpMode, SpdcParams, bell_state,
                      oam_ring, product_state, spdc_state, thin_crystal_gaussian)
@@ -43,26 +43,30 @@ class _Key(NamedTuple):
     help: str
     commands: tuple[str, ...]  # the commands that read the key
     choices: tuple[str, ...] | None = None
+    states: tuple[str, ...] | None = None  # the state families that read it, if not all
 
 
 # The one list of keys.  Each is a flag (--grid-n for grid_n) and a config-file
-# key; a command rejects every key it does not read.
+# key; a command, and under pc/classify a state, rejects every key it does not
+# read.
 _KEYS = {
     "state": _Key(str, None, "two-photon state", _PC, (
         "bell:psi-plus", "bell:psi-minus", "bell:phi-plus", "bell:phi-minus",
         "product", "spdc", "thin-crystal")),
-    "l": _Key(int, 1, "OAM index for Bell states", _PC),
-    "l1": _Key(int, 1, "OAM index of photon 1 (product state)", _PC),
-    "l2": _Key(int, 1, "OAM index of photon 2 (product state)", _PC),
-    "pump": _Key(str, "g00", "SPDC pump mode: g00 or hg:m,n", _PC),
+    "l": _Key(int, 1, "OAM index for Bell states", _PC, states=("bell",)),
+    "l1": _Key(int, 1, "OAM index of photon 1 (product state)", _PC, states=("product",)),
+    "l2": _Key(int, 1, "OAM index of photon 2 (product state)", _PC, states=("product",)),
+    "pump": _Key(str, "g00", "SPDC pump mode: g00 or hg:m,n", _PC, states=("spdc",)),
     "w0": _Key(float, 1.0, "beam waist", _ALL),
     "grid_n": _Key(int, None, "grid points per axis (scan: 1024, else per state)", _ALL),
     "half_width": _Key(float, None, "grid half-width (default per state)", _PC),
-    "crystal_length": _Key(float, 1.0, "SPDC crystal length", _PC),
-    "pump_wavenumber": _Key(float, 2.0, "pump wavenumber (SPDC and thin crystal)", _PC),
-    "z": _Key(float, 1.0, "propagation distance (thin crystal)", _ALL),
+    "crystal_length": _Key(float, 1.0, "SPDC crystal length", _PC, states=("spdc",)),
+    "pump_wavenumber": _Key(float, 2.0, "pump wavenumber (SPDC and thin crystal)", _PC,
+                            states=("spdc", "thin-crystal")),
+    "z": _Key(float, 1.0, "propagation distance (thin crystal)", _ALL, states=("thin-crystal",)),
     "k": _Key(float, 1.0, "photon wavenumber; the source is pumped at 2k", _SCAN),
-    "aperture_factor": _Key(float, 40.0, "aperture radius in units of the spot size w(z)", _ALL),
+    "aperture_factor": _Key(float, 40.0, "aperture radius in units of the spot size w(z)", _ALL,
+                            states=("thin-crystal",)),
     "parameter": _Key(str, "zeta", "swept parameter", _SCAN, ("zeta", "alpha_plus")),
     "zeta": _Key(float, 1.0, "fixed SPP parameter", _SCAN),
     "alpha_plus": _Key(float, 0.0, "fixed interferometer phase", _SCAN),
@@ -131,17 +135,22 @@ def _read_config_file(path: str) -> dict:
 
 def _merge(args: argparse.Namespace) -> dict:
     """The keys the command reads: flag, else config file, else default.  A
-    key the command does not read is an error, from a flag or from the file."""
+    key the command or the chosen state does not read is an error, from a flag
+    or from the file."""
     file_values = _read_config_file(args.config) if args.config else {}
+    state = args.state if args.state is not None else file_values.get("state")
+    family = state.partition(":")[0] if state in _KEYS["state"].choices else None
     cfg = {}
     for key, spec in _KEYS.items():
         flag = getattr(args, key)
         value = flag if flag is not None else file_values.get(key)
+        where = "" if flag is not None else f" (set in {args.config})"
         if args.command not in spec.commands:
             if value is not None:
-                where = "" if flag is not None else f" (set in {args.config})"
                 raise ConfigError(f"{args.command} does not take {_flag(key)}{where}")
             continue
+        if value is not None and family and spec.states and family not in spec.states:
+            raise ConfigError(f"{state} does not take {_flag(key)}{where}")
         cfg[key] = spec.default if value is None else value
         if spec.type is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be a finite number, got {cfg[key]}")
@@ -149,16 +158,17 @@ def _merge(args: argparse.Namespace) -> dict:
 
 
 def _default_grid(cfg: dict, state: str):
+    n, half = cfg["grid_n"], cfg["half_width"]
     if state.startswith("bell") or state == "product":
-        n = cfg["grid_n"] or 64
-        half = cfg["half_width"] or 8.0 / cfg["w0"]
+        n = 64 if n is None else n
+        half = 8.0 / cfg["w0"] if half is None else half
     elif state == "spdc":
-        n = cfg["grid_n"] or 32
-        half = cfg["half_width"] or 6.0 / cfg["w0"]
+        n = 32 if n is None else n
+        half = 6.0 / cfg["w0"] if half is None else half
     else:  # thin-crystal, position grid sized by the aperture
         beam = _beam(cfg)
-        n = cfg["grid_n"] or 64
-        half = cfg["half_width"] or cfg["aperture_factor"] * beam.spot_size
+        n = 64 if n is None else n
+        half = cfg["aperture_factor"] * beam.spot_size if half is None else half
     return make_grid(n, half)
 
 
@@ -199,21 +209,17 @@ def build_state(cfg: dict) -> TwoPhotonAmplitude:
 
 
 def cmd_pc(cfg: dict) -> int:
-    amp = build_state(cfg)
-    sym, asym = symmetry_decompose(amp)
-    pc = coincidence_probability(amp)
-    verdict = entanglement_witness(amp)
-    print(f"P_c = {max(0.0, pc):.6f}")  # no "-0.000000" from roundoff
-    print(f"symmetric_weight = {sym:.6f}")
-    print(f"antisymmetric_weight = {asym:.6f}")
-    print(f"verdict = {verdict.value}")
+    out = beamsplitter_output(build_state(cfg))
+    print(f"P_c = {out.p_coincidence:.6f}")
+    print(f"symmetric_weight = {out.p_both_port1 + out.p_both_port2:.6f}")
+    print(f"antisymmetric_weight = {out.p_coincidence:.6f}")
+    print(f"verdict = {out.verdict.value}")
     return EXIT_OK
 
 
-def cmd_classify(cfg: dict, threshold: float = 1e-6) -> int:
-    amp = build_state(cfg)
-    sym, asym = symmetry_decompose(amp)
-    if min(sym, asym) <= threshold:
+def cmd_classify(cfg: dict) -> int:
+    sym, asym = symmetry_decompose(build_state(cfg))
+    if min(sym, asym) <= 1e-6:
         label = "symmetric" if sym >= asym else "antisymmetric"
     else:
         label = "mixed"
@@ -253,7 +259,8 @@ def cmd_scan(cfg: dict) -> int:
                        circular=not cfg["square_aperture"])
     result = scan(cfg["parameter"], lo, hi, cfg["steps"],
                   spp=SppParams(cfg["zeta"]), phases=MziPhases(cfg["alpha_plus"]),
-                  geom=geom, grid_n=cfg["grid_n"] or 1024, waist=cfg["w0"])
+                  geom=geom, waist=cfg["w0"],
+                  grid_n=1024 if cfg["grid_n"] is None else cfg["grid_n"])
     write_csv(result, cfg["out"])
     print(f"wrote {len(result.rows)} rows to {cfg['out']}")
     if all(row.flag == "degenerate" for row in result.rows):

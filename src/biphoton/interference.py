@@ -9,12 +9,13 @@ P_c > 1/2 certifies entanglement; P_c <= 1/2 certifies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import TwoPhotonAmplitude, apply_sigma, sigma_overlap
+from .amplitudes import TwoPhotonAmplitude, apply_sigma, symmetry_decompose
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,21 @@ class BsOutput:
     p_both_port1: float
     p_both_port2: float
     p_coincidence: float
-    coincidence_amplitude: TwoPhotonAmplitude  # unnormalized (Phi - sigma Phi)/2
+    _input: TwoPhotonAmplitude = field(repr=False)
+
+    @property
+    def verdict(self) -> Verdict:
+        """Entangled iff P_c > 1/2 + 1e-6, else inconclusive (never 'separable')."""
+        return Verdict.ENTANGLED if self.p_coincidence > 0.5 + 1e-6 else Verdict.INCONCLUSIVE
+
+    @cached_property
+    def coincidence_amplitude(self) -> TwoPhotonAmplitude:
+        """Unnormalized (Phi - sigma Phi)/2, of rank 2R; built on first read."""
+        amp, sig = self._input, apply_sigma(self._input)
+        return TwoPhotonAmplitude(np.concatenate([amp.coeffs, -sig.coeffs]) / 2.0,
+                                  np.concatenate([amp.photon1, sig.photon1]),
+                                  np.concatenate([amp.photon2, sig.photon2]),
+                                  amp.grid, amp.representation)
 
 
 class Verdict(Enum):
@@ -45,7 +60,7 @@ class Verdict(Enum):
 
 def coincidence_probability(amp: TwoPhotonAmplitude) -> float:
     """P_c = (1 - <sigma Phi, Phi>)/2 for a normalized amplitude."""
-    return (1.0 - sigma_overlap(amp)) / 2.0
+    return beamsplitter_output(amp).p_coincidence
 
 
 def beamsplitter_output(amp: TwoPhotonAmplitude, phases: BsPhases = BsPhases()) -> BsOutput:
@@ -54,28 +69,11 @@ def beamsplitter_output(amp: TwoPhotonAmplitude, phases: BsPhases = BsPhases()) 
     The antisymmetric part of the input exits as a coincidence; the symmetric
     part bunches, split evenly between the two output ports.
     """
-    j = sigma_overlap(amp)
-    symmetric = (1.0 + j) / 2.0
-    sig = apply_sigma(amp)
-    coincidence_amp = TwoPhotonAmplitude(
-        np.concatenate([amp.coeffs, -sig.coeffs]) / 2.0,
-        np.concatenate([amp.photon1, sig.photon1]),
-        np.concatenate([amp.photon2, sig.photon2]),
-        amp.grid, amp.representation,
-    )
-    return BsOutput(
-        p_both_port1=symmetric / 2.0,
-        p_both_port2=symmetric / 2.0,
-        p_coincidence=(1.0 - j) / 2.0,
-        coincidence_amplitude=coincidence_amp,
-    )
+    sym, asym = symmetry_decompose(amp)
+    return BsOutput(p_both_port1=sym / 2.0, p_both_port2=sym / 2.0,
+                    p_coincidence=asym, _input=amp)
 
 
-def entanglement_witness(amp: TwoPhotonAmplitude, margin: float = 1e-6) -> Verdict:
-    """Entangled iff P_c > 1/2 + margin; the witness is one-sided, so the
-    alternative is 'inconclusive', never 'separable'."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    if coincidence_probability(amp) > 0.5 + margin:
-        return Verdict.ENTANGLED
-    return Verdict.INCONCLUSIVE
+def entanglement_witness(amp: TwoPhotonAmplitude) -> Verdict:
+    """The witness verdict of `beamsplitter_output`."""
+    return beamsplitter_output(amp).verdict

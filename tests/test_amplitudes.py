@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import amplitudes
+from biphoton import amplitudes, cli
 from biphoton import (MziGeometry, MziPhases, Representation, SppParams,
                       TwoPhotonAmplitude, apply_sigma, beamsplitter_output,
                       bell_state, coincidence_probability, compress,
@@ -101,15 +101,16 @@ def test_sigma_overlap_requires_normalization():
 
 def test_non_finite_amplitude_raises():
     amp = random_amplitude(np.random.default_rng(5), small_grid())
-    photon1 = amp.photon1.copy()
-    photon1[1, 3, 4] = np.nan
-    bad = replace(amp, photon1=photon1)
-    with pytest.raises(ValueError, match="non-finite"):
-        sigma_overlap(bad)
-    with pytest.raises(ValueError, match="non-finite"):
-        coincidence_probability(bad)
-    with pytest.raises(ValueError, match="squared norm nan"):
-        normalize(bad)
+    for sample in (np.nan, np.inf):
+        photon1 = amp.photon1.copy()
+        photon1[1, 3, 4] = sample
+        bad = replace(amp, photon1=photon1)
+        with pytest.raises(ValueError, match="non-finite"):
+            sigma_overlap(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            coincidence_probability(bad)
+        with pytest.raises(ValueError, match="squared norm nan"):
+            normalize(bad)
 
 
 def test_symmetry_decompose_matches_overlap():
@@ -202,10 +203,10 @@ def test_gram_engine_matches_dense_oracle(seed, rank, n):
     assert abs(j - dense_j) <= 1e-10 * max(1.0, abs(dense_j))
 
 
-def test_gram_products_per_call(monkeypatch):
+def test_gram_products_per_call(monkeypatch, capsys):
     # Regression guard on the Gram engine's cost: two self-Grams and one
-    # sigma cross-Gram per analysis call, at most four products per generic
-    # interferometer call.
+    # sigma cross-Gram per analysis call and per `biphoton pc` report, at most
+    # four products per generic interferometer call.
     calls = []
     gram = amplitudes._gram
 
@@ -221,6 +222,17 @@ def test_gram_products_per_call(monkeypatch):
         calls.clear()
         fn(amp)
         assert sorted(calls) == ["cross", "self", "self"], fn.__name__
+    build_state = cli.build_state
+
+    def build_then_count(cfg):  # count the report, not the state's normalization
+        state = build_state(cfg)
+        calls.clear()
+        return state
+
+    monkeypatch.setattr(cli, "build_state", build_then_count)
+    assert cli.main(["pc", "--state", "bell:psi-minus"]) == cli.EXIT_OK
+    assert "verdict = entangled" in capsys.readouterr().out
+    assert sorted(calls) == ["cross", "self", "self"]
     pos = random_amplitude(rng, small_grid(16, 3.0), representation=Representation.POSITION)
     for circular in (True, False):
         calls.clear()

@@ -142,7 +142,26 @@ def test_scan_rejects_flags_it_would_ignore(extra, flag, tmp_path, monkeypatch, 
     (["classify"], "state = product\nzeta = 2\n", "classify does not take --zeta (set in run.cfg)"),
     (["scan", "--grid-n", "64", "--steps", "2"], "state = spdc\n",
      "scan does not take --state (set in run.cfg)"),
-], ids=["pc-flag", "classify-flag", "pc-file", "classify-file", "scan-file"])
+    (["pc", "--state", "bell:psi-minus", "--pump", "hg:0,1"], None,
+     "bell:psi-minus does not take --pump"),
+    (["pc", "--state", "bell:psi-minus", "--crystal-length", "9"], None,
+     "bell:psi-minus does not take --crystal-length"),
+    (["classify", "--state", "bell:phi-plus", "--aperture-factor", "6"], None,
+     "bell:phi-plus does not take --aperture-factor"),
+    (["pc", "--state", "product", "--l", "2"], None, "product does not take --l"),
+    (["classify", "--state", "product", "--pump-wavenumber", "3"], None,
+     "product does not take --pump-wavenumber"),
+    (["pc", "--state", "spdc", "--l1", "2"], None, "spdc does not take --l1"),
+    (["classify", "--state", "spdc", "--z", "2"], None, "spdc does not take --z"),
+    (["pc", "--state", "thin-crystal", "--crystal-length", "2"], None,
+     "thin-crystal does not take --crystal-length"),
+    (["pc"], "state = thin-crystal\nl2 = 3\n", "thin-crystal does not take --l2 (set in run.cfg)"),
+    (["classify", "--state", "bell:psi-minus"], "pump = g00\n",
+     "bell:psi-minus does not take --pump (set in run.cfg)"),
+], ids=["pc-flag", "classify-flag", "pc-file", "classify-file", "scan-file",
+        "bell-pump", "bell-crystal-length", "bell-aperture-factor", "product-l",
+        "product-pump-wavenumber", "spdc-l1", "spdc-z", "thin-crystal-crystal-length",
+        "thin-crystal-file", "bell-file"])
 def test_commands_reject_keys_they_do_not_read(argv, config, message, tmp_path,
                                                monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -152,6 +171,33 @@ def test_commands_reject_keys_they_do_not_read(argv, config, message, tmp_path,
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["pc", "--state", "spdc", "--pump", "hg:1,0", "--crystal-length", "2",
+      "--pump-wavenumber", "3", "--w0", "1", "--grid-n", "16", "--half-width", "6"], None),
+    (["pc"], "state = thin-crystal\nz = 2\npump_wavenumber = 3\naperture_factor = 6\n"
+     "grid_n = 16\nhalf_width = 8\nw0 = 1\n"),
+], ids=["spdc-flags", "thin-crystal-file"])
+def test_states_take_the_keys_they_read(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    assert main(argv) == EXIT_OK
+    assert "verdict = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pc", "--state", "bell:psi-minus", "--grid-n", "0"], "grid size must be even"),
+    (["pc", "--state", "bell:psi-minus", "--half-width", "0"], "half_width must be finite"),
+    (["scan", "--grid-n", "0", "--steps", "2"], "grid size must be even"),
+], ids=["pc-grid-n", "pc-half-width", "scan-grid-n"])
+def test_zero_grid_is_config_error(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a scan would write its default scan.csv
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 _PC_KEYS = {"state", "l", "l1", "l2", "pump", "w0", "grid-n", "half-width",

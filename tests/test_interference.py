@@ -75,6 +75,7 @@ def test_coincidence_amplitude_is_antisymmetric_part():
     rng = np.random.default_rng(42)
     amp = random_amplitude(rng, small_grid())
     out = beamsplitter_output(amp)
+    assert "coincidence_amplitude" not in vars(out)  # built on first read
     from biphoton import norm_squared
     assert norm_squared(out.coincidence_amplitude) == pytest.approx(out.p_coincidence, abs=1e-10)
 
@@ -83,8 +84,6 @@ def test_witness_verdicts():
     assert entanglement_witness(bell_state("psi-minus", 1, 1.0, GRID)) is Verdict.ENTANGLED
     # entangled but undetected: the witness is one-sided
     assert entanglement_witness(bell_state("phi-plus", 1, 1.0, GRID)) is Verdict.INCONCLUSIVE
-    with pytest.raises(ValueError):
-        entanglement_witness(bell_state("psi-minus", 1, 1.0, GRID), margin=-0.1)
 
 
 def test_witness_never_fires_on_products():
