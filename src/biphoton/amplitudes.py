@@ -6,6 +6,12 @@ y components) acts term-wise.  The norm, the overlap <sigma Phi, Phi> that
 controls the beamsplitter coincidence rate and the symmetry weights follow
 from two self-Grams and one sigma cross-Gram of the factors.
 
+A factory may hand over the factors per axis, f_r = x_{ix[r]} (x) y_{iy[r]}
+built from a few 1-D vectors (the thin-crystal state does).  The amplitude
+then keeps that form: its Grams contract per axis, and the (rank, n, n)
+arrays `photon1`/`photon2` are built only when first read.  Replacing a
+factor array drops the form.
+
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
 
@@ -13,39 +19,109 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .grids import Grid, Representation, TransverseMode, fourier_kernel_1d
 
 _DENSE_MAX_N = 32
+_PHOTONS = ("photon1", "photon2")
+
+
+@dataclass(frozen=True, eq=False)
+class _AxisFactors:
+    """One photon's factors held per axis: term r is the outer product
+    x[ix[r]] (x) y[iy[r]] of rows of x (mx, n) and y (my, n)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The (rank, n, n) factor array, built on first read; read-only."""
+        values = self.x[self.ix][:, :, None] * self.y[self.iy][:, None, :]
+        values.setflags(write=False)
+        return values
+
+    def holds(self, values: np.ndarray | None) -> bool:
+        """Whether `values` stands for these factors: not given, or the very
+        array built from them."""
+        return values is None or values is self.__dict__.get("values")
+
+    def reflect_y(self) -> _AxisFactors:
+        return _AxisFactors(self.x, self.y[:, ::-1], self.ix, self.iy)
 
 
 @dataclass(frozen=True, eq=False)
 class TwoPhotonAmplitude:
-    """Low-rank two-photon amplitude: coeffs (R,), factors (R, n, n)."""
+    """Low-rank two-photon amplitude: coeffs (R,), factors (R, n, n).
+
+    A factory may pass photon1 = photon2 = None with the per-axis factors in
+    `_axes`; the arrays are then built when first read.
+    """
 
     coeffs: np.ndarray
-    photon1: np.ndarray
-    photon2: np.ndarray
+    photon1: np.ndarray | None
+    photon2: np.ndarray | None
     grid: Grid
     representation: Representation
     truncation_error: float | None = field(default=None, compare=False)
+    _axes: tuple[_AxisFactors, _AxisFactors] | None = field(default=None, repr=False,
+                                                             compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        f1 = np.asarray(self.photon1, dtype=complex)
-        f2 = np.asarray(self.photon2, dtype=complex)
-        n = self.grid.n
-        if f1.shape != (c.size, n, n) or f2.shape != (c.size, n, n):
-            raise ValueError("factor arrays must have shape (rank, n, n)")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "photon1", f1)
-        object.__setattr__(self, "photon2", f2)
+        n = self.grid.n
+        given = (self.photon1, self.photon2)
+        axes = self._axes
+        if axes is not None and all(map(_AxisFactors.holds, axes, given)):
+            if any(a.ix.size != c.size or a.iy.size != c.size
+                   or a.x.shape[1] != n or a.y.shape[1] != n for a in axes):
+                raise ValueError("factor arrays must have shape (rank, n, n)")
+            for name in _PHOTONS:  # served from _axes by __getattr__
+                object.__delattr__(self, name)
+            return
+        if axes is not None:  # a replaced factor: the per-axis form is stale
+            given = tuple(a.values if v is None else v for a, v in zip(axes, given))
+            object.__setattr__(self, "_axes", None)
+        for name, values in zip(_PHOTONS, given):
+            if values is None:
+                raise ValueError("factor arrays must have shape (rank, n, n)")
+            values = np.asarray(values, dtype=complex)
+            if values.shape != (c.size, n, n):
+                raise ValueError("factor arrays must have shape (rank, n, n)")
+            object.__setattr__(self, name, values)
+
+    def __getattr__(self, name):
+        # Only reached for photon1/photon2 of a per-axis amplitude.
+        axes = self.__dict__.get("_axes")
+        if axes is None or name not in _PHOTONS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return axes[_PHOTONS.index(name)].values
 
     @property
     def rank(self) -> int:
         return self.coeffs.size
+
+
+def _factors(amp: TwoPhotonAmplitude):
+    """Photon 1's and photon 2's factors: per axis if held so, else arrays."""
+    return amp._axes if amp._axes is not None else (amp.photon1, amp.photon2)
+
+
+def _with_factors(amp: TwoPhotonAmplitude, f, g, **changes) -> TwoPhotonAmplitude:
+    """amp with factors f, g in the form `_factors` returns, and other changes."""
+    if isinstance(f, _AxisFactors):
+        return replace(amp, photon1=None, photon2=None, _axes=(f, g), **changes)
+    return replace(amp, photon1=f, photon2=g, _axes=None, **changes)
+
+
+def _reflect_y(factors):
+    return factors.reflect_y() if isinstance(factors, _AxisFactors) else factors[:, :, ::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,26 +158,68 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
     return TwoPhotonAmplitude(coeffs, photon1, photon2, f0.grid, f0.representation)
 
 
-def _gram(a: np.ndarray, b: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
-    """G[r, s] = <a_r, b_s> with midpoint weights; b defaults to a."""
+def _gram(a, b=None, weight: float = 1.0, pointwise: np.ndarray | None = None) -> np.ndarray:
+    """G[r, s] = <a_r, pointwise b_s> with midpoint weights; b defaults to a.
+    Factors held per axis on both sides contract per axis (_axis_gram)."""
     b = a if b is None else b
     with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
+        if isinstance(a, _AxisFactors):
+            return _axis_gram(a, b, weight, pointwise)
+        if pointwise is not None:
+            b = b * pointwise
         return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
 
 
-def _sigma_grams(amp: TwoPhotonAmplitude,
-                 envelope: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(||Phi||^2, ||Phi'||^2, J' = <sigma Phi', Phi'>) for Phi' = Phi with
-    `envelope` on photon 1 (Phi' = Phi when None), from the self-Grams
-    G1 = <f_r, f_s>, G2 = <g_r, g_s> and the cross-Gram X = <Pi_y g_r, f_s>:
-    ||Phi||^2 = c^H (G1 o G2) c and J = c^H (X o X^H) c, as the photon-2 Gram
-    of sigma Phi is X^H.  G2 serves both norms."""
+def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
+               pointwise: np.ndarray | None) -> np.ndarray:
+    """The Gram of per-axis factors for a real 2-D weight W.  With
+    A[(p, q), i] = conj(a.x[p, i]) b.x[q, i], B likewise on y and
+    K = A W B^T, G[r, s] = K[(a.ix[r], b.ix[s]), (a.iy[r], b.iy[s])], read by
+    one flat gather: m^2 n^2 + m^4 n work for m vectors per axis, against
+    R^2 n^2 for the (R, n, n) arrays.  Without W the integral separates, and
+    G is the product of the two axes' m x m Grams."""
+    if pointwise is None:
+        gx, gy = (np.conj(a.x) @ b.x.T) * weight, np.conj(a.y) @ b.y.T
+        return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)
+                * np.take(np.take(gy, a.iy, axis=0), b.iy, axis=1))
+    n = a.x.shape[1]
+    ax = (np.conj(a.x)[:, None, :] * b.x[None, :, :]).reshape(-1, n)
+    ay = (np.conj(a.y)[:, None, :] * b.y[None, :, :]).reshape(-1, n)
+    # A W as one real product: W is real, so Re and Im rows go through it apart.
+    aw = np.concatenate([ax.real, ax.imag]) @ (pointwise * weight)
+    k = (aw[:ax.shape[0]] + 1j * aw[ax.shape[0]:]) @ ay.T
+    cols = k.shape[1]
+    rows = a.ix * (b.x.shape[0] * cols) + a.iy * b.y.shape[0]
+    return np.take(k.ravel(), rows[:, None] + (b.ix * cols + b.iy)[None, :])
+
+
+def _times(*weights: np.ndarray | None) -> np.ndarray | None:
+    """The product of the pointwise weights given; None (weight 1) if none is."""
+    given = [w for w in weights if w is not None]
+    return math.prod(given) if given else None
+
+
+def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(||Phi||^2, ||Phi'||^2, J' = <sigma Phi', Phi'>) for Phi = amp with
+    both photons multiplied by the real `mask` and Phi' = Phi with the real
+    `envelope` on photon 1 (either is 1 when None).  They come from the
+    self-Grams G1 = <f_r, f_s>, G2 = <g_r, g_s> and the cross-Gram
+    X = <Pi_y g_r, f_s> of those factors, each a Gram of amp's factors with a
+    pointwise weight: ||Phi||^2 = c^H (G1 o G2) c and J = c^H (X o X^H) c, as
+    the photon-2 Gram of sigma Phi is X^H.  G2 serves both norms."""
     c, w = amp.coeffs, amp.grid.weight
-    g2 = _gram(amp.photon2, weight=w)
-    f = amp.photon1 if envelope is None else amp.photon1 * envelope
-    nsq = _norm(c, _gram(amp.photon1, weight=w), g2)
-    nsq_env = nsq if envelope is None else _norm(c, _gram(f, weight=w), g2)
-    x = _gram(amp.photon2[:, :, ::-1], f, w)
+    f, g = _factors(amp)
+    self_weight = _times(mask, mask)
+    g2 = _gram(g, weight=w, pointwise=self_weight)
+    nsq = _norm(c, _gram(f, weight=w, pointwise=self_weight), g2)
+    photon1_weight = _times(envelope, mask)
+    if envelope is None:
+        nsq_env = nsq
+    else:
+        nsq_env = _norm(c, _gram(f, weight=w, pointwise=photon1_weight ** 2), g2)
+    reflected_mask = None if mask is None else mask[:, ::-1]
+    x = _gram(_reflect_y(g), f, w, _times(reflected_mask, photon1_weight))
     j = complex(c.conj() @ (x * x.conj().T) @ c)
     if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
         raise ValueError(f"non-finite amplitude: ||Phi||^2 = {nsq}, J = {j}")
@@ -123,22 +241,22 @@ def _normalized_overlap(amp: TwoPhotonAmplitude) -> tuple[float, float]:
 
 def norm_squared(amp: TwoPhotonAmplitude) -> float:
     w = amp.grid.weight
-    return _norm(amp.coeffs, _gram(amp.photon1, weight=w), _gram(amp.photon2, weight=w))
+    f, g = _factors(amp)
+    return _norm(amp.coeffs, _gram(f, weight=w), _gram(g, weight=w))
 
 
 def normalize(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     nsq = norm_squared(amp)
     if not (math.isfinite(nsq) and nsq > 0.0):
         raise ValueError(f"cannot normalize an amplitude of squared norm {nsq}")
-    return replace(amp, coeffs=amp.coeffs / np.sqrt(nsq))
+    return _with_factors(amp, *_factors(amp), coeffs=amp.coeffs / np.sqrt(nsq))
 
 
 def apply_sigma(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
-    """Exchange-reflection involution: (c, f, g) -> (c, Pi_y g, Pi_y f)."""
-    return TwoPhotonAmplitude(
-        amp.coeffs, amp.photon2[:, :, ::-1], amp.photon1[:, :, ::-1],
-        amp.grid, amp.representation,
-    )
+    """Exchange-reflection involution: (c, f, g) -> (c, Pi_y g, Pi_y f); a
+    per-axis amplitude stays per axis."""
+    f, g = _factors(amp)
+    return _with_factors(amp, _reflect_y(g), _reflect_y(f))
 
 
 def sigma_overlap(amp: TwoPhotonAmplitude) -> float:

@@ -44,6 +44,7 @@ class _Key(NamedTuple):
     commands: tuple[str, ...]  # the commands that read the key
     choices: tuple[str, ...] | None = None
     states: tuple[str, ...] | None = None  # the state families that read it, if not all
+    positive: bool = False  # zero or negative is an error
 
 
 # The one list of keys.  Each is a flag (--grid-n for grid_n) and a config-file
@@ -57,16 +58,18 @@ _KEYS = {
     "l1": _Key(int, 1, "OAM index of photon 1 (product state)", _PC, states=("product",)),
     "l2": _Key(int, 1, "OAM index of photon 2 (product state)", _PC, states=("product",)),
     "pump": _Key(str, "g00", "SPDC pump mode: g00 or hg:m,n", _PC, states=("spdc",)),
-    "w0": _Key(float, 1.0, "beam waist", _ALL),
+    "w0": _Key(float, 1.0, "beam waist", _ALL, positive=True),
     "grid_n": _Key(int, None, "grid points per axis (scan: 1024, else per state)", _ALL),
     "half_width": _Key(float, None, "grid half-width (default per state)", _PC),
-    "crystal_length": _Key(float, 1.0, "SPDC crystal length", _PC, states=("spdc",)),
+    "crystal_length": _Key(float, 1.0, "SPDC crystal length", _PC, states=("spdc",),
+                           positive=True),
     "pump_wavenumber": _Key(float, 2.0, "pump wavenumber (SPDC and thin crystal)", _PC,
-                            states=("spdc", "thin-crystal")),
+                            states=("spdc", "thin-crystal"), positive=True),
     "z": _Key(float, 1.0, "propagation distance (thin crystal)", _ALL, states=("thin-crystal",)),
-    "k": _Key(float, 1.0, "photon wavenumber; the source is pumped at 2k", _SCAN),
+    "k": _Key(float, 1.0, "photon wavenumber; the source is pumped at 2k", _SCAN,
+              positive=True),
     "aperture_factor": _Key(float, 40.0, "aperture radius in units of the spot size w(z)", _ALL,
-                            states=("thin-crystal",)),
+                            states=("thin-crystal",), positive=True),
     "parameter": _Key(str, "zeta", "swept parameter", _SCAN, ("zeta", "alpha_plus")),
     "zeta": _Key(float, 1.0, "fixed SPP parameter", _SCAN),
     "alpha_plus": _Key(float, 0.0, "fixed interferometer phase", _SCAN),
@@ -154,6 +157,8 @@ def _merge(args: argparse.Namespace) -> dict:
         cfg[key] = spec.default if value is None else value
         if spec.type is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be a finite number, got {cfg[key]}")
+        if spec.positive and cfg[key] <= 0:
+            raise ConfigError(f"{_flag(key)} must be positive, got {cfg[key]}{where}")
     return cfg
 
 

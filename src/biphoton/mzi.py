@@ -134,28 +134,29 @@ def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:
     )
 
 
-def _clip(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
-    """Both photons clipped to the disc inscribed in the grid, not renormalized."""
-    x, y = amp.grid.meshgrid()
-    mask = (x ** 2 + y ** 2 <= amp.grid.half_width ** 2).astype(float)
-    return replace(amp, photon1=amp.photon1 * mask, photon2=amp.photon2 * mask)
+def _disc(grid: Grid) -> np.ndarray:
+    """1 on the disc inscribed in the grid, 0 outside."""
+    x, y = grid.meshgrid()
+    return (x ** 2 + y ** 2 <= grid.half_width ** 2).astype(float)
 
 
 def circular_aperture(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     """Clip both photons to the disc inscribed in the grid and renormalize."""
-    return normalize(_clip(amp))
+    mask = _disc(amp.grid)
+    return normalize(replace(amp, photon1=amp.photon1 * mask, photon2=amp.photon2 * mask))
 
 
 def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
     return np.sin(zeta * (azimuth(grid) - np.pi) + alpha_plus)
 
 
-def _envelope_grams(amp: TwoPhotonAmplitude, spp: SppParams,
-                    phases: MziPhases) -> tuple[np.ndarray, float, float]:
+def _envelope_grams(amp: TwoPhotonAmplitude, spp: SppParams, phases: MziPhases,
+                    mask: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
     """The sine envelope, the throughput eta (its share of the squared norm)
-    and J of the renormalized output, from one Gram-engine call."""
+    and J of the renormalized output, from one Gram-engine call; with a mask,
+    of the amplitude clipped to it."""
     envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
-    nsq, nsq_out, j = _sigma_grams(amp, envelope)
+    nsq, nsq_out, j = _sigma_grams(amp, envelope, mask)
     if nsq <= 0.0:
         raise ValueError("cannot normalize a zero-norm amplitude")
     eta = nsq_out / nsq
@@ -307,7 +308,11 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
         input is propagated (Fresnel) and Fourier-transformed, a
         position-representation input is taken as already at the last BS.
         Its aperture is the disc inscribed in its grid (the whole grid if
-        not geom.circular); aperture_factor and grid_n are not read.
+        not geom.circular); aperture_factor and grid_n are not read.  The
+        aperture and the sine envelope enter the Grams as pointwise weights,
+        so a thin-crystal amplitude, whose factors are held per axis, takes
+        this path by per-axis contractions without building its (R, n, n)
+        factor arrays.
     """
     if isinstance(source, GaussianBeamParams):
         if not (geom.z1 == geom.z2 == source.z):
@@ -319,8 +324,9 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
     amp = source
     if amp.representation is Representation.MOMENTUM:
         amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
-    # eta relative to the clipped norm stands in for circular_aperture.
-    _, eta, j = _envelope_grams(_clip(amp) if geom.circular else amp, spp, phases)
+    # eta relative to the clipped norm stands in for circular_aperture; the
+    # disc enters the Grams as a weight, so no factor array is copied or built.
+    _, eta, j = _envelope_grams(amp, spp, phases, _disc(amp.grid) if geom.circular else None)
     return MziResult(
         conditional_pc=(1.0 - j) / 2.0,
         throughput_eta=eta,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import TwoPhotonAmplitude, from_modes, normalize
+from .amplitudes import TwoPhotonAmplitude, _AxisFactors, from_modes, normalize
 from .errors import TruncationError
 from .grids import Grid, Representation, TransverseMode, normalize_mode
 
@@ -164,8 +164,11 @@ def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
     """Normalized leading coefficients of descending singular weights, kept
     until the dropped relative norm is below rank_tol, and that error.  Both
     Grams of singular-vector factors are grid.weight I, so the norm is closed-form."""
-    total = float(np.sum(weights ** 2))
-    tail = total - np.cumsum(weights ** 2)
+    squares = weights ** 2
+    total = float(np.sum(squares))
+    # tail[k]: the squared norm dropped when k + 1 weights are kept, summed from
+    # the smallest up (total minus a prefix sum loses it to cancellation).
+    tail = np.append(np.cumsum(squares[::-1])[::-1][1:], 0.0)
     rank = min(int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1), weights.size)
     if max_rank is not None and rank > max_rank:
         raise TruncationError(
@@ -173,7 +176,7 @@ def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
             f"use a smaller grid half-width or loosen the tolerance")
     kept = weights[:rank]
     return ((kept / (grid.weight * np.linalg.norm(kept))).astype(complex),
-            float(np.sqrt(max(tail[rank - 1], 0.0) / total)))
+            float(np.sqrt(tail[rank - 1] / total)))
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -248,9 +251,13 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
                + i (k_p/4) [z0^2 |x1-x2|^2 / (2 z^2 R(z)) + (|x1|^2+|x2|^2)/R(z)]}
 
     The amplitude separates per Cartesian axis, so the photon-split
-    factorization is built from a single per-axis SVD; at z = 0 the phase
-    terms vanish (R -> infinity).  The achieved relative truncation error is
-    stored on the result as `truncation_error`.
+    factorization is built from a single per-axis SVD psi = u s vh: photon
+    1's term r is u[:, kx_r] (x) u[:, ky_r] and photon 2's vh[kx_r] (x) vh[ky_r].
+    The amplitude holds the factors in that per-axis form (the m <= n
+    singular vectors in use and the maps kx, ky), so its Grams contract per
+    axis; the (rank, n, n) arrays photon1/photon2 are built on first read.
+    At z = 0 the phase terms vanish (R -> infinity).  The achieved relative
+    truncation error is stored on the result as `truncation_error`.
     """
     w = params.spot_size
     ax = grid.axis
@@ -271,7 +278,11 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     order = np.argsort(pair_w)[::-1]
     coeffs, err = _truncate(pair_w[order], grid, rank_tol, max_rank)
     kx, ky = np.unravel_index(order[:coeffs.size], (sv.size, sv.size))
-    photon1 = u[:, kx].T[:, :, None] * u[:, ky].T[:, None, :]
-    photon2 = vh[kx][:, :, None] * vh[ky][:, None, :]
-    return TwoPhotonAmplitude(coeffs, photon1, photon2, grid, Representation.POSITION,
-                              truncation_error=err)
+    used, index = np.unique(np.concatenate([kx, ky]), return_inverse=True)
+    ix, iy = index[:coeffs.size], index[coeffs.size:]
+    u_used, vh_used = np.ascontiguousarray(u[:, used].T), vh[used]
+    for arr in (u_used, vh_used, ix, iy):
+        arr.setflags(write=False)
+    axes = (_AxisFactors(u_used, u_used, ix, iy), _AxisFactors(vh_used, vh_used, ix, iy))
+    return TwoPhotonAmplitude(coeffs, None, None, grid, Representation.POSITION,
+                              truncation_error=err, _axes=axes)

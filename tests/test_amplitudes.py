@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import amplitudes, cli
-from biphoton import (MziGeometry, MziPhases, Representation, SppParams,
-                      TwoPhotonAmplitude, apply_sigma, beamsplitter_output,
-                      bell_state, coincidence_probability, compress,
+from biphoton import (GaussianBeamParams, MziGeometry, MziPhases,
+                      Representation, SppParams, TwoPhotonAmplitude,
+                      apply_sigma, beamsplitter_output, bell_state,
+                      circular_aperture, coincidence_probability, compress,
                       dense_normalize, dense_norm_squared, dense_sigma,
                       dense_sigma_overlap, entanglement_witness, from_modes,
                       gaussian_g00, hermite_gaussian, make_grid,
-                      mzi_coincidence, normalize, norm_squared, oam_ring,
+                      mzi_coincidence, mzi_effective_amplitude, normalize,
+                      norm_squared, oam_ring,
                       position_representation, product_state, sigma_overlap,
-                      symmetry_decompose, to_dense)
+                      symmetry_decompose, thin_crystal_gaussian, to_dense)
 
 from _helpers import random_amplitude, small_grid, smooth_random_mode
 
@@ -206,13 +208,15 @@ def test_gram_engine_matches_dense_oracle(seed, rank, n):
 def test_gram_products_per_call(monkeypatch, capsys):
     # Regression guard on the Gram engine's cost: two self-Grams and one
     # sigma cross-Gram per analysis call and per `biphoton pc` report, at most
-    # four products per generic interferometer call.
-    calls = []
+    # four products per generic interferometer call, and on a thin-crystal
+    # amplitude at most four per-axis contractions and no factor array built.
+    calls, kinds = [], set()
     gram = amplitudes._gram
 
-    def counting(a, b=None, weight=1.0):
+    def counting(a, b=None, weight=1.0, pointwise=None):
         calls.append("self" if b is None else "cross")
-        return gram(a, b, weight)
+        kinds.add(type(a))
+        return gram(a, b, weight, pointwise)
 
     monkeypatch.setattr(amplitudes, "_gram", counting)
     rng = np.random.default_rng(12)
@@ -239,6 +243,67 @@ def test_gram_products_per_call(monkeypatch, capsys):
         mzi_coincidence(pos, SppParams(1.0), MziPhases(0.3),
                         MziGeometry(1.0, 1.0, circular=circular))
         assert 0 < len(calls) <= 4
+
+    def no_factor_arrays(axes):
+        raise AssertionError("a (rank, n, n) factor array was built")
+
+    monkeypatch.setattr(amplitudes._AxisFactors, "values", property(no_factor_arrays))
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    thin = thin_crystal_gaussian(beam, make_grid(64, 6.0 * beam.spot_size))
+    for circular in (True, False):
+        calls.clear()
+        kinds.clear()
+        mzi_coincidence(thin, SppParams(1.5), MziPhases(0.3),
+                        MziGeometry(1.0, 1.0, aperture_factor=6.0, circular=circular))
+        assert 0 < len(calls) <= 4
+        assert kinds == {amplitudes._AxisFactors}
+
+
+def _outputs(amp):
+    """||Phi||^2, then J and both symmetry weights of the normalized amplitude."""
+    nsq = norm_squared(amp)
+    unit = normalize(amp)
+    return np.array([nsq, sigma_overlap(unit), *symmetry_decompose(unit)])
+
+
+_STALE_CHECKS = {
+    "replace-photon1": lambda a: replace(a, photon1=a.photon1[::-1]),
+    "replace-photon2": lambda a: replace(a, photon2=np.roll(a.photon2, 1, axis=0)),
+    "replace-coeffs": lambda a: replace(a, coeffs=a.coeffs[::-1]),
+    "normalize": lambda a: normalize(replace(a, coeffs=2.0 * a.coeffs)),
+    "apply_sigma": apply_sigma,
+    "compress": compress,
+    "circular_aperture": circular_aperture,
+    "mzi_effective_amplitude":
+        lambda a: mzi_effective_amplitude(a, SppParams(1.5), MziPhases(0.3))[0],
+}
+
+
+@pytest.mark.parametrize("name", _STALE_CHECKS)
+def test_per_axis_form_never_outlives_its_factors(name):
+    # A thin-crystal amplitude keeps its factors per axis; a copy holds the
+    # same factors as plain arrays.  Every operation must give both the same
+    # results, so no per-axis form survives a change to the factors.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    amp = thin_crystal_gaussian(beam, make_grid(32, 6.0 * beam.spot_size))
+    dense = replace(amp, photon1=np.array(amp.photon1), photon2=np.array(amp.photon2))
+    assert amp._axes is not None and dense._axes is None
+    op = _STALE_CHECKS[name]
+    assert np.abs(_outputs(op(amp)) - _outputs(op(dense))).max() <= 1e-12
+    if name.startswith("replace-photon"):
+        assert op(amp)._axes is None
+
+
+def test_apply_sigma_keeps_truncation_error_and_per_axis_form():
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    amp = thin_crystal_gaussian(beam, make_grid(32, 6.0 * beam.spot_size))
+    once = apply_sigma(amp)
+    twice = apply_sigma(once)
+    assert once.truncation_error == amp.truncation_error > 0.0
+    assert once._axes is not None and twice._axes is not None
+    assert np.array_equal(twice.photon1, amp.photon1)
+    assert np.array_equal(twice.photon2, amp.photon2)
+    assert np.array_equal(once.photon1, amp.photon2[:, :, ::-1])
 
 
 def test_dense_sigma_is_involution():

@@ -200,6 +200,26 @@ def test_zero_grid_is_config_error(argv, message, tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["pc", "--state", "bell:psi-minus", "--w0", "0"], None, "--w0 must be positive, got 0.0"),
+    (["pc", "--state", "bell:psi-minus", "--w0", "-1"], None, "--w0 must be positive, got -1.0"),
+    (["scan", "--k", "0"], None, "--k must be positive, got 0.0"),
+    (["pc"], "state = thin-crystal\naperture_factor = -6\n",
+     "--aperture-factor must be positive, got -6.0 (set in run.cfg)"),
+], ids=["pc-w0-zero", "pc-w0-negative", "scan-k-zero", "pc-file"])
+def test_non_positive_value_is_config_error(argv, config, message, tmp_path, monkeypatch,
+                                            capsys):
+    # Rejected before anything divides by it, naming the flag that was given.
+    monkeypatch.chdir(tmp_path)  # where a scan would write its default scan.csv
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
 _PC_KEYS = {"state", "l", "l1", "l2", "pump", "w0", "grid-n", "half-width",
             "crystal-length", "pump-wavenumber", "z", "aperture-factor"}
 _SCAN_KEYS = {"w0", "grid-n", "z", "k", "aperture-factor", "parameter", "zeta",

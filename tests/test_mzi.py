@@ -1,9 +1,13 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from biphoton import amplitudes
 from biphoton import mzi as mzi_module
 from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
                       MziGeometry, MziPhases, Representation, SppParams,
@@ -178,6 +182,97 @@ def test_fast_path_matches_generic_low_rank():
     generic = mzi_coincidence(amp, spp, phases, geom)
     assert generic.conditional_pc == pytest.approx(fast.conditional_pc, abs=1e-8)
     assert generic.throughput_eta == pytest.approx(fast.throughput_eta, rel=1e-6)
+
+
+def _dense_copy(amp):
+    """The same amplitude with its factors as plain arrays."""
+    dense = replace(amp, photon1=np.array(amp.photon1), photon2=np.array(amp.photon2))
+    assert amp._axes is not None and dense._axes is None
+    return dense
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_separable_generic_matches_dense_factors(n):
+    # The per-axis Gram contraction against the dense product on the same
+    # factors: the engine's outputs for every weight, and the generic MZI.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    grid = make_grid(n, 6.0 * beam.spot_size)
+    amp = thin_crystal_gaussian(beam, grid)
+    dense = _dense_copy(amp)
+    envelope = sine_envelope(grid, 1.5, 0.3)
+    disc = mzi_module._disc(grid)
+    for weights in ((None, None), (envelope, None), (None, disc), (envelope, disc)):
+        assert np.allclose(amplitudes._sigma_grams(amp, *weights),
+                           amplitudes._sigma_grams(dense, *weights), rtol=0.0, atol=1e-12)
+    for circular in (True, False):
+        geom = MziGeometry(1.0, 1.0, aperture_factor=6.0, circular=circular)
+        sep, ref = (mzi_coincidence(a, SppParams(1.5), MziPhases(0.3), geom)
+                    for a in (amp, dense))
+        assert abs(sep.conditional_pc - ref.conditional_pc) <= 1e-12
+        assert abs(sep.throughput_eta - ref.throughput_eta) <= 1e-12
+
+
+def _no_factor_arrays(axes):
+    raise AssertionError("a (rank, n, n) factor array was built")
+
+
+# rank_tol 1e-8 keeps the truncation far below the 1e-9 tested: at the
+# default 1e-6 the truncation alone moves P_c by up to ~3e-9 on coarse grids.
+_TIGHT = 1e-8
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from([16, 32, 64, 128, 256, 512, 1024]),
+       aperture=st.floats(4.0, 6.0),
+       circular=st.booleans(),
+       w0=st.floats(0.5, 2.0),
+       z_over_z0=st.floats(0.5, 3.0),
+       zeta=st.floats(0.25, 4.0),
+       alpha=st.floats(0.0, np.pi))
+@example(n=512, aperture=6.0, circular=True, w0=1.0, z_over_z0=1.0, zeta=1.5, alpha=0.3)
+@example(n=1024, aperture=6.0, circular=True, w0=1.0, z_over_z0=1.0, zeta=1.5, alpha=0.3)
+@example(n=1024, aperture=6.0, circular=False, w0=1.0, z_over_z0=1.0, zeta=2.5, alpha=1.0)
+def test_separable_generic_matches_fast_path(n, aperture, circular, w0, z_over_z0,
+                                             zeta, alpha):
+    # The generic path on the per-axis thin-crystal amplitude builds no
+    # (rank, n, n) array, so it runs at n = 1024.
+    beam = GaussianBeamParams(w0, z_over_z0 * w0 ** 2, 2.0)  # z0 = k_p w0^2 / 2
+    geom = MziGeometry(beam.z, beam.z, aperture_factor=aperture, circular=circular)
+    spp, phases = SppParams(zeta), MziPhases(alpha)
+    fast = mzi_coincidence(beam, spp, phases, geom, grid_n=n)
+    amp = thin_crystal_gaussian(beam, make_grid(n, aperture * beam.spot_size),
+                                rank_tol=_TIGHT)
+    with mock.patch.object(amplitudes._AxisFactors, "values", property(_no_factor_arrays)):
+        generic = mzi_coincidence(amp, spp, phases, geom)
+    assert abs(generic.conditional_pc - fast.conditional_pc) <= 1e-9
+    assert abs(generic.throughput_eta - fast.throughput_eta) <= 1e-9
+
+
+@st.composite
+def _thin_crystal_cases(draw):
+    aperture = draw(st.floats(4.0, 40.0))
+    # The per-axis Gram costs m^4 n for m vectors per axis, and m grows with
+    # the aperture: wide apertures stay on small grids.
+    sizes = [16, 32, 64, 128, 256, 512] if aperture <= 6.0 else [16, 32]
+    w0 = draw(st.floats(0.5, 2.0))
+    return dict(n=draw(st.sampled_from(sizes)), aperture=aperture, w0=w0,
+                z=draw(st.floats(0.5, 3.0)) * w0 ** 2, circular=draw(st.booleans()),
+                zeta=draw(st.floats(0.25, 4.0)), alpha=draw(st.floats(0.0, np.pi)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_thin_crystal_cases())
+def test_propagation_phase_leaves_separable_results_unchanged(case):
+    beam = GaussianBeamParams(case["w0"], case["z"], 2.0)
+    grid = make_grid(case["n"], case["aperture"] * beam.spot_size)
+    geom = MziGeometry(beam.z, beam.z, aperture_factor=case["aperture"],
+                       circular=case["circular"])
+    results = []
+    for include_phase in (True, False):
+        amp = thin_crystal_gaussian(beam, grid, include_phase=include_phase, rank_tol=_TIGHT)
+        out = mzi_coincidence(amp, SppParams(case["zeta"]), MziPhases(case["alpha"]), geom)
+        results.append(np.array([sigma_overlap(amp), out.conditional_pc, out.throughput_eta]))
+    assert np.abs(results[0] - results[1]).max() <= 1e-9
 
 
 def test_oracle_closed_form_integer_zeta():

@@ -205,6 +205,18 @@ def test_thin_crystal_is_symmetric_dense_oracle():
     assert dense_sigma_overlap(to_dense(amp)) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("rank_tol", [1e-6, 1e-7, 1e-8])
+def test_truncation_error_meets_tight_tolerances(rank_tol):
+    # The dropped norm is summed from the smallest weight up; as the total
+    # minus a prefix sum it cancels to roundoff below ~1e-7, which kept all
+    # 4096 terms here and reported an error of 4e-8 for rank_tol 1e-8.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    amp = thin_crystal_gaussian(beam, make_grid(64, 4.3 * beam.spot_size),
+                                rank_tol=rank_tol)
+    assert 0.0 < amp.truncation_error <= rank_tol
+    assert amp.rank < 64 * 64
+
+
 def test_thin_crystal_at_focus_real_positive():
     beam = GaussianBeamParams(1.0, 0.0, 2.0)
     g = make_grid(16, 4.0)
