@@ -18,9 +18,8 @@ from .grids import (Grid, Representation, TransverseMode, fourier_2d,
 from .interference import (BsOutput, BsPhases, Verdict, beamsplitter_output,
                            coincidence_probability, entanglement_witness)
 from .mzi import (MziGeometry, MziPhases, MziResult, ScanResult, ScanRow,
-                  SppParams, azimuth, circular_aperture, delta_limit_oracle,
-                  fresnel_phase, mzi_coincidence, mzi_effective_amplitude,
-                  scan, sine_envelope, spp_phase)
+                  SppParams, azimuth, delta_limit_oracle, fresnel_phase,
+                  mzi_coincidence, scan, sine_envelope, spp_phase)
 from .states import (GaussianBeamParams, PumpMode, SpdcParams, bell_state,
                      gaussian_g00, hermite_gaussian, oam_ring, product_state,
                      spdc_state, thin_crystal_gaussian)

@@ -208,7 +208,8 @@ def build_state(cfg: dict) -> TwoPhotonAmplitude:
                             _parse_pump(cfg["pump"], cfg["w0"]))
         return spdc_state(params, grid)
     if state == "thin-crystal":
-        # Modest default aperture for the explicit low-rank construction.
+        # At the default aperture factor 40 the state is full rank (1024
+        # terms at n = 32, 4096 at n = 64) with truncation error 0.
         return thin_crystal_gaussian(_beam(cfg), grid)
     raise ConfigError(f"unknown state {state!r}")
 

@@ -26,10 +26,6 @@ class BsPhases:
     phi_tau: float = 0.0
     phi_rho: float = 0.0
 
-    @property
-    def phi(self) -> float:
-        return self.phi_tau + self.phi_rho
-
 
 @dataclass(frozen=True, eq=False)
 class BsOutput:

@@ -17,18 +17,19 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import (TwoPhotonAmplitude, _sigma_grams, normalize,
-                         position_representation)
+from .amplitudes import TwoPhotonAmplitude, _sigma_grams, position_representation
 from .errors import DegenerateInterferenceError
 from .grids import Grid, Representation, TransverseMode, make_grid
-from .states import GaussianBeamParams, thin_crystal_gaussian
+from .states import GaussianBeamParams
 
 _ETA_FLOOR = 1e-12
+# Midpoint nodes of the oracle's angular quadrature.
+_ORACLE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -41,17 +42,11 @@ class SppParams:
 
 @dataclass(frozen=True)
 class MziPhases:
-    """Aggregate interferometer phases entering the sine envelope."""
+    """The aggregate interferometer phase alpha_plus of the sine envelope.
+    The other combination, alpha_minus, enters only the overall prefactor
+    i exp[i (zeta pi + alpha_minus)], a global phase that is dropped."""
 
     alpha_plus: float
-    alpha_minus: float = 0.0
-
-    @classmethod
-    def from_raw(cls, phi: float, phi_1tau: float, phi_1rho: float,
-                 phi_2tau: float, phi_2rho: float) -> "MziPhases":
-        common = phi + phi_1tau + phi_2tau
-        diff = phi_1rho - phi_2rho
-        return cls(alpha_plus=(common + diff) / 2.0, alpha_minus=(common - diff) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,8 @@ class MziGeometry:
     The aperture is a disc when circular (the default, which is what
     converges to the delta-correlation limit), otherwise the full square
     grid.  For the thin-crystal source its radius or half-width is
-    aperture_factor * w(z); an amplitude source's own grid sets it instead.
+    aperture_factor * w(z), and a factor below 4 warns when that geometry is
+    first built; an amplitude source's own grid sets the aperture instead.
     """
 
     z1: float
@@ -78,17 +74,12 @@ class MziGeometry:
         if not (math.isfinite(self.aperture_factor) and self.aperture_factor > 0):
             raise ValueError(
                 f"aperture_factor must be finite and positive, got {self.aperture_factor}")
-        if self.aperture_factor < 4.0:
-            warnings.warn("aperture_factor below 4 barely covers the biphoton "
-                          "correlation width; results will be aperture-dominated",
-                          stacklevel=2)
 
 
 @dataclass(frozen=True)
 class MziResult:
     conditional_pc: float
     throughput_eta: float
-    parameters: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,6 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanResult:
-    parameter_name: str
     rows: list[ScanRow]
     metadata: dict
 
@@ -140,46 +130,23 @@ def _disc(grid: Grid) -> np.ndarray:
     return (x ** 2 + y ** 2 <= grid.half_width ** 2).astype(float)
 
 
-def circular_aperture(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
-    """Clip both photons to the disc inscribed in the grid and renormalize."""
-    mask = _disc(amp.grid)
-    return normalize(replace(amp, photon1=amp.photon1 * mask, photon2=amp.photon2 * mask))
+def _sine(theta: np.ndarray, zeta: float, alpha_plus: float) -> np.ndarray:
+    return np.sin(zeta * (theta - np.pi) + alpha_plus)
 
 
 def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
-    return np.sin(zeta * (azimuth(grid) - np.pi) + alpha_plus)
+    """The MZI envelope sin[zeta (theta - pi) + alpha_plus] on photon 1."""
+    return _sine(azimuth(grid), zeta, alpha_plus)
 
 
-def _envelope_grams(amp: TwoPhotonAmplitude, spp: SppParams, phases: MziPhases,
-                    mask: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    """The sine envelope, the throughput eta (its share of the squared norm)
-    and J of the renormalized output, from one Gram-engine call; with a mask,
-    of the amplitude clipped to it."""
-    envelope = sine_envelope(amp.grid, spp.zeta, phases.alpha_plus)
-    nsq, nsq_out, j = _sigma_grams(amp, envelope, mask)
-    if nsq <= 0.0:
-        raise ValueError("cannot normalize a zero-norm amplitude")
-    eta = nsq_out / nsq
+def _throughput(kept: float, total: float, spp: SppParams, phases: MziPhases) -> float:
+    """eta = kept / total, or DegenerateInterferenceError below _ETA_FLOOR."""
+    eta = kept / total
     if eta < _ETA_FLOOR:
         raise DegenerateInterferenceError(
             f"MZI output vanished (eta = {eta:.3e}) for zeta = {spp.zeta}, "
             f"alpha_plus = {phases.alpha_plus}")
-    return envelope, eta, j / nsq_out
-
-
-def mzi_effective_amplitude(amp: TwoPhotonAmplitude, spp: SppParams,
-                            phases: MziPhases) -> tuple[TwoPhotonAmplitude, float]:
-    """Attach the MZI sine envelope to photon 1 of a normalized position-space
-    amplitude.  Returns the renormalized amplitude and the throughput eta
-    (its squared norm before renormalization).  Rank is unchanged.
-
-    The overall prefactor i exp[i (zeta pi + alpha_minus)] is a global phase
-    and is dropped.
-    """
-    if amp.representation is not Representation.POSITION:
-        raise ValueError("the sine envelope acts in the position representation")
-    envelope, eta, _ = _envelope_grams(amp, spp, phases)
-    return replace(amp, coeffs=amp.coeffs / np.sqrt(eta), photon1=amp.photon1 * envelope), eta
+    return eta
 
 
 # Gaussian taps g(s) = exp(-s^2 / (2 w^2)) with |s| > _TAP_CUTOFF * w are
@@ -231,7 +198,7 @@ class _FastGeometry:
     """The parts of the thin-crystal fast path that do not depend on zeta or
     alpha_plus; every array is read-only."""
 
-    mask: np.ndarray     # aperture, bool
+    mask: np.ndarray     # aperture, bool: cached, so 1 byte a sample
     azimuth: np.ndarray
     hankel: _GaussHankel
     c: np.ndarray        # H mask H
@@ -240,9 +207,13 @@ class _FastGeometry:
 
 @lru_cache(maxsize=4)
 def _fast_geometry(n: int, half_width: float, circular: bool, w: float) -> _FastGeometry:
+    if half_width < 4.0 * w:
+        # stacklevel 4 names the caller of mzi_coincidence or scan
+        warnings.warn("aperture_factor below 4 barely covers the biphoton "
+                      "correlation width; results will be aperture-dominated",
+                      stacklevel=4)
     grid = make_grid(n, half_width)
-    x, y = grid.meshgrid()
-    mask = (x ** 2 + y ** 2 <= grid.half_width ** 2) if circular else np.ones((n, n), bool)
+    mask = _disc(grid).astype(bool) if circular else np.ones((n, n), bool)
     band = min(n - 1, int(_TAP_CUTOFF * w / grid.spacing))
     fft_len = _fft_size(n + band)
     taps = np.arange(-band, band + 1) * grid.spacing
@@ -261,8 +232,7 @@ def _geometry_for(source: GaussianBeamParams, geom: MziGeometry,
     return _fast_geometry(grid_n, geom.aperture_factor * w, geom.circular, w)
 
 
-def _thin_crystal_fast(source: GaussianBeamParams, spp: SppParams, phases: MziPhases,
-                       geom: MziGeometry, grid_n: int) -> MziResult:
+def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, phases: MziPhases) -> MziResult:
     # Exact reorganization of the discrete 4D quadrature.  The biphoton
     # weight depends only on x1 + x2 (the phase factors cancel pointwise
     # between Phi(1,2) and Phi*(sigma(1,2))) and is separable per axis:
@@ -280,20 +250,11 @@ def _thin_crystal_fast(source: GaussianBeamParams, spp: SppParams, phases: MziPh
     # M, the azimuth, the kernel spectrum, C and tot depend only on the
     # geometry and are cached, so a scan point pays one sine and one
     # two-sided H application (for num).
-    geo = _geometry_for(source, geom, grid_n)
-    envelope = np.sin(spp.zeta * (geo.azimuth - np.pi) + phases.alpha_plus) * geo.mask
+    envelope = _sine(geo.azimuth, spp.zeta, phases.alpha_plus) * geo.mask
     num = float(np.sum(envelope * geo.hankel.sandwich(envelope[:, ::-1])))
     den = float(np.sum(envelope ** 2 * geo.c))
-    if den / geo.tot < _ETA_FLOOR:
-        raise DegenerateInterferenceError(
-            f"MZI output vanished for zeta = {spp.zeta}, alpha_plus = {phases.alpha_plus}")
-    return MziResult(
-        conditional_pc=(1.0 - num / den) / 2.0,
-        throughput_eta=den / geo.tot,
-        parameters={"zeta": spp.zeta, "alpha_plus": phases.alpha_plus,
-                    "aperture_factor": geom.aperture_factor, "grid_n": grid_n,
-                    "z": source.z, "waist": source.waist, "circular": geom.circular},
-    )
+    eta = _throughput(den, geo.tot, spp, phases)
+    return MziResult(conditional_pc=(1.0 - num / den) / 2.0, throughput_eta=eta)
 
 
 def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry,
@@ -317,25 +278,25 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
     if isinstance(source, GaussianBeamParams):
         if not (geom.z1 == geom.z2 == source.z):
             raise ValueError("thin-crystal source requires z1 == z2 == source.z")
-        return _thin_crystal_fast(source, spp, phases, geom, grid_n)
+        return _thin_crystal_fast(_geometry_for(source, geom, grid_n), spp, phases)
     if not isinstance(source, TwoPhotonAmplitude):
         raise TypeError("source must be GaussianBeamParams or TwoPhotonAmplitude, "
                         f"got {type(source).__name__}")
     amp = source
     if amp.representation is Representation.MOMENTUM:
         amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
-    # eta relative to the clipped norm stands in for circular_aperture; the
-    # disc enters the Grams as a weight, so no factor array is copied or built.
-    _, eta, j = _envelope_grams(amp, spp, phases, _disc(amp.grid) if geom.circular else None)
-    return MziResult(
-        conditional_pc=(1.0 - j) / 2.0,
-        throughput_eta=eta,
-        parameters={"zeta": spp.zeta, "alpha_plus": phases.alpha_plus,
-                    "grid_n": amp.grid.n, "circular": geom.circular},
-    )
+    # One Gram-engine call with the envelope and the aperture as weights gives
+    # the clipped norm, the enveloped norm and J of the envelope; eta is
+    # relative to the clipped norm, and no factor array is copied or built.
+    nsq, nsq_out, j = _sigma_grams(amp, sine_envelope(amp.grid, spp.zeta, phases.alpha_plus),
+                                   _disc(amp.grid) if geom.circular else None)
+    if nsq <= 0.0:
+        raise ValueError("cannot normalize a zero-norm amplitude")
+    eta = _throughput(nsq_out, nsq, spp, phases)
+    return MziResult(conditional_pc=(1.0 - j / nsq_out) / 2.0, throughput_eta=eta)
 
 
-def delta_limit_oracle(spp: SppParams, phases: MziPhases, nodes: int = 4096) -> float:
+def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
     """Infinite-aperture limit of the MZI coincidence probability.
 
     With an aperture much larger than the spot size the biphoton enforces
@@ -349,14 +310,11 @@ def delta_limit_oracle(spp: SppParams, phases: MziPhases, nodes: int = 4096) -> 
     with S(theta) = sin[zeta (theta - pi) + alpha_plus].  For integer zeta
     this evaluates to (1/2)[1 + (-1)^zeta cos(2 alpha_plus)].
     """
-    if nodes < 4096:
-        raise ValueError("use at least 4096 quadrature nodes")
-    theta = (np.arange(nodes) + 0.5) * 2.0 * np.pi / nodes
-    s = np.sin(spp.zeta * (theta - np.pi) + phases.alpha_plus)
-    reflected = np.mod(np.pi - theta, 2.0 * np.pi)
-    s_ref = np.sin(spp.zeta * (reflected - np.pi) + phases.alpha_plus)
+    theta = (np.arange(_ORACLE_NODES) + 0.5) * 2.0 * np.pi / _ORACLE_NODES
+    s = _sine(theta, spp.zeta, phases.alpha_plus)
+    s_ref = _sine(np.mod(np.pi - theta, 2.0 * np.pi), spp.zeta, phases.alpha_plus)
     den = float(np.sum(s * s))
-    if den / nodes < _ETA_FLOOR:
+    if den / _ORACLE_NODES < _ETA_FLOOR:
         raise DegenerateInterferenceError(
             f"sine envelope vanishes identically for zeta = {spp.zeta}, "
             f"alpha_plus = {phases.alpha_plus}")
@@ -368,7 +326,7 @@ def _scan_row(value: float, parameter: str, source: GaussianBeamParams, spp: Spp
     if parameter == "zeta":
         spp = SppParams(zeta=value)
     else:
-        phases = MziPhases(alpha_plus=value, alpha_minus=phases.alpha_minus)
+        phases = MziPhases(value)
     try:
         full = mzi_coincidence(source, spp, phases, geom, grid_n=grid_n)
         oracle = delta_limit_oracle(spp, phases)
@@ -423,4 +381,4 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
         "grid_n": grid_n, "waist": waist,
         "reference_pc": 0.5,  # no-interference baseline
     }
-    return ScanResult(parameter, rows, metadata)
+    return ScanResult(rows, metadata)

@@ -135,6 +135,9 @@ class PumpMode:
         _check_positive("waist", self.waist)
         if self.m < 0 or self.n < 0:
             raise ValueError("mode indices must be non-negative")
+        if self.kind == "gaussian" and (self.m or self.n):
+            raise ValueError(f"a gaussian pump takes no mode indices, got {self.m},{self.n}; "
+                             "use kind 'hermite'")
 
     def evaluate(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
         env = np.exp(-(qx ** 2 + qy ** 2) * self.waist ** 2 / 4.0)
@@ -256,8 +259,10 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     The amplitude holds the factors in that per-axis form (the m <= n
     singular vectors in use and the maps kx, ky), so its Grams contract per
     axis; the (rank, n, n) arrays photon1/photon2 are built on first read.
-    At z = 0 the phase terms vanish (R -> infinity).  The achieved relative
-    truncation error is stored on the result as `truncation_error`.
+    The coefficient k_p z0^2 / (8 z (z^2 + z0^2)) of the |x1-x2|^2 chirp
+    diverges as z -> 0+, and the rank grows with it; z = 0 itself is taken
+    without phase.  P_c is unaffected: the phase cancels in J.  The achieved
+    relative truncation error is stored on the result as `truncation_error`.
     """
     w = params.spot_size
     ax = grid.axis

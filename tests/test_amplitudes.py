@@ -9,11 +9,11 @@ from biphoton import amplitudes, cli
 from biphoton import (GaussianBeamParams, MziGeometry, MziPhases,
                       Representation, SppParams, TwoPhotonAmplitude,
                       apply_sigma, beamsplitter_output, bell_state,
-                      circular_aperture, coincidence_probability, compress,
+                      coincidence_probability, compress,
                       dense_normalize, dense_norm_squared, dense_sigma,
                       dense_sigma_overlap, entanglement_witness, from_modes,
                       gaussian_g00, hermite_gaussian, make_grid,
-                      mzi_coincidence, mzi_effective_amplitude, normalize,
+                      mzi_coincidence, normalize,
                       norm_squared, oam_ring,
                       position_representation, product_state, sigma_overlap,
                       symmetry_decompose, thin_crystal_gaussian, to_dense)
@@ -273,9 +273,6 @@ _STALE_CHECKS = {
     "normalize": lambda a: normalize(replace(a, coeffs=2.0 * a.coeffs)),
     "apply_sigma": apply_sigma,
     "compress": compress,
-    "circular_aperture": circular_aperture,
-    "mzi_effective_amplitude":
-        lambda a: mzi_effective_amplitude(a, SppParams(1.5), MziPhases(0.3))[0],
 }
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -11,10 +12,9 @@ from biphoton import amplitudes
 from biphoton import mzi as mzi_module
 from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
                       MziGeometry, MziPhases, Representation, SppParams,
-                      azimuth, circular_aperture, coincidence_probability,
-                      delta_limit_oracle, fresnel_phase, inner_product_2d,
-                      make_grid, mzi_coincidence, mzi_effective_amplitude,
-                      norm_squared, oam_ring, position_representation, scan,
+                      azimuth, coincidence_probability, delta_limit_oracle,
+                      fresnel_phase, inner_product_2d, make_grid,
+                      mzi_coincidence, norm_squared, oam_ring, scan,
                       sigma_overlap, sine_envelope, spp_phase,
                       thin_crystal_gaussian, to_dense)
 
@@ -66,36 +66,38 @@ def test_spp_phase_shifts_angular_spectrum():
 
 
 def test_circular_aperture_masks_and_renormalizes():
-    amp = random_amplitude(np.random.default_rng(3), small_grid(16, 3.0),
-                           representation=Representation.POSITION)
-    clipped = circular_aperture(amp)
-    assert norm_squared(clipped) == pytest.approx(1.0, abs=1e-10)
-    x, y = amp.grid.meshgrid()
-    outside = x ** 2 + y ** 2 > amp.grid.half_width ** 2
-    assert np.abs(clipped.photon1[:, outside]).max() == 0.0
+    # The disc weight of the circular aperture against the factors clipped to
+    # the inscribed disc as arrays and run on the whole grid: eta is relative
+    # to the clipped norm, so neither amplitude needs renormalizing.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    amps = [random_amplitude(np.random.default_rng(3), small_grid(16, 3.0),
+                             representation=Representation.POSITION),
+            thin_crystal_gaussian(beam, make_grid(32, 6.0 * beam.spot_size))]
+    spp, phases = SppParams(1.5), MziPhases(0.3)
+    for amp in amps:
+        x, y = amp.grid.meshgrid()
+        disc = x ** 2 + y ** 2 <= amp.grid.half_width ** 2
+        clipped = replace(amp, photon1=amp.photon1 * disc, photon2=amp.photon2 * disc)
+        weighted = mzi_coincidence(amp, spp, phases, MziGeometry(1.0, 1.0))
+        explicit = mzi_coincidence(clipped, spp, phases,
+                                   MziGeometry(1.0, 1.0, circular=False))
+        assert abs(weighted.conditional_pc - explicit.conditional_pc) <= 1e-12
+        assert abs(weighted.throughput_eta - explicit.throughput_eta) <= 1e-12
 
 
 def test_effective_amplitude_zeta0():
     amp = random_amplitude(np.random.default_rng(4), small_grid(16, 3.0),
                            representation=Representation.POSITION)
     # zeta = 0, alpha_plus = pi/2: the envelope is identically 1
-    out, eta = mzi_effective_amplitude(amp, SppParams(0.0), MziPhases(np.pi / 2))
-    assert eta == pytest.approx(1.0, abs=1e-10)
-    assert coincidence_probability(out) == pytest.approx(
-        coincidence_probability(amp), abs=1e-10)
+    out = mzi_coincidence(amp, SppParams(0.0), MziPhases(np.pi / 2),
+                          MziGeometry(1.0, 1.0, circular=False))
+    assert out.throughput_eta == pytest.approx(1.0, abs=1e-10)
+    assert out.conditional_pc == pytest.approx(coincidence_probability(amp), abs=1e-10)
     # zeta = 0, alpha_plus = 0: the envelope vanishes identically
-    with pytest.raises(DegenerateInterferenceError):
-        mzi_effective_amplitude(amp, SppParams(0.0), MziPhases(0.0))
     for circular in (True, False):
         with pytest.raises(DegenerateInterferenceError):
             mzi_coincidence(amp, SppParams(0.0), MziPhases(0.0),
                             MziGeometry(1.0, 1.0, circular=circular))
-
-
-def test_effective_amplitude_requires_position():
-    amp = random_amplitude(np.random.default_rng(5), small_grid())
-    with pytest.raises(ValueError):
-        mzi_effective_amplitude(amp, SppParams(1.0), MziPhases(0.0))
 
 
 def _brute_force_pc(source, spp, phases, geom, grid_n):
@@ -286,8 +288,6 @@ def test_oracle_closed_form_integer_zeta():
 def test_oracle_rejects_vanishing_envelope_and_few_nodes():
     with pytest.raises(DegenerateInterferenceError):
         delta_limit_oracle(SppParams(0.0), MziPhases(0.0))
-    with pytest.raises(ValueError):
-        delta_limit_oracle(SppParams(1.0), MziPhases(0.0), nodes=100)
 
 
 def test_large_aperture_converges_to_oracle():
@@ -325,20 +325,25 @@ def test_mzi_coincidence_validations():
                 dict(aperture_factor=-6.0)):
         with pytest.raises(ValueError):
             MziGeometry(**{"z1": 1.0, "z2": 1.0, **bad})
-    with pytest.warns(UserWarning):
-        MziGeometry(1.0, 1.0, aperture_factor=2.0)
+    # A small aperture warns on the thin-crystal path, when its geometry is
+    # built, at the caller; an amplitude source never reads aperture_factor.
+    small = MziGeometry(1.0, 1.0, aperture_factor=2.0)
+    mzi_module._fast_geometry.cache_clear()
+    with pytest.warns(UserWarning, match="aperture-dominated") as record:
+        mzi_coincidence(GaussianBeamParams(1.0, 1.0, 2.0), SppParams(1.0), MziPhases(0.3),
+                        small, grid_n=16)
+    assert [w.filename for w in record] == [__file__]
+    amp = random_amplitude(np.random.default_rng(5), small_grid(16, 3.0),
+                           representation=Representation.POSITION)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mzi_coincidence(amp, SppParams(1.0), MziPhases(0.3), small)
 
 
 @pytest.mark.parametrize("source", [None, 1.0, "thin-crystal"])
 def test_mzi_coincidence_rejects_other_sources(source):
     with pytest.raises(TypeError, match="GaussianBeamParams or TwoPhotonAmplitude"):
         mzi_coincidence(source, SppParams(1.0), MziPhases(0.0), MziGeometry(1.0, 1.0))
-
-
-def test_phases_from_raw():
-    p = MziPhases.from_raw(0.1, 0.2, 0.3, 0.4, 0.5)
-    assert p.alpha_plus + p.alpha_minus == pytest.approx(0.1 + 0.2 + 0.4)
-    assert p.alpha_plus - p.alpha_minus == pytest.approx(0.3 - 0.5)
 
 
 def test_scan_rows_and_degenerate_flag():
@@ -361,6 +366,10 @@ def test_scan_validations():
         scan("zeta", 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         scan("zeta", 0.0, 1.0, 4, geom=MziGeometry(1.0, 2.0))  # z1 != z2
+    mzi_module._fast_geometry.cache_clear()
+    with pytest.warns(UserWarning, match="aperture-dominated") as record:
+        scan("zeta", 0.5, 1.0, 2, geom=MziGeometry(1.0, 1.0, aperture_factor=2.0), grid_n=16)
+    assert [w.filename for w in record] == [__file__]  # once, for all rows
 
 
 def _row_bytes(result):

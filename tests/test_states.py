@@ -161,6 +161,7 @@ def test_spdc_symmetry_follows_pump_parity(pump, expected_j):
     (lambda: PumpMode("hermite", 1.0, -1, 0), "mode indices"),
     (lambda: PumpMode("hermite", 1.0, 0, -2), "mode indices"),
     (lambda: PumpMode("laguerre", 1.0), "pump kind"),
+    (lambda: PumpMode("gaussian", 1.0, 0, 1), "gaussian pump"),
 ])
 def test_spdc_params_and_pump_reject_bad_values(build, message):
     with pytest.raises(ValueError, match=message):
