@@ -10,7 +10,11 @@ A factory may hand over the factors per axis, f_r = x_{ix[r]} (x) y_{iy[r]}
 built from a few 1-D vectors (the thin-crystal state does).  The amplitude
 then keeps that form: its Grams contract per axis, and the (rank, n, n)
 arrays `photon1`/`photon2` are built only when first read.  Replacing a
-factor array drops the form.
+factor array drops the form.  When both photons share one index map and
+no weight is given, the coefficients scatter into an m_x x m_y core
+C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms of C in the
+m x m per-axis Grams: O(m^3) work, against R^2 = m^4 for the rank x rank
+Grams.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -179,7 +183,7 @@ def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
     R^2 n^2 for the (R, n, n) arrays.  Without W the integral separates, and
     G is the product of the two axes' m x m Grams."""
     if pointwise is None:
-        gx, gy = (np.conj(a.x) @ b.x.T) * weight, np.conj(a.y) @ b.y.T
+        gx, gy = _axis_grams(a, b, weight)
         return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)
                 * np.take(np.take(gy, a.iy, axis=0), b.iy, axis=1))
     n = a.x.shape[1]
@@ -191,6 +195,40 @@ def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
     cols = k.shape[1]
     rows = a.ix * (b.x.shape[0] * cols) + a.iy * b.y.shape[0]
     return np.take(k.ravel(), rows[:, None] + (b.ix * cols + b.iy)[None, :])
+
+
+def _axis_grams(a: _AxisFactors, b: _AxisFactors, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-axis m x m Grams weight <a.x_p, b.x_q> and <a.y_p, b.y_q>."""
+    return (np.conj(a.x) @ b.x.T) * weight, np.conj(a.y) @ b.y.T
+
+
+def _core(amp: TwoPhotonAmplitude) -> np.ndarray | None:
+    """The coefficient core C[p, q] = sum of c_r over ix_r = p, iy_r = q if
+    both photons hold their factors per axis on one index map, else None."""
+    if amp._axes is None:
+        return None
+    f, g = amp._axes
+    if (f.x.shape != g.x.shape or f.y.shape != g.y.shape
+            or not (np.array_equal(f.ix, g.ix) and np.array_equal(f.iy, g.iy))):
+        return None
+    core = np.zeros((f.x.shape[0], f.y.shape[0]), dtype=complex)
+    np.add.at(core, (f.ix, f.iy), amp.coeffs)
+    return core
+
+
+def _core_form(core: np.ndarray, ax: np.ndarray, bx: np.ndarray,
+               ay: np.ndarray, by: np.ndarray) -> complex:
+    """<C, Hx C Hy^T> for Hx = ax o bx and Hy = ay o by: the form
+    sum_rs conj(c_r) Hx[ix_r, ix_s] Hy[iy_r, iy_s] c_s in O(m^3)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
+        return complex(np.vdot(core, (ax * bx) @ core @ (ay * by).T))
+
+
+def _core_norm(core: np.ndarray, f: _AxisFactors, g: _AxisFactors, weight: float) -> float:
+    """||Phi||^2 = c^H (G1 o G2) c with (G1 o G2)[r, s] = Hx[ix_r, ix_s] Hy[iy_r, iy_s]
+    for the per-axis Hx = Gx1 o Gx2 and Hy = Gy1 o Gy2."""
+    (x1, y1), (x2, y2) = _axis_grams(f, f, weight), _axis_grams(g, g, weight)
+    return _core_form(core, x1, x2, y1, y2).real
 
 
 def _times(*weights: np.ndarray | None) -> np.ndarray | None:
@@ -207,7 +245,29 @@ def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
     self-Grams G1 = <f_r, f_s>, G2 = <g_r, g_s> and the cross-Gram
     X = <Pi_y g_r, f_s> of those factors, each a Gram of amp's factors with a
     pointwise weight: ||Phi||^2 = c^H (G1 o G2) c and J = c^H (X o X^H) c, as
-    the photon-2 Gram of sigma Phi is X^H.  G2 serves both norms."""
+    the photon-2 Gram of sigma Phi is X^H.  G2 serves both norms.  Without
+    weights, an amplitude with a coefficient core (`_core`) takes the per-axis
+    m x m Grams instead: J = <C, Kx C Ky^T> with Kx = Xx o Xx^H for the
+    per-axis cross-Gram Xx, and Ky likewise."""
+    core = _core(amp) if envelope is None and mask is None else None
+    if core is None:
+        nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
+    else:
+        w = amp.grid.weight
+        f, g = amp._axes
+        nsq = nsq_env = _core_norm(core, f, g, w)
+        xx, xy = _axis_grams(_reflect_y(g), f, w)
+        j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
+    if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
+        raise ValueError(f"non-finite amplitude: ||Phi||^2 = {nsq}, J = {j}")
+    if abs(j.imag) > 1e-10 * nsq_env:  # J' / ||Phi'||^2 must be real
+        raise ValueError(f"sigma overlap has imaginary part {j.imag}")
+    return nsq, nsq_env, j.real
+
+
+def _factor_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
+                  mask: np.ndarray | None) -> tuple[float, float, complex]:
+    """`_sigma_grams`' three values from the rank x rank Grams, J complex."""
     c, w = amp.coeffs, amp.grid.weight
     f, g = _factors(amp)
     self_weight = _times(mask, mask)
@@ -220,12 +280,7 @@ def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
         nsq_env = _norm(c, _gram(f, weight=w, pointwise=photon1_weight ** 2), g2)
     reflected_mask = None if mask is None else mask[:, ::-1]
     x = _gram(_reflect_y(g), f, w, _times(reflected_mask, photon1_weight))
-    j = complex(c.conj() @ (x * x.conj().T) @ c)
-    if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
-        raise ValueError(f"non-finite amplitude: ||Phi||^2 = {nsq}, J = {j}")
-    if abs(j.imag) > 1e-10 * nsq_env:  # J' / ||Phi'||^2 must be real
-        raise ValueError(f"sigma overlap has imaginary part {j.imag}")
-    return nsq, nsq_env, j.real
+    return nsq, nsq_env, complex(c.conj() @ (x * x.conj().T) @ c)
 
 
 def _norm(c: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> float:
@@ -242,6 +297,9 @@ def _normalized_overlap(amp: TwoPhotonAmplitude) -> tuple[float, float]:
 def norm_squared(amp: TwoPhotonAmplitude) -> float:
     w = amp.grid.weight
     f, g = _factors(amp)
+    core = _core(amp)
+    if core is not None:
+        return _core_norm(core, f, g, w)
     return _norm(amp.coeffs, _gram(f, weight=w), _gram(g, weight=w))
 
 
@@ -322,7 +380,11 @@ def position_representation(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
 
 def compress(amp: TwoPhotonAmplitude, tol: float = 1e-12) -> TwoPhotonAmplitude:
     """Re-orthogonalize the product-sum and drop terms with coefficient
-    magnitude below `tol`; bounds rank growth from repeated operations."""
+    magnitude below `tol`; bounds rank growth from repeated operations.
+
+    The result's `truncation_error` is the input's (0 if unknown) plus the
+    relative norm dropped here, a triangle bound on its distance from the
+    state the input approximates."""
     s = amp.grid.spacing  # sqrt of the 2D quadrature weight
     a = amp.photon1.reshape(amp.rank, -1).T * s
     b = amp.photon2.reshape(amp.rank, -1).T * s
@@ -330,10 +392,12 @@ def compress(amp: TwoPhotonAmplitude, tol: float = 1e-12) -> TwoPhotonAmplitude:
     q2, r2 = np.linalg.qr(b)
     core = r1 @ np.diag(amp.coeffs) @ r2.T
     u, sv, vh = np.linalg.svd(core)
-    coeffs = sv
-    keep = coeffs > tol
+    keep = sv > tol
     if not np.any(keep):
         keep[0] = True
+    total = float(np.sum(sv ** 2))  # ||Phi||^2: q1 and q2 are orthonormal
+    dropped = math.sqrt(float(np.sum(sv[~keep] ** 2)) / total) if total > 0 else 0.0
     f1 = (q1 @ u)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s
     f2 = (q2 @ vh.T)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s
-    return replace(amp, coeffs=coeffs[keep].astype(complex), photon1=f1, photon2=f2)
+    return replace(amp, coeffs=sv[keep].astype(complex), photon1=f1, photon2=f2,
+                   truncation_error=(amp.truncation_error or 0.0) + dropped)

@@ -39,6 +39,11 @@ class BsOutput:
         """Entangled iff P_c > 1/2 + 1e-6, else inconclusive (never 'separable')."""
         return Verdict.ENTANGLED if self.p_coincidence > 0.5 + 1e-6 else Verdict.INCONCLUSIVE
 
+    @property
+    def truncation_error(self) -> float | None:
+        """The input's relative truncation error; None if it was not truncated."""
+        return self._input.truncation_error
+
     @cached_property
     def coincidence_amplitude(self) -> TwoPhotonAmplitude:
         """Unnormalized (Phi - sigma Phi)/2, of rank 2R; built on first read."""

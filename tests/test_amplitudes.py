@@ -1,13 +1,15 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biphoton import amplitudes, cli
-from biphoton import (GaussianBeamParams, MziGeometry, MziPhases,
-                      Representation, SppParams, TwoPhotonAmplitude,
+from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
+                      Representation, SpdcParams, SppParams, TruncationError,
+                      TwoPhotonAmplitude,
                       apply_sigma, beamsplitter_output, bell_state,
                       coincidence_probability, compress,
                       dense_normalize, dense_norm_squared, dense_sigma,
@@ -16,7 +18,8 @@ from biphoton import (GaussianBeamParams, MziGeometry, MziPhases,
                       mzi_coincidence, normalize,
                       norm_squared, oam_ring,
                       position_representation, product_state, sigma_overlap,
-                      symmetry_decompose, thin_crystal_gaussian, to_dense)
+                      spdc_state, symmetry_decompose, thin_crystal_gaussian,
+                      to_dense)
 
 from _helpers import random_amplitude, small_grid, smooth_random_mode
 
@@ -258,6 +261,22 @@ def test_gram_products_per_call(monkeypatch, capsys):
         assert 0 < len(calls) <= 4
         assert kinds == {amplitudes._AxisFactors}
 
+    # An unweighted report on a thin-crystal amplitude contracts its
+    # coefficient core with the per-axis m x m Grams: no rank x rank Gram.
+    def no_gather(*args):
+        raise AssertionError("an unweighted per-axis Gram took the rank x rank gather")
+
+    monkeypatch.setattr(amplitudes, "_axis_gram", no_gather)
+    calls.clear()
+    assert cli.main(["pc", "--state", "thin-crystal"]) == cli.EXIT_OK
+    assert "verdict = inconclusive" in capsys.readouterr().out
+    assert calls == []
+
+
+def _as_arrays(amp):
+    """amp with the same factors held as plain (rank, n, n) arrays."""
+    return replace(amp, photon1=np.array(amp.photon1), photon2=np.array(amp.photon2))
+
 
 def _outputs(amp):
     """||Phi||^2, then J and both symmetry weights of the normalized amplitude."""
@@ -283,12 +302,96 @@ def test_per_axis_form_never_outlives_its_factors(name):
     # results, so no per-axis form survives a change to the factors.
     beam = GaussianBeamParams(1.0, 1.0, 2.0)
     amp = thin_crystal_gaussian(beam, make_grid(32, 6.0 * beam.spot_size))
-    dense = replace(amp, photon1=np.array(amp.photon1), photon2=np.array(amp.photon2))
+    dense = _as_arrays(amp)
     assert amp._axes is not None and dense._axes is None
     op = _STALE_CHECKS[name]
     assert np.abs(_outputs(op(amp)) - _outputs(op(dense))).max() <= 1e-12
     if name.startswith("replace-photon"):
         assert op(amp)._axes is None
+
+
+def _thin_crystal(n, aperture, z_over_z0, rank_tol, max_rank):
+    beam = GaussianBeamParams(1.0, z_over_z0, 2.0)  # Rayleigh length 1
+    return thin_crystal_gaussian(beam, make_grid(n, aperture * beam.spot_size),
+                                 rank_tol=rank_tol, max_rank=max_rank)
+
+
+def _without_core(fn, amp):
+    """fn(amp) with the coefficient-core path switched off."""
+    with mock.patch.object(amplitudes, "_core", lambda amp: None):
+        return fn(amp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([16, 32, 64, 128, 256]), aperture=st.floats(4.0, 40.0),
+       z_over_z0=st.floats(0.3, 3.0), rank_tol=st.sampled_from([1e-6, 1e-8]))
+def test_core_path_matches_gather_and_dense_copy(n, aperture, z_over_z0, rank_tol):
+    # The core contraction of a thin-crystal amplitude against the rank x rank
+    # per-axis gather and against the same factors held as plain arrays.  The
+    # rank is capped so that both references fit in memory; the array copy is
+    # taken where its Grams stay small.
+    try:
+        amp = _thin_crystal(n, aperture, z_over_z0, rank_tol, max_rank=1200)
+    except TruncationError:
+        assume(False)
+    for state in (amp, apply_sigma(normalize(amp))):
+        assert amplitudes._core(state) is not None
+        core = _outputs(state)
+        assert np.abs(core - _without_core(_outputs, state)).max() <= 1e-12
+        if state.rank ** 2 * n ** 2 <= 2 ** 28:
+            assert np.abs(core - _outputs(_as_arrays(state))).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 12),
+       m=st.tuples(st.integers(1, 4), st.integers(1, 4)), n=st.sampled_from([8, 12]))
+def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, n):
+    # Complex, non-orthogonal per-axis vectors and coefficients, with
+    # repeated (ix, iy) pairs, shared by both photons: the core sums them.
+    rng = np.random.default_rng(seed)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    ix, iy = rng.integers(0, m[0], rank), rng.integers(0, m[1], rank)
+    axes = [amplitudes._AxisFactors(cnormal(m[0], n), cnormal(m[1], n), ix, iy)
+            for _ in range(2)]
+    amp = TwoPhotonAmplitude(cnormal(rank), None, None, make_grid(n, 3.0),
+                             Representation.MOMENTUM, _axes=tuple(axes))
+    for state in (amp, apply_sigma(normalize(amp))):
+        assert amplitudes._core(state) is not None
+        core, want = _outputs(state), _outputs(_as_arrays(state))
+        assert np.abs(core - want).max() <= 1e-12 * max(1.0, abs(want[0]))
+
+
+def test_per_axis_photons_on_different_index_maps_take_the_gather():
+    amp = _thin_crystal(32, 6.0, 1.0, 1e-6, 4096)
+    f, g = amp._axes
+    swapped = amplitudes._with_factors(amp, f, amplitudes._AxisFactors(g.x, g.y, g.iy, g.ix))
+    assert swapped._axes is not None and amplitudes._core(swapped) is None
+    gather = amplitudes._axis_gram
+    with mock.patch.object(amplitudes, "_axis_gram", side_effect=gather) as spy:
+        values = _outputs(swapped)
+    assert spy.call_count > 0
+    assert np.abs(values - _outputs(_as_arrays(swapped))).max() <= 1e-12
+
+
+def test_compress_reports_its_own_truncation_error():
+    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), make_grid(16, 6.0))
+    squeezed = compress(amp, tol=1e-3)
+    assert squeezed.rank < amp.rank
+    # The dropped relative norm, from the norm of the difference of the two.
+    diff = TwoPhotonAmplitude(np.concatenate([amp.coeffs, -squeezed.coeffs]),
+                              np.concatenate([amp.photon1, squeezed.photon1]),
+                              np.concatenate([amp.photon2, squeezed.photon2]),
+                              amp.grid, amp.representation)
+    dropped = np.sqrt(norm_squared(diff) / norm_squared(amp))
+    assert dropped > 1e3 * amp.truncation_error
+    assert squeezed.truncation_error == pytest.approx(amp.truncation_error + dropped,
+                                                      rel=1e-6)
+    exact = random_amplitude(np.random.default_rng(9), small_grid())
+    assert exact.truncation_error is None
+    assert compress(exact).truncation_error < 1e-12
 
 
 def test_apply_sigma_keeps_truncation_error_and_per_axis_form():

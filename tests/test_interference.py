@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from biphoton import (BsPhases, Verdict, beamsplitter_output, bell_state,
+from biphoton import (BsPhases, PumpMode, SpdcParams, Verdict,
+                      beamsplitter_output, bell_state,
                       coincidence_probability, entanglement_witness,
                       make_grid, oam_ring, product_state, sigma_overlap,
-                      symmetry_decompose, to_dense)
+                      spdc_state, symmetry_decompose, to_dense)
 
 from _helpers import random_amplitude, small_grid, smooth_random_mode
 
@@ -69,6 +70,13 @@ def test_beamsplitter_probability_sum_and_phase_independence():
         assert total == pytest.approx(1.0, abs=1e-9)
         assert out1.p_coincidence == pytest.approx(out0.p_coincidence, abs=1e-12)
         assert out1.p_both_port1 == pytest.approx(out0.p_both_port1, abs=1e-12)
+
+
+def test_beamsplitter_output_carries_truncation_error():
+    spdc = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)), make_grid(16, 6.0))
+    out = beamsplitter_output(spdc)
+    assert out.truncation_error == spdc.truncation_error > 0.0
+    assert beamsplitter_output(bell_state("psi-minus", 1, 1.0, GRID)).truncation_error is None
 
 
 def test_coincidence_amplitude_is_antisymmetric_part():

@@ -168,6 +168,23 @@ def test_spdc_params_and_pump_reject_bad_values(build, message):
         build()
 
 
+@pytest.mark.parametrize("pump", [PumpMode("gaussian", 1.0), PumpMode("hermite", 1.0, 1, 0),
+                                  PumpMode("hermite", 1.0, 0, 1)])
+def test_spdc_factors_rebuild_the_amplitude(pump):
+    # The eigendecomposition's factors, summed back on the grid, give the
+    # normalized down-converted pair within the reported truncation error.
+    grid = make_grid(16, 6.0)
+    amp = spdc_state(SpdcParams(1.0, 2.0, pump), grid)
+    ax = grid.axis
+    q1x, q1y, q2x, q2y = np.meshgrid(ax, ax, ax, ax, indexing="ij")
+    exact = pump.evaluate(q1x + q2x, q1y + q2y) * np.sinc(
+        ((q1x - q2x) ** 2 + (q1y - q2y) ** 2) / (4.0 * 2.0) / np.pi)
+    exact /= np.sqrt(np.sum(exact ** 2) * grid.weight ** 2)
+    error = np.sqrt(np.sum(np.abs(to_dense(amp).values - exact) ** 2) * grid.weight ** 2)
+    assert error <= amp.truncation_error * (1.0 + 1e-6) + 1e-12
+    assert amp.truncation_error > 0.0
+
+
 def test_spdc_truncation_cap():
     with pytest.raises(TruncationError):
         spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), SPDC_GRID,
