@@ -1,7 +1,9 @@
 """Two-photon amplitude algebra in low-rank product-sum form.
 
 An amplitude Phi(r1, r2) is stored as sum_r c_r f_r(r1) g_r(r2) over a shared
-grid.  The exchange-reflection involution sigma (swap photons, flip both
+grid.  Real factor arrays stay real (float64; others are complex128), so
+the Grams of real factors, such as the SPDC state's, are real products.
+The exchange-reflection involution sigma (swap photons, flip both
 y components) acts term-wise.  The norm, the overlap <sigma Phi, Phi> that
 controls the beamsplitter coincidence rate and the symmetry weights follow
 from two self-Grams and one sigma cross-Gram of the factors.
@@ -9,7 +11,8 @@ from two self-Grams and one sigma cross-Gram of the factors.
 A factory may hand over the factors per axis, f_r = x_{ix[r]} (x) y_{iy[r]}
 built from a few 1-D vectors (the thin-crystal state does).  The amplitude
 then keeps that form: its Grams contract per axis, and the (rank, n, n)
-arrays `photon1`/`photon2` are built only when first read.  Replacing a
+arrays `photon1`/`photon2` are built only when first read, and only up to
+rank 4096 (_MAX_EXPANDED_RANK), as are rank x rank Grams.  Replacing a
 factor array drops the form.  When both photons share one index map and
 no weight is given, the coefficients scatter into an m_x x m_y core
 C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms of C in the
@@ -27,9 +30,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import TruncationError
 from .grids import Grid, Representation, TransverseMode, fourier_kernel_1d
 
 _DENSE_MAX_N = 32
+# Per-axis factors of a larger rank are never expanded into (rank, n, n)
+# arrays or rank x rank Grams; the core contraction takes any rank.
+_MAX_EXPANDED_RANK = 4096
 _PHOTONS = ("photon1", "photon2")
 
 
@@ -46,6 +53,7 @@ class _AxisFactors:
     @cached_property
     def values(self) -> np.ndarray:
         """The (rank, n, n) factor array, built on first read; read-only."""
+        self.check_expandable("(rank, n, n) factor arrays")
         values = self.x[self.ix][:, :, None] * self.y[self.iy][:, None, :]
         values.setflags(write=False)
         return values
@@ -55,6 +63,13 @@ class _AxisFactors:
         array built from them."""
         return values is None or values is self.__dict__.get("values")
 
+    def check_expandable(self, what: str) -> None:
+        """TruncationError if the rank is too large to build `what` from."""
+        if self.ix.size > _MAX_EXPANDED_RANK:
+            raise TruncationError(
+                f"rank {self.ix.size} is above the cap of {_MAX_EXPANDED_RANK} for "
+                f"{what}; use a smaller grid half-width or loosen the tolerance")
+
     def reflect_y(self) -> _AxisFactors:
         return _AxisFactors(self.x, self.y[:, ::-1], self.ix, self.iy)
 
@@ -63,8 +78,10 @@ class _AxisFactors:
 class TwoPhotonAmplitude:
     """Low-rank two-photon amplitude: coeffs (R,), factors (R, n, n).
 
-    A factory may pass photon1 = photon2 = None with the per-axis factors in
-    `_axes`; the arrays are then built when first read.
+    The coefficients are complex; a factor array is float64 if it is given
+    real and complex128 otherwise.  A factory may pass photon1 = photon2 =
+    None with the per-axis factors in `_axes`; the arrays are then built
+    when first read.
     """
 
     coeffs: np.ndarray
@@ -95,7 +112,7 @@ class TwoPhotonAmplitude:
         for name, values in zip(_PHOTONS, given):
             if values is None:
                 raise ValueError("factor arrays must have shape (rank, n, n)")
-            values = np.asarray(values, dtype=complex)
+            values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
             if values.shape != (c.size, n, n):
                 raise ValueError("factor arrays must have shape (rank, n, n)")
             object.__setattr__(self, name, values)
@@ -182,6 +199,8 @@ def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
     one flat gather: m^2 n^2 + m^4 n work for m vectors per axis, against
     R^2 n^2 for the (R, n, n) arrays.  Without W the integral separates, and
     G is the product of the two axes' m x m Grams."""
+    for factors in (a, b):
+        factors.check_expandable("rank x rank Grams")
     if pointwise is None:
         gx, gy = _axis_grams(a, b, weight)
         return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)

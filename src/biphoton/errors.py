@@ -2,7 +2,8 @@
 
 
 class TruncationError(RuntimeError):
-    """Low-rank factorization could not reach the requested accuracy."""
+    """Low-rank factorization could not reach the requested accuracy within
+    its rank cap, or a state's rank is too large to expand into arrays."""
 
 
 class DegenerateInterferenceError(RuntimeError):

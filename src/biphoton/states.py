@@ -6,8 +6,8 @@ Conventions:
   * Gaussian pump, momentum space: v(q) ~ exp(-|q|^2 w0^2 / 4), whose
     position-space partner is exp(-|x|^2 / w0^2).
   * HG_mn follows the same scaling, H_m(qx w0/sqrt2) H_n(qy w0/sqrt2) times
-    the Gaussian in momentum space (m along x, n along y); the y-parity is
-    (-1)^n, exact on the reflection-closed grid.
+    the Gaussian in momentum space (m along x, n along y); the x- and
+    y-parities are (-1)^m and (-1)^n, exact on the reflection-closed grid.
   * OAM ring |l>: q^|l| exp(-q^2 w0^2/4) e^{i l theta} (Laguerre-Gauss p=0
     radial profile; the interference results do not depend on this choice).
 All outputs are normalized on the grid.
@@ -145,6 +145,10 @@ class PumpMode:
         return _hermite(self.m, qx * s) * _hermite(self.n, qy * s) * env
 
     @property
+    def x_parity(self) -> int:
+        return 1 if self.kind == "gaussian" else (-1) ** self.m
+
+    @property
     def y_parity(self) -> int:
         return 1 if self.kind == "gaussian" else (-1) ** self.n
 
@@ -184,39 +188,65 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)  # sin(x)/x with sinc(0) = 1
 
 
+def _unfold(quadrant: np.ndarray, x_sign: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
+    """(R, n, n) factors from their (R, n/2, n/2) parity-basis vectors on the
+    positive quadrant: factor r is even (+1) or odd (-1) in x and in y as
+    x_sign[r] and y_sign[r] say, so each mirrored quadrant is the positive
+    one reversed times those signs.  The basis vector of one axis is
+    (e_q +- e_-q)/sqrt2, hence the 1/2 for two axes."""
+    half = quadrant * 0.5
+    half = np.concatenate([x_sign[:, None, None] * half[:, ::-1, :], half], axis=1)
+    return np.concatenate([y_sign[:, None, None] * half[:, :, ::-1], half], axis=2)
+
+
 def spdc_state(params: SpdcParams, grid: Grid, *,
                rank_tol: float = 1e-6, max_rank: int | None = None) -> TwoPhotonAmplitude:
     """Down-converted pair v(q1+q2) sinc(L |q1-q2|^2 / (4 k_p)), normalized,
     rank-compressed across the photon split.
 
-    The (n^2, n^2) unfolding is real and symmetric, as the amplitude is
-    unchanged by q1 <-> q2, so its symmetric eigendecomposition V diag(lam) V^T
-    is an SVD: singular values |lam|, photon-1 factors V sign(lam) and
-    photon-2 factors V, ordered by |lam| (stable sort) and truncated, in
-    under half the time of the dense SVD.  The achieved relative norm
-    error of the truncation is stored on the returned amplitude as
-    `truncation_error`.
+    The half-offset grid is closed under x -> -x and y -> -y, and negating
+    both photons' x components multiplies the pair by the pump's x-parity
+    p_x (y likewise).  In the per-axis even/odd basis (f(q) +- f(-q))/sqrt2
+    on the positive half-axis, photon 1's parity sector (a, b) therefore
+    couples only to photon 2's sector (a p_x, b p_y), and the (n^2, n^2)
+    unfolding splits into four (n^2/4, n^2/4) blocks.  Each block is a
+    signed sum of the pair sampled with photon 1 on the positive quadrant
+    and photon 2 on each of the four quadrants (n^4/4 samples) and takes one
+    SVD.  The singular values of all four blocks are those of the unfolding;
+    they are sorted together (stable) and truncated, and each kept pair of
+    singular vectors unfolds onto the full grid with its sector's signs, so
+    every factor is real and exactly even or odd in each axis.  The achieved
+    relative norm error of the truncation is stored on the returned
+    amplitude as `truncation_error`.
     """
     n = grid.n
     if n > _MAX_DENSE_SPDC_N:
         raise ValueError(
-            f"spdc_state factorizes through a dense (n^2, n^2) unfolding; "
+            f"spdc_state takes dense SVDs of four (n^2/4, n^2/4) parity blocks; "
             f"n = {n} exceeds the supported maximum {_MAX_DENSE_SPDC_N}")
-    ax = grid.axis
-    sum_x = ax[:, None, None, None] + ax[None, None, :, None]   # q1x + q2x
-    sum_y = ax[None, :, None, None] + ax[None, None, None, :]   # q1y + q2y
-    diff_x = ax[:, None, None, None] - ax[None, None, :, None]
-    diff_y = ax[None, :, None, None] - ax[None, None, None, :]
-    pump = params.pump.evaluate(sum_x, sum_y)
-    phase_match = _sinc(params.crystal_length * (diff_x ** 2 + diff_y ** 2)
-                        / (4.0 * params.pump_wavenumber))
-    lam, v = np.linalg.eigh((pump * phase_match).reshape(n * n, n * n))
-    order = np.argsort(-np.abs(lam), kind="stable")
-    coeffs, err = _truncate(np.abs(lam[order]), grid, rank_tol, max_rank)
-    rank = coeffs.size
-    kept = order[:rank]
-    photon2 = v[:, kept].T.reshape(rank, n, n)
-    photon1 = photon2 * np.copysign(1.0, lam[kept])[:, None, None]
+    h = n // 2
+    p = grid.axis[h:]  # the positive half-axis; grid.axis[h - 1 - i] = -p[i]
+    signs = np.array([1.0, -1.0])
+    # Per axis, [s, i, k] for photon 1 at p_i and photon 2 at s p_k.
+    sums = p[None, :, None] + signs[:, None, None] * p[None, None, :]
+    diffs_sq = (p[None, :, None] - signs[:, None, None] * p[None, None, :]) ** 2
+    on_x = (slice(None), None, slice(None), None, slice(None), None)
+    on_y = (None, slice(None), None, slice(None), None, slice(None))
+    # samples[sx, sy, i, j, k, l] = Phi((p_i, p_j), (sx p_k, sy p_l))
+    samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
+        params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
+        / (4.0 * params.pump_wavenumber))
+    # Photon 2's even (index 0) and odd (1) parts along x, then along y.
+    by_x = np.stack([samples[0] + samples[1], samples[0] - samples[1]])
+    blocks = np.stack([by_x[:, 0] + by_x[:, 1], by_x[:, 0] - by_x[:, 1]], axis=1)
+    u, sv, vh = np.linalg.svd(blocks.reshape(4, h * h, h * h))
+    order = np.argsort(-sv.ravel(), kind="stable")
+    coeffs, err = _truncate(sv.ravel()[order], grid, rank_tol, max_rank)
+    block, k = np.divmod(order[:coeffs.size], h * h)
+    x2, y2 = signs[block // 2], signs[block % 2]  # photon 2's sector
+    photon1 = _unfold(u[block, :, k].reshape(-1, h, h),
+                      params.pump.x_parity * x2, params.pump.y_parity * y2)
+    photon2 = _unfold(vh[block, k].reshape(-1, h, h), x2, y2)
     return TwoPhotonAmplitude(coeffs, photon1, photon2, grid, Representation.MOMENTUM,
                               truncation_error=err)
 
@@ -252,7 +282,7 @@ class GaussianBeamParams:
 
 def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
                           include_phase: bool = True, rank_tol: float = 1e-6,
-                          max_rank: int = 4096) -> TwoPhotonAmplitude:
+                          max_rank: int | None = None) -> TwoPhotonAmplitude:
     """Position-space biphoton from a thin crystal pumped by a Gaussian:
 
         Psi ~ exp{-|x1+x2|^2/(4 w^2(z))
@@ -264,6 +294,9 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     The amplitude holds the factors in that per-axis form (the m <= n
     singular vectors in use and the maps kx, ky), so its Grams contract per
     axis; the (rank, n, n) arrays photon1/photon2 are built on first read.
+    Any rank is taken unless `max_rank` is given: the unweighted report
+    contracts an m x m coefficient core, and only reading the arrays or a
+    weighted Gram (the generic interferometer path) needs rank <= 4096.
     The coefficient k_p z0^2 / (8 z (z^2 + z0^2)) of the |x1-x2|^2 chirp
     diverges as z -> 0+, and the rank grows with it; z = 0 itself is taken
     without phase.  P_c is unaffected: the phase cancels in J.  The achieved

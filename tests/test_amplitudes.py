@@ -13,8 +13,8 @@ from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       apply_sigma, beamsplitter_output, bell_state,
                       coincidence_probability, compress,
                       dense_normalize, dense_norm_squared, dense_sigma,
-                      dense_sigma_overlap, entanglement_witness, from_modes,
-                      gaussian_g00, hermite_gaussian, make_grid,
+                      dense_sigma_overlap, entanglement_witness, fresnel_phase,
+                      from_modes, gaussian_g00, hermite_gaussian, make_grid,
                       mzi_coincidence, normalize,
                       norm_squared, oam_ring,
                       position_representation, product_state, sigma_overlap,
@@ -450,3 +450,56 @@ def test_compress_reduces_padded_rank():
     assert squeezed.rank == 3
     assert norm_squared(squeezed) == pytest.approx(1.0, abs=1e-10)
     assert sigma_overlap(squeezed) == pytest.approx(sigma_overlap(amp), abs=1e-10)
+
+
+def test_real_factors_stay_real_and_agree_with_a_complex_copy():
+    # SPDC factors are real and stay float64; every consumer must give the
+    # results of the same factors cast to complex.
+    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 1, 1)), make_grid(16, 6.0))
+    as_complex = TwoPhotonAmplitude(amp.coeffs, amp.photon1.astype(complex),
+                                    amp.photon2.astype(complex), amp.grid, amp.representation)
+    assert amp.photon1.dtype == amp.photon2.dtype == np.float64
+    assert as_complex.photon1.dtype == np.complex128
+    for real_op in (normalize, apply_sigma, lambda a: beamsplitter_output(a).coincidence_amplitude):
+        assert real_op(amp).photon1.dtype == real_op(amp).photon2.dtype == np.float64
+
+    def dense(a):
+        return to_dense(a).values
+
+    def mzi(a):
+        res = mzi_coincidence(a, SppParams(1.0), MziPhases(0.3), MziGeometry(1.0, 0.5))
+        return np.array([res.conditional_pc, res.throughput_eta])
+
+    checks = {
+        "to_dense": dense,
+        "normalize": lambda a: dense(normalize(a)),
+        "apply_sigma": lambda a: dense(apply_sigma(a)),
+        "compress": lambda a: dense(compress(a)),
+        "position_representation": lambda a: dense(
+            position_representation(fresnel_phase(a, 1.0, 0.5, 1.0))),
+        "coincidence_amplitude": lambda a: dense(beamsplitter_output(a).coincidence_amplitude),
+        "mzi_coincidence": mzi,
+        "norm, J and weights": _outputs,
+    }
+    for name, check in checks.items():
+        assert np.abs(check(amp) - check(as_complex)).max() <= 1e-13, name
+
+
+def test_high_rank_per_axis_state_reports_but_never_expands():
+    # At aperture 40 and n = 128 the thin crystal needs rank 13614.  Its
+    # report contracts the 128 x 128 coefficient core; reading the factor
+    # arrays or a weighted Gram would build rank-13614 arrays and is refused.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    amp = thin_crystal_gaussian(beam, make_grid(128, 40.0 * beam.spot_size))
+    assert amp.rank > amplitudes._MAX_EXPANDED_RANK
+    assert norm_squared(amp) == pytest.approx(1.0, abs=1e-10)
+    assert symmetry_decompose(amp) == pytest.approx((1.0, 0.0), abs=1e-10)
+    refused = {
+        "photon1": lambda: amp.photon1,
+        "compress": lambda: compress(amp),
+        "generic mzi": lambda: mzi_coincidence(amp, SppParams(1.0), MziPhases(0.0),
+                                               MziGeometry(1.0, 1.0)),
+    }
+    for name, expand in refused.items():
+        with pytest.raises(TruncationError, match=f"cap of {amplitudes._MAX_EXPANDED_RANK}"):
+            expand()

@@ -32,6 +32,15 @@ def test_pc_prints_no_negative_zero(capsys):
     assert "P_c = 0.000000" in capsys.readouterr().out
 
 
+def test_pc_thin_crystal_above_the_array_rank_cap(capsys):
+    # Rank 13614 at the default aperture: the report contracts the
+    # coefficient core and builds no rank-sized array, so no cap applies.
+    assert main(["pc", "--state", "thin-crystal", "--grid-n", "128"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "P_c = 0.000000" in out
+    assert "verdict = inconclusive" in out
+
+
 def test_classify_labels(capsys):
     assert main(["classify", "--state", "bell:phi-plus"]) == EXIT_OK
     assert "label = symmetric" in capsys.readouterr().out

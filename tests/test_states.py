@@ -7,7 +7,7 @@ from biphoton import (GaussianBeamParams, PumpMode, Representation,
                       SpdcParams, TruncationError, TwoPhotonAmplitude,
                       apply_sigma, bell_state, coincidence_probability,
                       gaussian_g00, hermite_gaussian, inner_product_2d,
-                      make_grid, mode_norm, norm_squared, oam_ring,
+                      make_grid, mode_norm, norm_squared, normalize, oam_ring,
                       product_state, reflect_y, sigma_overlap, spdc_state,
                       symmetry_decompose, thin_crystal_gaussian, to_dense,
                       dense_sigma_overlap)
@@ -171,7 +171,7 @@ def test_spdc_params_and_pump_reject_bad_values(build, message):
 @pytest.mark.parametrize("pump", [PumpMode("gaussian", 1.0), PumpMode("hermite", 1.0, 1, 0),
                                   PumpMode("hermite", 1.0, 0, 1)])
 def test_spdc_factors_rebuild_the_amplitude(pump):
-    # The eigendecomposition's factors, summed back on the grid, give the
+    # The parity-sector factors, summed back on the grid, give the
     # normalized down-converted pair within the reported truncation error.
     grid = make_grid(16, 6.0)
     amp = spdc_state(SpdcParams(1.0, 2.0, pump), grid)
@@ -183,6 +183,78 @@ def test_spdc_factors_rebuild_the_amplitude(pump):
     error = np.sqrt(np.sum(np.abs(to_dense(amp).values - exact) ** 2) * grid.weight ** 2)
     assert error <= amp.truncation_error * (1.0 + 1e-6) + 1e-12
     assert amp.truncation_error > 0.0
+
+
+@pytest.mark.parametrize("pump,parities", [
+    (PumpMode("gaussian", 1.0), (1, 1)),
+    (PumpMode("hermite", 1.0, 1, 0), (-1, 1)),
+    (PumpMode("hermite", 1.0, 0, 1), (1, -1)),
+    (PumpMode("hermite", 1.0, 1, 1), (-1, -1)),
+    (PumpMode("hermite", 1.0, 2, 3), (1, -1)),
+])
+def test_pump_parities(pump, parities):
+    assert (pump.x_parity, pump.y_parity) == parities
+    g = make_grid(16, 6.0)
+    ax = g.axis
+    qx, qy = np.meshgrid(ax, ax, indexing="ij")
+    v = pump.evaluate(qx, qy)
+    assert np.array_equal(v[::-1, :], pump.x_parity * v)
+    assert np.array_equal(v[:, ::-1], pump.y_parity * v)
+
+
+def _dense_eigh_reference(params, grid, rank_tol=1e-6):
+    """Rank, truncation error and symmetry weights of the SPDC pair from an
+    eigendecomposition of its whole (n^2, n^2) unfolding."""
+    n, ax = grid.n, grid.axis
+    q1x, q1y, q2x, q2y = np.meshgrid(ax, ax, ax, ax, indexing="ij")
+    pair = params.pump.evaluate(q1x + q2x, q1y + q2y) * np.sinc(
+        params.crystal_length * ((q1x - q2x) ** 2 + (q1y - q2y) ** 2)
+        / (4.0 * params.pump_wavenumber) / np.pi)
+    lam, v = np.linalg.eigh(pair.reshape(n * n, n * n))
+    order = np.argsort(-np.abs(lam), kind="stable")
+    squares = lam[order] ** 2
+    dropped = np.append(np.cumsum(squares[::-1])[::-1][1:], 0.0)  # keeping k + 1
+    rank = int(np.flatnonzero(dropped <= rank_tol ** 2 * squares.sum())[0]) + 1
+    kept = order[:rank]
+    amp = TwoPhotonAmplitude(np.abs(lam[kept]),
+                             (v[:, kept] * np.sign(lam[kept])).T.reshape(rank, n, n),
+                             v[:, kept].T.reshape(rank, n, n), grid, Representation.MOMENTUM)
+    return rank, np.sqrt(dropped[rank - 1] / squares.sum()), symmetry_decompose(normalize(amp))
+
+
+def _parities(factors):
+    """Per (rank, n, n) factor: +1 if exactly even, -1 if exactly odd under
+    the reversal of its first grid axis; 0 if neither."""
+    even = np.all(factors == factors[:, ::-1], axis=(1, 2)).astype(int)
+    odd = np.all(factors == -factors[:, ::-1], axis=(1, 2)).astype(int)
+    return even - odd
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("pump", [PumpMode("gaussian", 1.0), PumpMode("hermite", 1.0, 1, 0),
+                                  PumpMode("hermite", 1.0, 0, 1),
+                                  PumpMode("hermite", 1.0, 1, 1),
+                                  PumpMode("hermite", 1.0, 2, 3)],
+                         ids=["g00", "hg10", "hg01", "hg11", "hg23"])
+def test_spdc_parity_sectors_match_dense_eigh(pump, n):
+    params = SpdcParams(1.0, 2.0, pump)
+    grid = make_grid(n, 6.0)
+    amp = spdc_state(params, grid)
+    rank, err, weights = _dense_eigh_reference(params, grid)
+    assert amp.rank == rank
+    assert abs(amp.truncation_error - err) <= 1e-12
+    assert np.abs(np.subtract(symmetry_decompose(amp), weights)).max() <= 1e-12
+    assert amp.photon1.dtype == amp.photon2.dtype == np.float64
+    # Every factor is exactly even or odd along x and along y, and photon 1's
+    # sector is photon 2's times the pump parities.
+    by_axis = {}
+    for name in ("photon1", "photon2"):
+        f = getattr(amp, name)
+        by_axis[name] = (_parities(f), _parities(f.transpose(0, 2, 1)))
+        assert np.all(np.abs(by_axis[name]) == 1), name
+    (x1, y1), (x2, y2) = by_axis["photon1"], by_axis["photon2"]
+    assert np.array_equal(x1, pump.x_parity * x2)
+    assert np.array_equal(y1, pump.y_parity * y2)
 
 
 def test_spdc_truncation_cap():
