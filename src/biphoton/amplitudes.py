@@ -8,16 +8,24 @@ y components) acts term-wise.  The norm, the overlap <sigma Phi, Phi> that
 controls the beamsplitter coincidence rate and the symmetry weights follow
 from two self-Grams and one sigma cross-Gram of the factors.
 
-A factory may hand over the factors per axis, f_r = x_{ix[r]} (x) y_{iy[r]}
-built from a few 1-D vectors (the thin-crystal state does).  The amplitude
-then keeps that form: its Grams contract per axis, and the (rank, n, n)
-arrays `photon1`/`photon2` are built only when first read, and only up to
-rank 4096 (_MAX_EXPANDED_RANK), as are rank x rank Grams.  Replacing a
-factor array drops the form.  When both photons share one index map and
-no weight is given, the coefficients scatter into an m_x x m_y core
-C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms of C in the
-m x m per-axis Grams: O(m^3) work, against R^2 = m^4 for the rank x rank
-Grams.
+A factory may hand over the factors in a factored form, which the amplitude
+keeps: its Grams contract in that form, and the (rank, n, n) arrays
+`photon1`/`photon2` are built only when first read.  Replacing a factor
+array drops the form; `normalize` and `apply_sigma` keep it.  Two forms
+exist:
+
+* per axis (_AxisFactors, the thin-crystal state): f_r = x_{ix[r]} (x) y_{iy[r]}
+  built from a few 1-D vectors.  Its arrays are built only up to rank 4096
+  (_MAX_EXPANDED_RANK), as are rank x rank Grams.  When both photons share
+  one index map and no weight is given, the coefficients scatter into an
+  m_x x m_y core C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms
+  of C in the m x m per-axis Grams: O(m^3) work, against R^2 = m^4 for the
+  rank x rank Grams.
+* per parity sector (_SectorFactors, the SPDC state): f_r is exactly even or
+  odd along each axis and is held as its (n^2/4,) vector on the positive
+  quadrant with its two signs.  Factors of different sectors are orthogonal,
+  so an unweighted Gram is block diagonal: one product of quadrant vectors
+  per matching sector, 1/16 of the work on the full grid.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -40,8 +48,18 @@ _MAX_EXPANDED_RANK = 4096
 _PHOTONS = ("photon1", "photon2")
 
 
+class _Form:
+    """One photon's factors held in a factored form; `values` builds the
+    (rank, n, n) factor array on first read."""
+
+    def holds(self, values: np.ndarray | None) -> bool:
+        """Whether `values` stands for these factors: not given, or the very
+        array built from them."""
+        return values is None or values is self.__dict__.get("values")
+
+
 @dataclass(frozen=True, eq=False)
-class _AxisFactors:
+class _AxisFactors(_Form):
     """One photon's factors held per axis: term r is the outer product
     x[ix[r]] (x) y[iy[r]] of rows of x (mx, n) and y (my, n)."""
 
@@ -58,10 +76,9 @@ class _AxisFactors:
         values.setflags(write=False)
         return values
 
-    def holds(self, values: np.ndarray | None) -> bool:
-        """Whether `values` stands for these factors: not given, or the very
-        array built from them."""
-        return values is None or values is self.__dict__.get("values")
+    def fits(self, rank: int, n: int) -> bool:
+        return (self.ix.size == rank and self.iy.size == rank
+                and self.x.shape[1] == n and self.y.shape[1] == n)
 
     def check_expandable(self, what: str) -> None:
         """TruncationError if the rank is too large to build `what` from."""
@@ -75,13 +92,59 @@ class _AxisFactors:
 
 
 @dataclass(frozen=True, eq=False)
+class _SectorFactors(_Form):
+    """One photon's factors held per parity sector: term r is even (+1) or
+    odd (-1) along x and along y as x_sign[r] and y_sign[r] say, and is held
+    as its vector quadrant[r] in the per-axis even/odd basis on the positive
+    quadrant, n^2/4 samples flattened (see `_unfold`)."""
+
+    quadrant: np.ndarray
+    x_sign: np.ndarray
+    y_sign: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The (rank, n, n) factor array, built on first read; read-only."""
+        h = math.isqrt(self.quadrant.shape[1])
+        values = _unfold(self.quadrant.reshape(-1, h, h), self.x_sign, self.y_sign)
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def sectors(self) -> list[np.ndarray]:
+        """The indices of the terms in sectors (+, +), (+, -), (-, +), (-, -)."""
+        code = 2 * (self.x_sign < 0) + (self.y_sign < 0)
+        return [np.flatnonzero(code == k) for k in range(4)]
+
+    def fits(self, rank: int, n: int) -> bool:
+        return (n % 2 == 0 and self.quadrant.shape == (rank, (n // 2) ** 2)
+                and self.x_sign.shape == self.y_sign.shape == (rank,))
+
+    def reflect_y(self) -> _SectorFactors:
+        # Exact: the y reflection of a factor of y-parity s is s times it.
+        return _SectorFactors(self.quadrant * self.y_sign[:, None], self.x_sign, self.y_sign)
+
+
+def _unfold(quadrant: np.ndarray, x_sign: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
+    """(R, n, n) factors from their (R, n/2, n/2) parity-basis vectors on the
+    positive quadrant: factor r is even (+1) or odd (-1) in x and in y as
+    x_sign[r] and y_sign[r] say, so each mirrored quadrant is the positive
+    one reversed times those signs.  The basis vector of one axis is
+    (e_q +- e_-q)/sqrt2, hence the 1/2 for two axes."""
+    half = quadrant * 0.5
+    half = np.concatenate([x_sign[:, None, None] * half[:, ::-1, :], half], axis=1)
+    return np.concatenate([y_sign[:, None, None] * half[:, :, ::-1], half], axis=2)
+
+
+@dataclass(frozen=True, eq=False)
 class TwoPhotonAmplitude:
     """Low-rank two-photon amplitude: coeffs (R,), factors (R, n, n).
 
     The coefficients are complex; a factor array is float64 if it is given
     real and complex128 otherwise.  A factory may pass photon1 = photon2 =
-    None with the per-axis factors in `_axes`; the arrays are then built
-    when first read.
+    None with both photons' factors in a factored form in `_form`
+    (_AxisFactors or _SectorFactors); the arrays are then built when first
+    read.
     """
 
     coeffs: np.ndarray
@@ -90,25 +153,23 @@ class TwoPhotonAmplitude:
     grid: Grid
     representation: Representation
     truncation_error: float | None = field(default=None, compare=False)
-    _axes: tuple[_AxisFactors, _AxisFactors] | None = field(default=None, repr=False,
-                                                             compare=False)
+    _form: tuple[_Form, _Form] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", c)
         n = self.grid.n
         given = (self.photon1, self.photon2)
-        axes = self._axes
-        if axes is not None and all(map(_AxisFactors.holds, axes, given)):
-            if any(a.ix.size != c.size or a.iy.size != c.size
-                   or a.x.shape[1] != n or a.y.shape[1] != n for a in axes):
+        form = self._form
+        if form is not None and all(f.holds(v) for f, v in zip(form, given)):
+            if type(form[0]) is not type(form[1]) or not all(f.fits(c.size, n) for f in form):
                 raise ValueError("factor arrays must have shape (rank, n, n)")
-            for name in _PHOTONS:  # served from _axes by __getattr__
+            for name in _PHOTONS:  # served from _form by __getattr__
                 object.__delattr__(self, name)
             return
-        if axes is not None:  # a replaced factor: the per-axis form is stale
-            given = tuple(a.values if v is None else v for a, v in zip(axes, given))
-            object.__setattr__(self, "_axes", None)
+        if form is not None:  # a replaced factor: the factored form is stale
+            given = tuple(f.values if v is None else v for f, v in zip(form, given))
+            object.__setattr__(self, "_form", None)
         for name, values in zip(_PHOTONS, given):
             if values is None:
                 raise ValueError("factor arrays must have shape (rank, n, n)")
@@ -118,11 +179,11 @@ class TwoPhotonAmplitude:
             object.__setattr__(self, name, values)
 
     def __getattr__(self, name):
-        # Only reached for photon1/photon2 of a per-axis amplitude.
-        axes = self.__dict__.get("_axes")
-        if axes is None or name not in _PHOTONS:
+        # Only reached for photon1/photon2 of an amplitude in a factored form.
+        form = self.__dict__.get("_form")
+        if form is None or name not in _PHOTONS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return axes[_PHOTONS.index(name)].values
+        return form[_PHOTONS.index(name)].values
 
     @property
     def rank(self) -> int:
@@ -130,19 +191,20 @@ class TwoPhotonAmplitude:
 
 
 def _factors(amp: TwoPhotonAmplitude):
-    """Photon 1's and photon 2's factors: per axis if held so, else arrays."""
-    return amp._axes if amp._axes is not None else (amp.photon1, amp.photon2)
+    """Photon 1's and photon 2's factors: in their factored form if held so,
+    else arrays."""
+    return amp._form if amp._form is not None else (amp.photon1, amp.photon2)
 
 
 def _with_factors(amp: TwoPhotonAmplitude, f, g, **changes) -> TwoPhotonAmplitude:
     """amp with factors f, g in the form `_factors` returns, and other changes."""
-    if isinstance(f, _AxisFactors):
-        return replace(amp, photon1=None, photon2=None, _axes=(f, g), **changes)
-    return replace(amp, photon1=f, photon2=g, _axes=None, **changes)
+    if isinstance(f, _Form):
+        return replace(amp, photon1=None, photon2=None, _form=(f, g), **changes)
+    return replace(amp, photon1=f, photon2=g, _form=None, **changes)
 
 
 def _reflect_y(factors):
-    return factors.reflect_y() if isinstance(factors, _AxisFactors) else factors[:, :, ::-1]
+    return factors.reflect_y() if isinstance(factors, _Form) else factors[:, :, ::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,11 +243,17 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
 
 def _gram(a, b=None, weight: float = 1.0, pointwise: np.ndarray | None = None) -> np.ndarray:
     """G[r, s] = <a_r, pointwise b_s> with midpoint weights; b defaults to a.
-    Factors held per axis on both sides contract per axis (_axis_gram)."""
+    Factors held per axis on both sides contract per axis (_axis_gram);
+    factors held per parity sector contract per sector (_sector_gram) unless
+    a pointwise weight is given, which takes the arrays."""
     b = a if b is None else b
     with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
         if isinstance(a, _AxisFactors):
             return _axis_gram(a, b, weight, pointwise)
+        if isinstance(a, _SectorFactors):
+            if pointwise is None:
+                return _sector_gram(a, b, weight)
+            a, b = a.values, b.values
         if pointwise is not None:
             b = b * pointwise
         return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
@@ -216,6 +284,20 @@ def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
     return np.take(k.ravel(), rows[:, None] + (b.ix * cols + b.iy)[None, :])
 
 
+def _sector_gram(a: _SectorFactors, b: _SectorFactors, weight: float) -> np.ndarray:
+    """The unweighted Gram of per-sector factors.  Factors of different
+    sectors are orthogonal, and within a sector the unfolded factors have the
+    Gram of their quadrant vectors (the parity basis is orthonormal), so G is
+    block diagonal up to the term order: one product per matching sector, of
+    n^2/4 samples, scattered into the rank x rank array."""
+    gram = np.zeros((a.quadrant.shape[0], b.quadrant.shape[0]),
+                    dtype=np.result_type(a.quadrant, b.quadrant))
+    for rows, cols in zip(a.sectors, b.sectors):
+        if rows.size and cols.size:
+            gram[np.ix_(rows, cols)] = np.conj(a.quadrant[rows]) @ b.quadrant[cols].T
+    return gram * weight
+
+
 def _axis_grams(a: _AxisFactors, b: _AxisFactors, weight: float) -> tuple[np.ndarray, np.ndarray]:
     """The per-axis m x m Grams weight <a.x_p, b.x_q> and <a.y_p, b.y_q>."""
     return (np.conj(a.x) @ b.x.T) * weight, np.conj(a.y) @ b.y.T
@@ -224,10 +306,8 @@ def _axis_grams(a: _AxisFactors, b: _AxisFactors, weight: float) -> tuple[np.nda
 def _core(amp: TwoPhotonAmplitude) -> np.ndarray | None:
     """The coefficient core C[p, q] = sum of c_r over ix_r = p, iy_r = q if
     both photons hold their factors per axis on one index map, else None."""
-    if amp._axes is None:
-        return None
-    f, g = amp._axes
-    if (f.x.shape != g.x.shape or f.y.shape != g.y.shape
+    f, g = _factors(amp)
+    if (not isinstance(f, _AxisFactors) or f.x.shape != g.x.shape or f.y.shape != g.y.shape
             or not (np.array_equal(f.ix, g.ix) and np.array_equal(f.iy, g.iy))):
         return None
     core = np.zeros((f.x.shape[0], f.y.shape[0]), dtype=complex)
@@ -273,7 +353,7 @@ def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
         nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
     else:
         w = amp.grid.weight
-        f, g = amp._axes
+        f, g = amp._form
         nsq = nsq_env = _core_norm(core, f, g, w)
         xx, xy = _axis_grams(_reflect_y(g), f, w)
         j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
@@ -331,7 +411,7 @@ def normalize(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
 
 def apply_sigma(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     """Exchange-reflection involution: (c, f, g) -> (c, Pi_y g, Pi_y f); a
-    per-axis amplitude stays per axis."""
+    factored form is kept."""
     f, g = _factors(amp)
     return _with_factors(amp, _reflect_y(g), _reflect_y(f))
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import TwoPhotonAmplitude, _AxisFactors, from_modes, normalize
+from .amplitudes import (TwoPhotonAmplitude, _AxisFactors, _SectorFactors, from_modes,
+                         normalize)
 from .errors import TruncationError
 from .grids import Grid, Representation, TransverseMode, normalize_mode
 
@@ -167,8 +168,10 @@ class SpdcParams:
 def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
               max_rank: int | None) -> tuple[np.ndarray, float]:
     """Normalized leading coefficients of descending singular weights, kept
-    until the dropped relative norm is below rank_tol, and that error.  Both
-    Grams of singular-vector factors are grid.weight I, so the norm is closed-form."""
+    until the dropped relative norm is below rank_tol, and that error.  The
+    factors are orthonormal singular vectors (for SPDC, in the parity basis
+    and across sectors), so both Grams are grid.weight I and the norm is
+    closed-form."""
     squares = weights ** 2
     total = float(np.sum(squares))
     # tail[k]: the squared norm dropped when k + 1 weights are kept, summed from
@@ -188,17 +191,6 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)  # sin(x)/x with sinc(0) = 1
 
 
-def _unfold(quadrant: np.ndarray, x_sign: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
-    """(R, n, n) factors from their (R, n/2, n/2) parity-basis vectors on the
-    positive quadrant: factor r is even (+1) or odd (-1) in x and in y as
-    x_sign[r] and y_sign[r] say, so each mirrored quadrant is the positive
-    one reversed times those signs.  The basis vector of one axis is
-    (e_q +- e_-q)/sqrt2, hence the 1/2 for two axes."""
-    half = quadrant * 0.5
-    half = np.concatenate([x_sign[:, None, None] * half[:, ::-1, :], half], axis=1)
-    return np.concatenate([y_sign[:, None, None] * half[:, :, ::-1], half], axis=2)
-
-
 def spdc_state(params: SpdcParams, grid: Grid, *,
                rank_tol: float = 1e-6, max_rank: int | None = None) -> TwoPhotonAmplitude:
     """Down-converted pair v(q1+q2) sinc(L |q1-q2|^2 / (4 k_p)), normalized,
@@ -209,20 +201,28 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     p_x (y likewise).  In the per-axis even/odd basis (f(q) +- f(-q))/sqrt2
     on the positive half-axis, photon 1's parity sector (a, b) therefore
     couples only to photon 2's sector (a p_x, b p_y), and the (n^2, n^2)
-    unfolding splits into four (n^2/4, n^2/4) blocks.  Each block is a
-    signed sum of the pair sampled with photon 1 on the positive quadrant
-    and photon 2 on each of the four quadrants (n^4/4 samples) and takes one
-    SVD.  The singular values of all four blocks are those of the unfolding;
-    they are sorted together (stable) and truncated, and each kept pair of
-    singular vectors unfolds onto the full grid with its sector's signs, so
-    every factor is real and exactly even or odd in each axis.  The achieved
-    relative norm error of the truncation is stored on the returned
-    amplitude as `truncation_error`.
+    unfolding splits into four (n^2/4, n^2/4) blocks, each a signed sum of
+    the pair sampled with photon 1 on the positive quadrant and photon 2 on
+    each of the four quadrants (n^4/4 samples).  The pair is
+    exchange-symmetric, so the block of sector (a, b) is the transpose of
+    the block of sector (a p_x, b p_y):
+      * for a pump with an odd parity the sectors pair up, and one batched
+        SVD of two blocks gives all four, the partner's factors being the
+        same pair with U and V swapped;
+      * for an even-even pump every block is symmetric and takes a batched
+        `eigh`, B = V diag(lam) V^T, with the factors V sign(lam) and V.
+    The singular values of the four blocks (|lam| for `eigh`) are those of
+    the unfolding; they are sorted together (stable) and truncated.  The
+    amplitude keeps each kept pair of vectors on the positive quadrant with
+    its sector's signs (_SectorFactors): every factor is real and exactly
+    even or odd along each axis, and its Grams contract per sector.  The
+    achieved relative norm error of the truncation is stored on the
+    returned amplitude as `truncation_error`.
     """
     n = grid.n
     if n > _MAX_DENSE_SPDC_N:
         raise ValueError(
-            f"spdc_state takes dense SVDs of four (n^2/4, n^2/4) parity blocks; "
+            f"spdc_state takes dense factorizations of (n^2/4, n^2/4) parity blocks; "
             f"n = {n} exceeds the supported maximum {_MAX_DENSE_SPDC_N}")
     h = n // 2
     p = grid.axis[h:]  # the positive half-axis; grid.axis[h - 1 - i] = -p[i]
@@ -236,19 +236,35 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
         params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
         / (4.0 * params.pump_wavenumber))
-    # Photon 2's even (index 0) and odd (1) parts along x, then along y.
+    # Photon 2's even (index 0) and odd (1) parts along x, then along y:
+    # blocks[bx, by] is the block of photon 2's sector (signs[bx], signs[by]).
     by_x = np.stack([samples[0] + samples[1], samples[0] - samples[1]])
     blocks = np.stack([by_x[:, 0] + by_x[:, 1], by_x[:, 0] - by_x[:, 1]], axis=1)
-    u, sv, vh = np.linalg.svd(blocks.reshape(4, h * h, h * h))
-    order = np.argsort(-sv.ravel(), kind="stable")
-    coeffs, err = _truncate(sv.ravel()[order], grid, rank_tol, max_rank)
+    blocks = blocks.reshape(4, h * h, h * h)
+    # partner[b]: the block whose photon-2 sector is block b's photon-1
+    # sector; its block is block b's transpose.
+    sector = np.arange(4)
+    partner = sector ^ (2 * (params.pump.x_parity < 0) + (params.pump.y_parity < 0))
+    if np.any(partner != sector):  # the blocks pair up: factor one of each pair
+        free, which = np.unique(np.minimum(sector, partner), return_inverse=True)
+        u, sv, vh = np.linalg.svd(blocks[free])
+    else:  # every block is symmetric
+        lam, v = np.linalg.eigh(blocks)
+        which, sv = sector, np.abs(lam)
+        u, vh = v * np.where(lam < 0.0, -1.0, 1.0)[:, None, :], np.swapaxes(v, 1, 2)
+    sv = sv[which].ravel()  # every block's weights, the partners' repeated
+    order = np.argsort(-sv, kind="stable")
+    coeffs, err = _truncate(sv[order], grid, rank_tol, max_rank)
     block, k = np.divmod(order[:coeffs.size], h * h)
+    left, right = u[which[block], :, k], vh[which[block], k]
+    transposed = (partner < sector)[block, None]  # U and V swap for the partner
+    photon1 = np.where(transposed, right, left)
+    photon2 = np.where(transposed, left, right)
     x2, y2 = signs[block // 2], signs[block % 2]  # photon 2's sector
-    photon1 = _unfold(u[block, :, k].reshape(-1, h, h),
-                      params.pump.x_parity * x2, params.pump.y_parity * y2)
-    photon2 = _unfold(vh[block, k].reshape(-1, h, h), x2, y2)
-    return TwoPhotonAmplitude(coeffs, photon1, photon2, grid, Representation.MOMENTUM,
-                              truncation_error=err)
+    form = (_SectorFactors(photon1, params.pump.x_parity * x2, params.pump.y_parity * y2),
+            _SectorFactors(photon2, x2, y2))
+    return TwoPhotonAmplitude(coeffs, None, None, grid, Representation.MOMENTUM,
+                              truncation_error=err, _form=form)
 
 
 @dataclass(frozen=True)
@@ -328,4 +344,4 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
         arr.setflags(write=False)
     axes = (_AxisFactors(u_used, u_used, ix, iy), _AxisFactors(vh_used, vh_used, ix, iy))
     return TwoPhotonAmplitude(coeffs, None, None, grid, Representation.POSITION,
-                              truncation_error=err, _axes=axes)
+                              truncation_error=err, _form=axes)

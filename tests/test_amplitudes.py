@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from biphoton import amplitudes, cli
@@ -272,6 +272,19 @@ def test_gram_products_per_call(monkeypatch, capsys):
     assert "verdict = inconclusive" in capsys.readouterr().out
     assert calls == []
 
+    # An SPDC report contracts its parity-sector factors on the positive
+    # quadrant: three Grams, and no factor array built.  The g00 pump takes
+    # the eigh branch of spdc_state, hg:0,1 the SVD branch.
+    monkeypatch.setattr(amplitudes._SectorFactors, "values", property(no_factor_arrays))
+    for argv, line in [(["classify", "--state", "spdc"], "label = symmetric"),
+                       (["pc", "--state", "spdc", "--pump", "hg:0,1"], "verdict = entangled")]:
+        calls.clear()
+        kinds.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert line in capsys.readouterr().out
+        assert sorted(calls) == ["cross", "self", "self"], argv
+        assert kinds == {amplitudes._SectorFactors}
+
 
 def _as_arrays(amp):
     """amp with the same factors held as plain (rank, n, n) arrays."""
@@ -295,19 +308,77 @@ _STALE_CHECKS = {
 }
 
 
+def _check_form_never_outlives_its_factors(amp, name):
+    """The operation `name` gives the same results on amp, held in a
+    factored form, as on a copy holding the same factors as plain arrays."""
+    dense = _as_arrays(amp)
+    assert amp._form is not None and dense._form is None
+    op = _STALE_CHECKS[name]
+    assert np.abs(_outputs(op(amp)) - _outputs(op(dense))).max() <= 1e-12
+    if name.startswith("replace-photon"):
+        assert op(amp)._form is None
+
+
 @pytest.mark.parametrize("name", _STALE_CHECKS)
 def test_per_axis_form_never_outlives_its_factors(name):
     # A thin-crystal amplitude keeps its factors per axis; a copy holds the
     # same factors as plain arrays.  Every operation must give both the same
     # results, so no per-axis form survives a change to the factors.
     beam = GaussianBeamParams(1.0, 1.0, 2.0)
-    amp = thin_crystal_gaussian(beam, make_grid(32, 6.0 * beam.spot_size))
-    dense = _as_arrays(amp)
-    assert amp._axes is not None and dense._axes is None
-    op = _STALE_CHECKS[name]
-    assert np.abs(_outputs(op(amp)) - _outputs(op(dense))).max() <= 1e-12
-    if name.startswith("replace-photon"):
-        assert op(amp)._axes is None
+    _check_form_never_outlives_its_factors(
+        thin_crystal_gaussian(beam, make_grid(32, 6.0 * beam.spot_size)), name)
+
+
+@pytest.mark.parametrize("name", _STALE_CHECKS)
+def test_sector_form_never_outlives_its_factors(name):
+    # The same for an SPDC amplitude, which keeps its factors per parity sector.
+    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 1, 2)), make_grid(16, 6.0))
+    assert isinstance(amp._form[0], amplitudes._SectorFactors)
+    _check_form_never_outlives_its_factors(amp, name)
+
+
+def test_sigma_twice_restores_sector_factors_bit_for_bit():
+    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)), make_grid(16, 6.0))
+    once = apply_sigma(amp)
+    twice = apply_sigma(once)
+    assert isinstance(twice._form[0], amplitudes._SectorFactors)
+    for before, after in zip(amp._form, twice._form):
+        for name in ("quadrant", "x_sign", "y_sign"):
+            assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
+    for name in ("photon1", "photon2"):
+        assert getattr(twice, name).tobytes() == getattr(amp, name).tobytes(), name
+    assert once.photon1.tobytes() == amp.photon2[:, :, ::-1].tobytes()
+    assert once.photon2.tobytes() == amp.photon1[:, :, ::-1].tobytes()
+
+
+_PUMPS = st.one_of(st.builds(lambda w: PumpMode("gaussian", w), st.floats(0.5, 2.0)),
+                   st.builds(lambda w, m, n: PumpMode("hermite", w, m, n),
+                             st.floats(0.5, 2.0), st.integers(0, 3), st.integers(0, 3)))
+
+
+# Without the explain phase: when this test fails, hypothesis's explain
+# phase keeps every failing run's frames, and with them their (R, n, n)
+# arrays; a broken sector Gram grew the process by about 50 MB/s to 2.3 GB.
+@settings(max_examples=30, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(pump=_PUMPS, n=st.sampled_from([8, 16, 24, 32]),
+       crystal_length=st.floats(0.25, 4.0))
+def test_sector_grams_match_an_array_copy(pump, n, crystal_length):
+    # The per-sector Grams of an SPDC amplitude against the same factors
+    # held as plain arrays: the norm, J and both symmetry weights, and the
+    # engine's three values under a pointwise envelope and mask, which take
+    # the arrays.
+    grid = make_grid(n, 6.0)
+    amp = spdc_state(SpdcParams(crystal_length, 2.0, pump), grid)
+    rescaled = normalize(amplitudes._with_factors(amp, *amp._form, coeffs=3.0 * amp.coeffs))
+    qx, qy = grid.meshgrid()
+    envelope, mask = np.cos(0.4 * qx + 0.3 * qy), (qx ** 2 + 2.0 * qy ** 2 < 20.0) * 1.0
+    for state in (amp, rescaled, apply_sigma(rescaled)):
+        assert isinstance(state._form[0], amplitudes._SectorFactors)
+        copy = _as_arrays(state)
+        assert np.abs(_outputs(state) - _outputs(copy)).max() <= 1e-12
+        weighted = [amplitudes._sigma_grams(a, envelope, mask) for a in (state, copy)]
+        assert np.abs(np.subtract(*weighted)).max() <= 1e-12
 
 
 def _thin_crystal(n, aperture, z_over_z0, rank_tol, max_rank):
@@ -357,7 +428,7 @@ def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, 
     axes = [amplitudes._AxisFactors(cnormal(m[0], n), cnormal(m[1], n), ix, iy)
             for _ in range(2)]
     amp = TwoPhotonAmplitude(cnormal(rank), None, None, make_grid(n, 3.0),
-                             Representation.MOMENTUM, _axes=tuple(axes))
+                             Representation.MOMENTUM, _form=tuple(axes))
     for state in (amp, apply_sigma(normalize(amp))):
         assert amplitudes._core(state) is not None
         core, want = _outputs(state), _outputs(_as_arrays(state))
@@ -366,9 +437,9 @@ def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, 
 
 def test_per_axis_photons_on_different_index_maps_take_the_gather():
     amp = _thin_crystal(32, 6.0, 1.0, 1e-6, 4096)
-    f, g = amp._axes
+    f, g = amp._form
     swapped = amplitudes._with_factors(amp, f, amplitudes._AxisFactors(g.x, g.y, g.iy, g.ix))
-    assert swapped._axes is not None and amplitudes._core(swapped) is None
+    assert swapped._form is not None and amplitudes._core(swapped) is None
     gather = amplitudes._axis_gram
     with mock.patch.object(amplitudes, "_axis_gram", side_effect=gather) as spy:
         values = _outputs(swapped)
@@ -400,7 +471,7 @@ def test_apply_sigma_keeps_truncation_error_and_per_axis_form():
     once = apply_sigma(amp)
     twice = apply_sigma(once)
     assert once.truncation_error == amp.truncation_error > 0.0
-    assert once._axes is not None and twice._axes is not None
+    assert once._form is not None and twice._form is not None
     assert np.array_equal(twice.photon1, amp.photon1)
     assert np.array_equal(twice.photon2, amp.photon2)
     assert np.array_equal(once.photon1, amp.photon2[:, :, ::-1])

@@ -189,7 +189,7 @@ def test_fast_path_matches_generic_low_rank():
 def _dense_copy(amp):
     """The same amplitude with its factors as plain arrays."""
     dense = replace(amp, photon1=np.array(amp.photon1), photon2=np.array(amp.photon2))
-    assert amp._axes is not None and dense._axes is None
+    assert amp._form is not None and dense._form is None
     return dense
 
 

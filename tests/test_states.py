@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
@@ -136,6 +140,21 @@ def test_product_state_never_anticoalesces():
         assert coincidence_probability(amp) <= 0.5 + 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), orders=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       n=st.sampled_from([16, 24, 32, 48]), waists=st.tuples(st.floats(0.3, 1.5),
+                                                              st.floats(0.3, 1.5)))
+def test_product_states_never_anticoalesce_over_hg_orders_grids_and_waists(seed, orders, n,
+                                                                             waists):
+    # J = |<Pi_y g, f>|^2 >= 0 for any product f(q1) g(q2), so P_c <= 1/2:
+    # here each photon is a random mix of HG_mn up to the drawn order, at
+    # its own waist.
+    rng = np.random.default_rng(seed)
+    g = make_grid(n, 5.0)
+    f1, f2 = (smooth_random_mode(rng, g, max_order=k, waist=w) for k, w in zip(orders, waists))
+    assert coincidence_probability(product_state(f1, f2)) <= 0.5 + 1e-9
+
+
 SPDC_GRID = make_grid(32, 6.0)
 
 
@@ -255,6 +274,34 @@ def test_spdc_parity_sectors_match_dense_eigh(pump, n):
     (x1, y1), (x2, y2) = by_axis["photon1"], by_axis["photon2"]
     assert np.array_equal(x1, pump.x_parity * x2)
     assert np.array_equal(y1, pump.y_parity * y2)
+
+
+@pytest.mark.parametrize("pump,svd_batches,eigh_batches", [
+    (PumpMode("gaussian", 1.0), [], [4]),
+    (PumpMode("hermite", 1.0, 1, 0), [2], []),
+    (PumpMode("hermite", 1.0, 0, 1), [2], []),
+    (PumpMode("hermite", 1.0, 1, 1), [2], []),
+    (PumpMode("hermite", 1.0, 2, 3), [2], []),
+    (PumpMode("hermite", 1.0, 2, 2), [], [4]),
+], ids=["g00", "hg10", "hg01", "hg11", "hg23", "hg22"])
+def test_spdc_factorizations_per_pump_parity(pump, svd_batches, eigh_batches):
+    # A pump with an odd parity pairs the four sector blocks as transposes:
+    # one batched SVD of two blocks.  An even-even pump's blocks are all
+    # symmetric: one batched eigh of four, and no SVD.
+    calls = {"svd": [], "eigh": []}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def count(a, *args, **kwargs):
+            calls[name].append(a.shape[0] if a.ndim == 3 else 1)
+            return real(a, *args, **kwargs)
+        return count
+
+    with mock.patch.object(np.linalg, "svd", counting("svd")), \
+            mock.patch.object(np.linalg, "eigh", counting("eigh")):
+        spdc_state(SpdcParams(1.0, 2.0, pump), make_grid(16, 6.0))
+    assert calls == {"svd": svd_batches, "eigh": eigh_batches}
 
 
 def test_spdc_truncation_cap():
