@@ -471,9 +471,8 @@ def position_representation(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     if amp.representation is not Representation.MOMENTUM:
         raise ValueError("amplitude is already in the position representation")
     k = fourier_kernel_1d(amp.grid, sign=+1)
-    f1 = np.einsum("ia,rab,jb->rij", k, amp.photon1, k)
-    f2 = np.einsum("ia,rab,jb->rij", k, amp.photon2, k)
-    return replace(amp, photon1=f1, photon2=f2, grid=amp.grid.conjugate(),
+    return replace(amp, photon1=k @ amp.photon1 @ k.T, photon2=k @ amp.photon2 @ k.T,
+                   grid=amp.grid.conjugate(),
                    representation=Representation.POSITION)
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -232,7 +233,8 @@ def _geometry_for(source: GaussianBeamParams, geom: MziGeometry,
     return _fast_geometry(grid_n, geom.aperture_factor * w, geom.circular, w)
 
 
-def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, phases: MziPhases) -> MziResult:
+def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
+                       map_=map) -> list[MziResult | DegenerateInterferenceError]:
     # Exact reorganization of the discrete 4D quadrature.  The biphoton
     # weight depends only on x1 + x2 (the phase factors cancel pointwise
     # between Phi(1,2) and Phi*(sigma(1,2))) and is separable per axis:
@@ -248,13 +250,48 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, phases: MziPhases) ->
     # sums to at most 2 e^{-42.3} (1 + w / (9.2 h)) < 1.1e-17 of that for
     # spacings h >= w / 100, far below the ~1e-16 roundoff of the FFTs.
     # M, the azimuth, the kernel spectrum, C and tot depend only on the
-    # geometry and are cached, so a scan point pays one sine and one
-    # two-sided H application (for num).
-    envelope = _sine(geo.azimuth, spp.zeta, phases.alpha_plus) * geo.mask
-    num = float(np.sum(envelope * geo.hankel.sandwich(envelope[:, ::-1])))
-    den = float(np.sum(envelope ** 2 * geo.c))
-    eta = _throughput(den, geo.tot, spp, phases)
-    return MziResult(conditional_pc=(1.0 - num / den) / 2.0, throughput_eta=eta)
+    # geometry and are cached.
+    #
+    # num and den are quadratic in E, and at fixed zeta the envelope is
+    # linear in (cos alpha, sin alpha):  E = cos alpha S + sin alpha C' with
+    # S = M sin zeta (theta - pi) and C' = M cos zeta (theta - pi).  So for an
+    # envelope basis B, every alpha reads num = v^T N v and den = v^T D v off
+    # the Grams N[a, b] = sum(B_a * H (B_b reflected) H) and
+    # D[a, b] = sum(B_a * B_b * C).  Both are symmetric: H is, and it commutes
+    # with the y-reflection.  One alpha takes B = [E], v = [1], one sine and
+    # one sandwich (the per-call cost); several take B = [S, C'], a sine and a
+    # cosine and two sandwiches (mapped by map_) for the whole sweep.
+    # A degenerate row is returned as its DegenerateInterferenceError, so it
+    # does not end a sweep.
+    if len(alphas) == 1:
+        trigs = [lambda: _sine(geo.azimuth, spp.zeta, alphas[0])]
+        weights = np.ones((1, 1))
+    else:
+        phase = spp.zeta * (geo.azimuth - np.pi)
+        trigs = [lambda: np.sin(phase), lambda: np.cos(phase)]
+        weights = np.column_stack([np.cos(alphas), np.sin(alphas)])
+
+    def enveloped(trig):
+        b = trig() * geo.mask
+        return b, geo.hankel.sandwich(b[:, ::-1])
+
+    basis, sandwiches = zip(*map_(enveloped, trigs))
+    upper = np.triu_indices(len(basis))
+    num, den = np.empty((len(basis),) * 2), np.empty((len(basis),) * 2)
+    num[upper] = num[upper[::-1]] = [np.sum(basis[a] * sandwiches[b]) for a, b in zip(*upper)]
+    del sandwiches  # den's temporaries reuse their memory
+    den[upper] = den[upper[::-1]] = [np.sum(basis[a] * basis[b] * geo.c) for a, b in zip(*upper)]
+    rows = []
+    for alpha, v in zip(alphas, weights):
+        row_num, row_den = float(v @ num @ v), float(v @ den @ v)
+        try:
+            eta = _throughput(row_den, geo.tot, spp, MziPhases(alpha))
+        except DegenerateInterferenceError as exc:
+            rows.append(exc)
+            continue
+        rows.append(MziResult(conditional_pc=(1.0 - row_num / row_den) / 2.0,
+                              throughput_eta=eta))
+    return rows
 
 
 def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry,
@@ -278,7 +315,11 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
     if isinstance(source, GaussianBeamParams):
         if not (geom.z1 == geom.z2 == source.z):
             raise ValueError("thin-crystal source requires z1 == z2 == source.z")
-        return _thin_crystal_fast(_geometry_for(source, geom, grid_n), spp, phases)
+        (result,) = _thin_crystal_fast(_geometry_for(source, geom, grid_n), spp,
+                                       [phases.alpha_plus])
+        if isinstance(result, DegenerateInterferenceError):
+            raise result
+        return result
     if not isinstance(source, TwoPhotonAmplitude):
         raise TypeError("source must be GaussianBeamParams or TwoPhotonAmplitude, "
                         f"got {type(source).__name__}")
@@ -321,18 +362,15 @@ def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
     return (1.0 - float(np.sum(s * s_ref)) / den) / 2.0
 
 
-def _scan_row(value: float, parameter: str, source: GaussianBeamParams, spp: SppParams,
-              phases: MziPhases, geom: MziGeometry, grid_n: int) -> ScanRow:
-    if parameter == "zeta":
-        spp = SppParams(zeta=value)
-    else:
-        phases = MziPhases(value)
-    try:
-        full = mzi_coincidence(source, spp, phases, geom, grid_n=grid_n)
-        oracle = delta_limit_oracle(spp, phases)
-        return ScanRow(value, full.conditional_pc, oracle, full.throughput_eta, "ok")
-    except DegenerateInterferenceError:
-        return ScanRow(value, np.nan, np.nan, np.nan, "degenerate")
+def _scan_row(value: float, spp: SppParams, phases: MziPhases,
+              full: MziResult | DegenerateInterferenceError) -> ScanRow:
+    if isinstance(full, MziResult):
+        try:
+            oracle = delta_limit_oracle(spp, phases)
+            return ScanRow(value, full.conditional_pc, oracle, full.throughput_eta, "ok")
+        except DegenerateInterferenceError:
+            pass
+    return ScanRow(value, np.nan, np.nan, np.nan, "degenerate")
 
 
 def _scan_workers() -> int:
@@ -365,14 +403,24 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
     n_workers = _scan_workers()
     source = GaussianBeamParams(waist, geom.z1, 2.0 * geom.k)
     # Build the cached geometry here, so pool threads never build it twice.
-    _geometry_for(source, geom, grid_n)
-    values = np.linspace(lo, hi, steps)
-    args = [(float(v), parameter, source, spp, phases, geom, grid_n) for v in values]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(lambda a: _scan_row(*a), args))
-    else:
-        rows = [_scan_row(*a) for a in args]
+    geo = _geometry_for(source, geom, grid_n)
+    values = [float(v) for v in np.linspace(lo, hi, steps)]
+
+    def zeta_row(zeta: float) -> ScanRow:
+        spp_row = SppParams(zeta)
+        return _scan_row(zeta, spp_row, phases,
+                         *_thin_crystal_fast(geo, spp_row, [phases.alpha_plus]))
+
+    # The pool runs the rows of a zeta sweep, or the two sandwiches that an
+    # alpha_plus sweep shares (see _thin_crystal_fast).
+    with (ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else nullcontext()) as pool:
+        map_ = map if pool is None else pool.map
+        if parameter == "zeta":
+            rows = list(map_(zeta_row, values))
+        else:
+            rows = [_scan_row(alpha, spp, MziPhases(alpha), full) for alpha, full
+                    in zip(values, _thin_crystal_fast(geo, spp, values, map_))]
     metadata = {
         "parameter": parameter, "lo": lo, "hi": hi, "steps": steps,
         "zeta": spp.zeta, "alpha_plus": phases.alpha_plus,

@@ -236,21 +236,25 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
         params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
         / (4.0 * params.pump_wavenumber))
-    # Photon 2's even (index 0) and odd (1) parts along x, then along y:
-    # blocks[bx, by] is the block of photon 2's sector (signs[bx], signs[by]).
-    by_x = np.stack([samples[0] + samples[1], samples[0] - samples[1]])
-    blocks = np.stack([by_x[:, 0] + by_x[:, 1], by_x[:, 0] - by_x[:, 1]], axis=1)
-    blocks = blocks.reshape(4, h * h, h * h)
     # partner[b]: the block whose photon-2 sector is block b's photon-1
-    # sector; its block is block b's transpose.
+    # sector; its block is block b's transpose.  One block of each pair is
+    # factored: free[which[b]] is block b or its partner.
     sector = np.arange(4)
     partner = sector ^ (2 * (params.pump.x_parity < 0) + (params.pump.y_parity < 0))
-    if np.any(partner != sector):  # the blocks pair up: factor one of each pair
-        free, which = np.unique(np.minimum(sector, partner), return_inverse=True)
-        u, sv, vh = np.linalg.svd(blocks[free])
+    free, which = np.unique(np.minimum(sector, partner), return_inverse=True)
+    # Photon 2's even (index 0) and odd (1) parts along x, then along y:
+    # block b is the block of photon 2's sector (signs[b // 2], signs[b % 2]).
+    # Only the blocks in `free` are formed.
+    parts = (np.add, np.subtract)
+    blocks = np.empty((free.size, h * h, h * h), samples.dtype)
+    for out, b in zip(blocks, free):
+        along_x = [parts[b // 2](samples[0, sy], samples[1, sy]) for sy in (0, 1)]
+        parts[b % 2](*along_x, out=out.reshape(h, h, h, h))
+    if free.size < sector.size:  # the blocks pair up
+        u, sv, vh = np.linalg.svd(blocks)
     else:  # every block is symmetric
         lam, v = np.linalg.eigh(blocks)
-        which, sv = sector, np.abs(lam)
+        sv = np.abs(lam)
         u, vh = v * np.where(lam < 0.0, -1.0, 1.0)[:, None, :], np.swapaxes(v, 1, 2)
     sv = sv[which].ravel()  # every block's weights, the partners' repeated
     order = np.argsort(-sv, kind="stable")

@@ -20,6 +20,7 @@ from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       position_representation, product_state, sigma_overlap,
                       spdc_state, symmetry_decompose, thin_crystal_gaussian,
                       to_dense)
+from biphoton.grids import fourier_kernel_1d
 
 from _helpers import random_amplitude, small_grid, smooth_random_mode
 
@@ -498,6 +499,32 @@ def test_position_representation_preserves_factor_parity():
     amp = position_representation(from_modes([(1.0, odd, odd)]))
     for factor in (amp.photon1[0], amp.photon2[0]):
         assert np.abs(factor + factor[:, ::-1]).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 6),
+       n=st.sampled_from([8, 10, 16, 24, 32]), half_width=st.floats(1.0, 20.0),
+       real=st.booleans())
+def test_position_representation_matches_the_unbatched_einsum(seed, rank, n, half_width,
+                                                              real):
+    # The batched K f K^T against the per-element einsum it replaced, on
+    # random real or complex factors of unit norm (as a state's factors are).
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, half_width)
+
+    def factors():
+        f = rng.normal(size=(rank, n, n))
+        if not real:
+            f = f + 1j * rng.normal(size=(rank, n, n))
+        return f / (np.sqrt(np.sum(np.abs(f) ** 2, axis=(1, 2)))[:, None, None]
+                    * grid.spacing)
+
+    amp = TwoPhotonAmplitude(rng.normal(size=rank) + 1j * rng.normal(size=rank),
+                             factors(), factors(), grid, Representation.MOMENTUM)
+    pos = position_representation(amp)
+    k = fourier_kernel_1d(grid, sign=+1)
+    for got, f in ((pos.photon1, amp.photon1), (pos.photon2, amp.photon2)):
+        assert np.abs(got - np.einsum("ia,rab,jb->rij", k, f, k)).max() <= 1e-12
 
 
 def test_position_representation_rejects_position_input():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
@@ -14,11 +14,11 @@ from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
                       MziGeometry, MziPhases, Representation, SppParams,
                       azimuth, coincidence_probability, delta_limit_oracle,
                       fresnel_phase, inner_product_2d, make_grid,
-                      mzi_coincidence, norm_squared, oam_ring, scan,
-                      sigma_overlap, sine_envelope, spp_phase,
+                      mzi_coincidence, norm_squared, oam_ring, product_state,
+                      scan, sigma_overlap, sine_envelope, spp_phase,
                       thin_crystal_gaussian, to_dense)
 
-from _helpers import random_amplitude, small_grid
+from _helpers import random_amplitude, small_grid, smooth_random_mode
 
 
 def test_azimuth_range_and_quadrants():
@@ -346,6 +346,28 @@ def test_mzi_coincidence_rejects_other_sources(source):
         mzi_coincidence(source, SppParams(1.0), MziPhases(0.0), MziGeometry(1.0, 1.0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), orders=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       n=st.sampled_from([16, 24, 32]), zeta=st.floats(0.0, 4.0),
+       alpha=st.floats(0.0, np.pi), z=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+       representation=st.sampled_from(list(Representation)), circular=st.booleans())
+def test_product_states_never_anticoalesce_through_the_mzi(seed, orders, n, zeta, alpha, z,
+                                                           representation, circular):
+    # Propagation, the envelope and the aperture each act on one photon, so
+    # a product f(1) g(2) stays a product f'(1) g'(2) at the last
+    # beamsplitter; then J' = |<Pi_y g', f'>|^2 >= 0 and P_c <= 1/2.  Only an
+    # entangled state is turned to anti-coalescence.
+    rng = np.random.default_rng(seed)
+    g = make_grid(n, 4.0)
+    f1, f2 = (smooth_random_mode(rng, g, representation, max_order=k) for k in orders)
+    try:
+        result = mzi_coincidence(product_state(f1, f2), SppParams(zeta), MziPhases(alpha),
+                                 MziGeometry(*z, circular=circular))
+    except DegenerateInterferenceError:
+        assume(False)
+    assert result.conditional_pc <= 0.5 + 1e-9
+
+
 def test_scan_rows_and_degenerate_flag():
     geom = MziGeometry(1.0, 1.0, aperture_factor=8.0)
     result = scan("alpha_plus", 0.0, np.pi, 3, spp=SppParams(0.0), geom=geom,
@@ -378,16 +400,43 @@ def _row_bytes(result):
 
 
 def test_scan_threaded_matches_serial(monkeypatch):
+    # The pool runs a zeta sweep's rows and an alpha_plus sweep's two shared
+    # sandwiches; neither may change a bit.
     geom = MziGeometry(1.0, 1.0, aperture_factor=8.0)
-    serial = scan("zeta", 0.5, 2.5, 5, geom=geom, grid_n=128)
-    monkeypatch.setenv("BIPHOTON_THREADS", "4")
-    # from a cold cache: the geometry is built once, before the pool starts
-    mzi_module._fast_geometry.cache_clear()
-    threaded = scan("zeta", 0.5, 2.5, 5, geom=geom, grid_n=128)
-    assert mzi_module._fast_geometry.cache_info().misses == 1
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a == b
-    assert _row_bytes(threaded) == _row_bytes(serial)
+    for parameter, lo, hi in (("zeta", 0.5, 2.5), ("alpha_plus", 0.0, np.pi)):
+        monkeypatch.delenv("BIPHOTON_THREADS", raising=False)
+        serial = scan(parameter, lo, hi, 5, spp=SppParams(1.7), geom=geom, grid_n=128)
+        monkeypatch.setenv("BIPHOTON_THREADS", "4")
+        # from a cold cache: the geometry is built once, before the pool starts
+        mzi_module._fast_geometry.cache_clear()
+        threaded = scan(parameter, lo, hi, 5, spp=SppParams(1.7), geom=geom, grid_n=128)
+        assert mzi_module._fast_geometry.cache_info().misses == 1
+        for a, b in zip(serial.rows, threaded.rows):
+            assert a == b
+        assert _row_bytes(threaded) == _row_bytes(serial)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1.0, 1.7, 3.0])
+def test_alpha_sweep_rows_match_per_point_calls(zeta):
+    # An alpha_plus sweep reads every row off one pair of Grams at its zeta;
+    # each row must agree with its own call, flags included.
+    geom = MziGeometry(1.0, 1.0, aperture_factor=8.0)
+    spp = SppParams(zeta)
+    result = scan("alpha_plus", 0.0, np.pi, 9, spp=spp, geom=geom, grid_n=128)
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)  # scan's source: waist 1, pumped at 2k
+    for row in result.rows:
+        phases = MziPhases(row.parameter)
+        try:
+            single = mzi_coincidence(beam, spp, phases, geom, grid_n=128)
+        except DegenerateInterferenceError:
+            assert row.flag == "degenerate"
+            continue
+        assert row.flag == "ok"
+        assert abs(row.conditional_pc - single.conditional_pc) <= 1e-12
+        assert abs(row.throughput - single.throughput_eta) <= 1e-12
+        assert row.oracle_pc == delta_limit_oracle(spp, phases)
+    if zeta == 0.0:  # the envelope vanishes at alpha_plus = 0 and pi
+        assert [r.flag for r in result.rows].count("degenerate") == 2
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
