@@ -109,13 +109,6 @@ def reflect_y(a: TransverseMode) -> TransverseMode:
     return TransverseMode(a.values[:, ::-1], a.grid, a.representation)
 
 
-def _kernel(grid_in: Grid, grid_out: Grid, sign: int) -> np.ndarray:
-    # 1D transform matrix: out_j = sum_k kernel[j, k] * in_k, with the
-    # continuum kernel exp(sign * i * x q) / sqrt(2 pi) and midpoint weights.
-    phase = sign * 1j * np.outer(grid_out.axis, grid_in.axis)
-    return (grid_in.spacing / np.sqrt(2.0 * np.pi)) * np.exp(phase)
-
-
 def fourier_2d(mode: TransverseMode, direction: str = "forward") -> TransverseMode:
     """Unitary 2D Fourier transform between momentum and position.
 
@@ -135,13 +128,13 @@ def fourier_2d(mode: TransverseMode, direction: str = "forward") -> TransverseMo
         sign = -1
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    grid_out = mode.grid.conjugate()
-    k = _kernel(mode.grid, grid_out, sign)
-    values = k @ mode.values @ k.T
-    return TransverseMode(values, grid_out, out_rep)
+    k = fourier_kernel_1d(mode.grid, sign)
+    return TransverseMode(k @ mode.values @ k.T, mode.grid.conjugate(), out_rep)
 
 
 def fourier_kernel_1d(grid_in: Grid, sign: int = +1) -> np.ndarray:
-    """The per-axis transform matrix onto the conjugate grid (shared with the
-    two-photon factor-wise transform)."""
-    return _kernel(grid_in, grid_in.conjugate(), sign)
+    """The per-axis transform matrix onto the conjugate grid, shared with the
+    two-photon factor-wise transform: out_j = sum_k kernel[j, k] in_k, with
+    the continuum kernel exp(sign i x q) / sqrt(2 pi) and midpoint weights."""
+    phase = sign * 1j * np.outer(grid_in.conjugate().axis, grid_in.axis)
+    return (grid_in.spacing / np.sqrt(2.0 * np.pi)) * np.exp(phase)

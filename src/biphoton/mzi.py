@@ -17,7 +17,6 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ import numpy as np
 from .amplitudes import TwoPhotonAmplitude, _sigma_grams, position_representation
 from .errors import DegenerateInterferenceError
 from .grids import Grid, Representation, TransverseMode, make_grid
-from .states import GaussianBeamParams
+from .states import GaussianBeamParams, _check_positive
 
 _ETA_FLOOR = 1e-12
 # Midpoint nodes of the oracle's angular quadrature.
@@ -68,13 +67,10 @@ class MziGeometry:
     circular: bool = True
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.z1, self.z2, self.k)):
-            raise ValueError("propagation distances and wavenumber must be finite")
-        if self.z1 < 0 or self.z2 < 0:
-            raise ValueError("propagation distances must be non-negative")
-        if not (math.isfinite(self.aperture_factor) and self.aperture_factor > 0):
-            raise ValueError(
-                f"aperture_factor must be finite and positive, got {self.aperture_factor}")
+        if not all(math.isfinite(z) and z >= 0 for z in (self.z1, self.z2)):
+            raise ValueError("propagation distances must be finite and non-negative")
+        _check_positive("k", self.k)
+        _check_positive("aperture_factor", self.aperture_factor)
 
 
 @dataclass(frozen=True)
@@ -110,11 +106,14 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
     photon 1 over z1 and photon 2 over z2 (momentum representation)."""
     if amp.representation is not Representation.MOMENTUM:
         raise ValueError("fresnel_phase acts in the momentum representation")
-    qx, qy = amp.grid.meshgrid()
-    q2 = qx ** 2 + qy ** 2
-    ph1 = np.exp(1j * (k * z1 - q2 * z1 / (2.0 * k)))
-    ph2 = np.exp(1j * (k * z2 - q2 * z2 / (2.0 * k)))
-    return replace(amp, photon1=amp.photon1 * ph1, photon2=amp.photon2 * ph2)
+    q2 = amp.grid.axis ** 2
+
+    def phase(z: float) -> np.ndarray:
+        # exp(i k z) e(q_x) e(q_y) with e(q) = exp(-i q^2 z / (2k)), per axis
+        e = np.exp(-1j * q2 * z / (2.0 * k))
+        return np.outer(np.exp(1j * k * z) * e, e)
+
+    return replace(amp, photon1=amp.photon1 * phase(z1), photon2=amp.photon2 * phase(z2))
 
 
 def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:
@@ -207,13 +206,13 @@ class _FastGeometry:
 
 
 @lru_cache(maxsize=4)
-def _fast_geometry(n: int, half_width: float, circular: bool, w: float) -> _FastGeometry:
-    if half_width < 4.0 * w:
-        # stacklevel 4 names the caller of mzi_coincidence or scan
+def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> _FastGeometry:
+    if aperture_factor < 4.0:
+        # stacklevel 3 names the caller of mzi_coincidence or scan
         warnings.warn("aperture_factor below 4 barely covers the biphoton "
                       "correlation width; results will be aperture-dominated",
-                      stacklevel=4)
-    grid = make_grid(n, half_width)
+                      stacklevel=3)
+    grid = make_grid(n, aperture_factor * w)
     mask = _disc(grid).astype(bool) if circular else np.ones((n, n), bool)
     band = min(n - 1, int(_TAP_CUTOFF * w / grid.spacing))
     fft_len = _fft_size(n + band)
@@ -225,12 +224,6 @@ def _fast_geometry(n: int, half_width: float, circular: bool, w: float) -> _Fast
     for arr in (mask, theta, hankel.spectrum, c):
         arr.setflags(write=False)
     return _FastGeometry(mask, theta, hankel, c, float(np.sum(mask * c)))
-
-
-def _geometry_for(source: GaussianBeamParams, geom: MziGeometry,
-                  grid_n: int) -> _FastGeometry:
-    w = source.spot_size
-    return _fast_geometry(grid_n, geom.aperture_factor * w, geom.circular, w)
 
 
 def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
@@ -315,8 +308,8 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
     if isinstance(source, GaussianBeamParams):
         if not (geom.z1 == geom.z2 == source.z):
             raise ValueError("thin-crystal source requires z1 == z2 == source.z")
-        (result,) = _thin_crystal_fast(_geometry_for(source, geom, grid_n), spp,
-                                       [phases.alpha_plus])
+        geo = _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
+        (result,) = _thin_crystal_fast(geo, spp, [phases.alpha_plus])
         if isinstance(result, DegenerateInterferenceError):
             raise result
         return result
@@ -403,7 +396,7 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
     n_workers = _scan_workers()
     source = GaussianBeamParams(waist, geom.z1, 2.0 * geom.k)
     # Build the cached geometry here, so pool threads never build it twice.
-    geo = _geometry_for(source, geom, grid_n)
+    geo = _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
     values = [float(v) for v in np.linspace(lo, hi, steps)]
 
     def zeta_row(zeta: float) -> ScanRow:
@@ -413,14 +406,12 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
 
     # The pool runs the rows of a zeta sweep, or the two sandwiches that an
     # alpha_plus sweep shares (see _thin_crystal_fast).
-    with (ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1
-          else nullcontext()) as pool:
-        map_ = map if pool is None else pool.map
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         if parameter == "zeta":
-            rows = list(map_(zeta_row, values))
+            rows = list(pool.map(zeta_row, values))
         else:
             rows = [_scan_row(alpha, spp, MziPhases(alpha), full) for alpha, full
-                    in zip(values, _thin_crystal_fast(geo, spp, values, map_))]
+                    in zip(values, _thin_crystal_fast(geo, spp, values, pool.map))]
     metadata = {
         "parameter": parameter, "lo": lo, "hi": hi, "steps": steps,
         "zeta": spp.zeta, "alpha_plus": phases.alpha_plus,

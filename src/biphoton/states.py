@@ -139,19 +139,18 @@ class PumpMode:
                              "use kind 'hermite'")
 
     def evaluate(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+        # A gaussian pump has m = n = 0, and H_0 = 1.
         env = np.exp(-(qx ** 2 + qy ** 2) * self.waist ** 2 / 4.0)
-        if self.kind == "gaussian":
-            return env
         s = self.waist / np.sqrt(2.0)
         return _hermite(self.m, qx * s) * _hermite(self.n, qy * s) * env
 
     @property
     def x_parity(self) -> int:
-        return 1 if self.kind == "gaussian" else (-1) ** self.m
+        return (-1) ** self.m
 
     @property
     def y_parity(self) -> int:
-        return 1 if self.kind == "gaussian" else (-1) ** self.n
+        return (-1) ** self.n
 
 
 @dataclass(frozen=True)

@@ -339,17 +339,30 @@ def test_sector_form_never_outlives_its_factors(name):
 
 
 def test_sigma_twice_restores_sector_factors_bit_for_bit():
-    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)), make_grid(16, 6.0))
-    once = apply_sigma(amp)
-    twice = apply_sigma(once)
-    assert isinstance(twice._form[0], amplitudes._SectorFactors)
-    for before, after in zip(amp._form, twice._form):
-        for name in ("quadrant", "x_sign", "y_sign"):
-            assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
-    for name in ("photon1", "photon2"):
-        assert getattr(twice, name).tobytes() == getattr(amp, name).tobytes(), name
-    assert once.photon1.tobytes() == amp.photon2[:, :, ::-1].tobytes()
-    assert once.photon2.tobytes() == amp.photon1[:, :, ::-1].tobytes()
+    # On every form a factor is held in: per parity sector (SPDC), per axis
+    # (the thin crystal) and as plain arrays (a random amplitude).
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    cases = [
+        (spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)), make_grid(16, 6.0)),
+         amplitudes._SectorFactors, ("quadrant", "x_sign", "y_sign")),
+        (thin_crystal_gaussian(beam, make_grid(16, 6.0 * beam.spot_size)),
+         amplitudes._AxisFactors, ("x", "y", "ix", "iy")),
+        (random_amplitude(np.random.default_rng(3), small_grid(), rank=4), None, ()),
+    ]
+    for amp, form, fields in cases:
+        once = apply_sigma(amp)
+        twice = apply_sigma(once)
+        if form is None:
+            assert twice._form is None
+        else:
+            assert isinstance(twice._form[0], form)
+            for before, after in zip(amp._form, twice._form):
+                for name in fields:
+                    assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
+        for name in ("coeffs", "photon1", "photon2"):
+            assert getattr(twice, name).tobytes() == getattr(amp, name).tobytes(), name
+        assert once.photon1.tobytes() == amp.photon2[:, :, ::-1].tobytes()
+        assert once.photon2.tobytes() == amp.photon1[:, :, ::-1].tobytes()
 
 
 _PUMPS = st.one_of(st.builds(lambda w: PumpMode("gaussian", w), st.floats(0.5, 2.0)),

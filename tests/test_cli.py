@@ -301,3 +301,99 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# The CLI output, recorded before refactors meant to leave it unchanged.
+# Report text, CSV `#` headers, column names and flags must match exactly;
+# numeric CSV fields within 1e-10, so that another numpy or BLAS build cannot
+# fail the test on the last printed digit.
+_GOLDEN_REPORTS = [
+    (["pc", "--state", "bell:psi-minus"],
+     "P_c = 1.000000\nsymmetric_weight = 0.000000\nantisymmetric_weight = 1.000000\n"
+     "verdict = entangled\n"),
+    (["pc", "--state", "thin-crystal", "--grid-n", "32"],
+     "P_c = 0.000000\nsymmetric_weight = 1.000000\nantisymmetric_weight = 0.000000\n"
+     "verdict = inconclusive\n"),
+    (["classify", "--state", "spdc"],
+     "symmetric_weight = 1.000000\nantisymmetric_weight = 0.000000\nlabel = symmetric\n"),
+    (["classify", "--state", "spdc", "--pump", "hg:0,1"],
+     "symmetric_weight = 0.000000\nantisymmetric_weight = 1.000000\n"
+     "label = antisymmetric\n"),
+]
+
+_GOLDEN_SCANS = [
+    ([],
+     "# alpha_plus = 0.0\n"
+     "# aperture_factor = 40.0\n"
+     "# circular = True\n"
+     "# grid_n = 256\n"
+     "# hi = 4.0\n"
+     "# k = 1.0\n"
+     "# lo = 0.25\n"
+     "# parameter = zeta\n"
+     "# reference_pc = 0.5\n"
+     "# steps = 8\n"
+     "# waist = 1.0\n"
+     "# z1 = 1.0\n"
+     "# z2 = 1.0\n"
+     "# zeta = 1.0\n"
+     "parameter,conditional_pc,oracle_pc,throughput,flag\n"
+     "0.25,0.234709976795,0.234149589544,0.181691504846,ok\n"
+     "0.785714285714,0.0692530055935,0.0680851362874,0.598735446996,ok\n"
+     "1.32142857143,0.31591201133,0.315998003704,0.445759401005,ok\n"
+     "1.85714285714,0.952788342752,0.957044832833,0.533395482747,ok\n"
+     "2.39285714286,0.606684030024,0.606787824794,0.479221251164,ok\n"
+     "2.92857142857,0.0208385958368,0.0119510427732,0.511806373629,ok\n"
+     "3.46428571429,0.488063266581,0.489564051591,0.49488393015,ok\n"
+     "4,0.985344561021,1,0.499909586865,ok\n"),
+    (["--parameter", "alpha_plus", "--zeta", "1.7"],
+     "# alpha_plus = 0.0\n"
+     "# aperture_factor = 40.0\n"
+     "# circular = True\n"
+     "# grid_n = 256\n"
+     "# hi = 4.0\n"
+     "# k = 1.0\n"
+     "# lo = 0.25\n"
+     "# parameter = alpha_plus\n"
+     "# reference_pc = 0.5\n"
+     "# steps = 8\n"
+     "# waist = 1.0\n"
+     "# z1 = 1.0\n"
+     "# z2 = 1.0\n"
+     "# zeta = 1.7\n"
+     "parameter,conditional_pc,oracle_pc,throughput,flag\n"
+     "0.25,0.806481571967,0.809473872729,0.539021745307,ok\n"
+     "0.785714285714,0.574901630364,0.575559147182,0.499971887218,ok\n"
+     "1.32142857143,0.304302646486,0.302179614805,0.460951329924,ok\n"
+     "1.85714285714,0.316880452684,0.314887915729,0.462629592961,ok\n"
+     "2.39285714286,0.595771167907,0.596640785652,0.503257491896,ok\n"
+     "2.92857142857,0.814537432666,0.817610208528,0.540490241211,ok\n"
+     "3.46428571429,0.787102804209,0.789901313318,0.535521679981,ok\n"
+     "4,0.533179694434,0.533412177075,0.493530334913,ok\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in _GOLDEN_REPORTS])
+def test_report_output_is_pinned(argv, expected, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("extra,expected", _GOLDEN_SCANS, ids=["zeta", "alpha_plus"])
+def test_scan_csv_is_pinned(extra, expected, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--grid-n", "256", "--steps", "8", "--out", str(out)] + extra
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote 8 rows to {out}\n"
+    got, want = out.read_text().splitlines(), expected.splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        if want_line.startswith("#") or want_line.startswith("parameter,"):
+            assert got_line == want_line
+            continue
+        *got_values, got_flag = got_line.split(",")
+        *want_values, want_flag = want_line.split(",")
+        assert got_flag == want_flag
+        assert [float(v) for v in got_values] == pytest.approx(
+            [float(v) for v in want_values], rel=0.0, abs=1e-10)

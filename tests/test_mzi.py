@@ -12,6 +12,7 @@ from biphoton import amplitudes
 from biphoton import mzi as mzi_module
 from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
                       MziGeometry, MziPhases, Representation, SppParams,
+                      TwoPhotonAmplitude,
                       azimuth, coincidence_probability, delta_limit_oracle,
                       fresnel_phase, inner_product_2d, make_grid,
                       mzi_coincidence, norm_squared, oam_ring, product_state,
@@ -44,6 +45,34 @@ def test_fresnel_phase_zero_distance_identity():
     amp = random_amplitude(np.random.default_rng(1), small_grid())
     same = fresnel_phase(amp, 0.0, 0.0, 1.0)
     assert np.abs(same.photon1 - amp.photon1).max() < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 6),
+       n=st.sampled_from([8, 16, 24, 32]), z1=st.floats(0.0, 3.0), z2=st.floats(0.0, 3.0),
+       k=st.floats(0.5, 3.0), real=st.booleans())
+def test_fresnel_phase_matches_the_meshgrid_formula(seed, rank, n, z1, z2, k, real):
+    # The per-axis outer product of phase vectors against the (n, n) phase
+    # exp[i (k z - |q|^2 z / (2k))] built on a meshgrid, on random real or
+    # complex factors of unit norm.
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 5.0)
+
+    def factors():
+        f = rng.normal(size=(rank, n, n))
+        if not real:
+            f = f + 1j * rng.normal(size=(rank, n, n))
+        return f / (np.sqrt(np.sum(np.abs(f) ** 2, axis=(1, 2)))[:, None, None]
+                    * grid.spacing)
+
+    amp = TwoPhotonAmplitude(rng.normal(size=rank) + 1j * rng.normal(size=rank),
+                             factors(), factors(), grid, Representation.MOMENTUM)
+    moved = fresnel_phase(amp, z1, z2, k)
+    qx, qy = grid.meshgrid()
+    q2 = qx ** 2 + qy ** 2
+    for got, f, z in ((moved.photon1, amp.photon1, z1), (moved.photon2, amp.photon2, z2)):
+        want = f * np.exp(1j * (k * z - q2 * z / (2.0 * k)))
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_fresnel_phase_rejects_position_representation():
@@ -322,7 +351,7 @@ def test_mzi_coincidence_validations():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(z1=nan), dict(z2=inf), dict(k=nan), dict(aperture_factor=nan),
                 dict(aperture_factor=inf), dict(aperture_factor=0.0),
-                dict(aperture_factor=-6.0)):
+                dict(aperture_factor=-6.0), dict(k=0.0), dict(k=-1.0)):
         with pytest.raises(ValueError):
             MziGeometry(**{"z1": 1.0, "z2": 1.0, **bad})
     # A small aperture warns on the thin-crystal path, when its geometry is
@@ -338,6 +367,14 @@ def test_mzi_coincidence_validations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mzi_coincidence(amp, SppParams(1.0), MziPhases(0.3), small)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0])
+def test_mzi_geometry_names_a_non_positive_wavenumber(k):
+    # k = 0 divides by zero in the Fresnel phase, and a scan would pump its
+    # source at 2k; both must fail here, naming the field the caller set.
+    with pytest.raises(ValueError, match=f"k must be finite and positive, got {k}"):
+        MziGeometry(1.0, 1.0, k=k)
 
 
 @pytest.mark.parametrize("source", [None, 1.0, "thin-crystal"])
