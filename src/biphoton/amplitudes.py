@@ -323,21 +323,14 @@ def _core_form(core: np.ndarray, ax: np.ndarray, bx: np.ndarray,
         return complex(np.vdot(core, (ax * bx) @ core @ (ay * by).T))
 
 
-def _core_norm(core: np.ndarray, f: _AxisFactors, g: _AxisFactors, weight: float) -> float:
-    """||Phi||^2 = c^H (G1 o G2) c with (G1 o G2)[r, s] = Hx[ix_r, ix_s] Hy[iy_r, iy_s]
-    for the per-axis Hx = Gx1 o Gx2 and Hy = Gy1 o Gy2."""
-    (x1, y1), (x2, y2) = _axis_grams(f, f, weight), _axis_grams(g, g, weight)
-    return _core_form(core, x1, x2, y1, y2).real
-
-
 def _times(*weights: np.ndarray | None) -> np.ndarray | None:
     """The product of the pointwise weights given; None (weight 1) if none is."""
     given = [w for w in weights if w is not None]
     return math.prod(given) if given else None
 
 
-def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
-                 mask: np.ndarray | None = None) -> tuple[float, float, float]:
+def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
+                       mask: np.ndarray | None = None) -> tuple[float, float, complex]:
     """(||Phi||^2, ||Phi'||^2, J' = <sigma Phi', Phi'>) for Phi = amp with
     both photons multiplied by the real `mask` and Phi' = Phi with the real
     `envelope` on photon 1 (either is 1 when None).  They come from the
@@ -346,27 +339,38 @@ def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
     pointwise weight: ||Phi||^2 = c^H (G1 o G2) c and J = c^H (X o X^H) c, as
     the photon-2 Gram of sigma Phi is X^H.  G2 serves both norms.  Without
     weights, an amplitude with a coefficient core (`_core`) takes the per-axis
-    m x m Grams instead: J = <C, Kx C Ky^T> with Kx = Xx o Xx^H for the
-    per-axis cross-Gram Xx, and Ky likewise."""
+    m x m Grams instead: ||Phi||^2 = <C, Hx C Hy^T> with Hx = Gx1 o Gx2 for
+    the per-axis self-Grams, and J = <C, Kx C Ky^T> with Kx = Xx o Xx^H for
+    the per-axis cross-Gram Xx; Hy and Ky likewise.  ValueError if any of
+    the three is not finite."""
     core = _core(amp) if envelope is None and mask is None else None
     if core is None:
         nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
     else:
         w = amp.grid.weight
         f, g = amp._form
-        nsq = nsq_env = _core_norm(core, f, g, w)
+        (x1, y1), (x2, y2) = _axis_grams(f, f, w), _axis_grams(g, g, w)
+        nsq = nsq_env = _core_form(core, x1, x2, y1, y2).real
         xx, xy = _axis_grams(_reflect_y(g), f, w)
         j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
     if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
-        raise ValueError(f"non-finite amplitude: ||Phi||^2 = {nsq}, J = {j}")
-    if abs(j.imag) > 1e-10 * nsq_env:  # J' / ||Phi'||^2 must be real
+        raise ValueError(f"non-finite amplitude: squared norm {nsq}, J = {j}")
+    return nsq, nsq_env, j
+
+
+def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> tuple[float, float, float]:
+    """`_norms_and_overlap` with J' real: ValueError if its imaginary part is
+    above 1e-10 ||Phi'||^2, as J' / ||Phi'||^2 must be real."""
+    nsq, nsq_env, j = _norms_and_overlap(amp, envelope, mask)
+    if abs(j.imag) > 1e-10 * nsq_env:
         raise ValueError(f"sigma overlap has imaginary part {j.imag}")
     return nsq, nsq_env, j.real
 
 
 def _factor_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
                   mask: np.ndarray | None) -> tuple[float, float, complex]:
-    """`_sigma_grams`' three values from the rank x rank Grams, J complex."""
+    """`_norms_and_overlap`' three values from the rank x rank Grams."""
     c, w = amp.coeffs, amp.grid.weight
     f, g = _factors(amp)
     self_weight = _times(mask, mask)
@@ -394,17 +398,14 @@ def _normalized_overlap(amp: TwoPhotonAmplitude) -> tuple[float, float]:
 
 
 def norm_squared(amp: TwoPhotonAmplitude) -> float:
-    w = amp.grid.weight
-    f, g = _factors(amp)
-    core = _core(amp)
-    if core is not None:
-        return _core_norm(core, f, g, w)
-    return _norm(amp.coeffs, _gram(f, weight=w), _gram(g, weight=w))
+    """||Phi||^2 from the Gram engine; ValueError on a non-finite amplitude.
+    Im J is not held to this norm, which nearly cancelling terms make small."""
+    return _norms_and_overlap(amp)[0]
 
 
 def normalize(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     nsq = norm_squared(amp)
-    if not (math.isfinite(nsq) and nsq > 0.0):
+    if not nsq > 0.0:
         raise ValueError(f"cannot normalize an amplitude of squared norm {nsq}")
     return _with_factors(amp, *_factors(amp), coeffs=amp.coeffs / np.sqrt(nsq))
 

@@ -162,25 +162,6 @@ def _merge(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _default_grid(cfg: dict, state: str):
-    n, half = cfg["grid_n"], cfg["half_width"]
-    if state.startswith("bell") or state == "product":
-        n = 64 if n is None else n
-        half = 8.0 / cfg["w0"] if half is None else half
-    elif state == "spdc":
-        n = 32 if n is None else n
-        half = 6.0 / cfg["w0"] if half is None else half
-    else:  # thin-crystal, position grid sized by the aperture
-        beam = _beam(cfg)
-        n = 64 if n is None else n
-        half = cfg["aperture_factor"] * beam.spot_size if half is None else half
-    return make_grid(n, half)
-
-
-def _beam(cfg: dict) -> GaussianBeamParams:
-    return GaussianBeamParams(cfg["w0"], cfg["z"], cfg["pump_wavenumber"])
-
-
 def _parse_pump(spec: str, w0: float) -> PumpMode:
     if spec == "g00":
         return PumpMode("gaussian", w0)
@@ -197,20 +178,29 @@ def build_state(cfg: dict) -> TwoPhotonAmplitude:
     state = cfg.get("state")
     if not state:
         raise ConfigError("missing required key: state")
-    grid = _default_grid(cfg, state)
+    w0 = cfg["w0"]
+
+    def grid(n: int, half_width: float):
+        """The grid of grid_n and half_width, each defaulting to the state's."""
+        return make_grid(n if cfg["grid_n"] is None else cfg["grid_n"],
+                         half_width if cfg["half_width"] is None else cfg["half_width"])
+
     if state.startswith("bell:"):
-        return bell_state(state.split(":", 1)[1], cfg["l"], cfg["w0"], grid)
+        return bell_state(state.split(":", 1)[1], cfg["l"], w0, grid(64, 8.0 / w0))
     if state == "product":
-        return product_state(oam_ring(cfg["l1"], cfg["w0"], grid),
-                             oam_ring(cfg["l2"], cfg["w0"], grid))
+        g = grid(64, 8.0 / w0)
+        return product_state(oam_ring(cfg["l1"], w0, g), oam_ring(cfg["l2"], w0, g))
     if state == "spdc":
+        g = grid(32, 6.0 / w0)  # before the pump, whose errors come second
         params = SpdcParams(cfg["crystal_length"], cfg["pump_wavenumber"],
-                            _parse_pump(cfg["pump"], cfg["w0"]))
-        return spdc_state(params, grid)
+                            _parse_pump(cfg["pump"], w0))
+        return spdc_state(params, g)
     if state == "thin-crystal":
-        # At the default aperture factor 40 the state is full rank (1024
-        # terms at n = 32, 4096 at n = 64) with truncation error 0.
-        return thin_crystal_gaussian(_beam(cfg), grid)
+        # A position grid sized by the aperture.  At the default aperture
+        # factor 40 the state is full rank (1024 terms at n = 32, 4096 at
+        # n = 64) with truncation error 0.
+        beam = GaussianBeamParams(w0, cfg["z"], cfg["pump_wavenumber"])
+        return thin_crystal_gaussian(beam, grid(64, cfg["aperture_factor"] * beam.spot_size))
     raise ConfigError(f"unknown state {state!r}")
 
 

@@ -45,7 +45,7 @@ class Grid:
 
     @property
     def weight(self) -> float:
-        return self.spacing ** 2
+        return self.spacing * self.spacing  # inf on overflow, where ** raises
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis, self.axis, indexing="ij")
@@ -57,12 +57,16 @@ class Grid:
 
 
 def make_grid(n: int, half_width: float) -> Grid:
-    """Build a reflection-closed grid; n must be even and >= 8."""
+    """Build a reflection-closed grid; n must be even and >= 8, and the
+    half-width positive with a finite, non-zero cell weight."""
     if n % 2 != 0 or n < 8:
         raise ValueError(f"grid size must be even and >= 8, got {n}")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be finite and positive, got {half_width}")
-    return Grid(n, float(half_width))
+    grid = Grid(n, float(half_width))
+    if not (half_width > 0 and 0.0 < grid.weight < math.inf):
+        raise ValueError(f"half_width must be finite and positive and give a finite, "
+                         f"non-zero cell weight (2 half_width / n)^2, got {half_width} "
+                         f"for n = {n}")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,18 +120,13 @@ def fourier_2d(mode: TransverseMode, direction: str = "forward") -> TransverseMo
     kernel; the inverse is its adjoint.  The output lives on the conjugate
     grid, and inverse(forward(f)) == f up to roundoff.
     """
-    if direction == "forward":
-        if mode.representation is not Representation.MOMENTUM:
-            raise ValueError("forward transform expects a momentum-representation mode")
-        out_rep = Representation.POSITION
-        sign = +1
-    elif direction == "inverse":
-        if mode.representation is not Representation.POSITION:
-            raise ValueError("inverse transform expects a position-representation mode")
-        out_rep = Representation.MOMENTUM
-        sign = -1
-    else:
+    directions = {"forward": (Representation.MOMENTUM, Representation.POSITION, +1),
+                  "inverse": (Representation.POSITION, Representation.MOMENTUM, -1)}
+    if direction not in directions:
         raise ValueError(f"unknown direction {direction!r}")
+    in_rep, out_rep, sign = directions[direction]
+    if mode.representation is not in_rep:
+        raise ValueError(f"{direction} transform expects a {in_rep.value}-representation mode")
     k = fourier_kernel_1d(mode.grid, sign)
     return TransverseMode(k @ mode.values @ k.T, mode.grid.conjugate(), out_rep)
 

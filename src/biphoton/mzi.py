@@ -139,14 +139,17 @@ def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
     return _sine(azimuth(grid), zeta, alpha_plus)
 
 
-def _throughput(kept: float, total: float, spp: SppParams, phases: MziPhases) -> float:
-    """eta = kept / total, or DegenerateInterferenceError below _ETA_FLOOR."""
+def _result(j: float, kept: float, total: float, spp: SppParams,
+            phases: MziPhases) -> MziResult:
+    """P_c = (1 - j / kept) / 2 and eta = kept / total for the sigma overlap j
+    of the kept (enveloped) norm, or DegenerateInterferenceError when eta is
+    below _ETA_FLOOR."""
     eta = kept / total
     if eta < _ETA_FLOOR:
         raise DegenerateInterferenceError(
             f"MZI output vanished (eta = {eta:.3e}) for zeta = {spp.zeta}, "
             f"alpha_plus = {phases.alpha_plus}")
-    return eta
+    return MziResult(conditional_pc=(1.0 - j / kept) / 2.0, throughput_eta=eta)
 
 
 # Gaussian taps g(s) = exp(-s^2 / (2 w^2)) with |s| > _TAP_CUTOFF * w are
@@ -276,14 +279,11 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     den[upper] = den[upper[::-1]] = [np.sum(basis[a] * basis[b] * geo.c) for a, b in zip(*upper)]
     rows = []
     for alpha, v in zip(alphas, weights):
-        row_num, row_den = float(v @ num @ v), float(v @ den @ v)
         try:
-            eta = _throughput(row_den, geo.tot, spp, MziPhases(alpha))
+            rows.append(_result(float(v @ num @ v), float(v @ den @ v), geo.tot, spp,
+                                MziPhases(alpha)))
         except DegenerateInterferenceError as exc:
             rows.append(exc)
-            continue
-        rows.append(MziResult(conditional_pc=(1.0 - row_num / row_den) / 2.0,
-                              throughput_eta=eta))
     return rows
 
 
@@ -326,8 +326,7 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
                                    _disc(amp.grid) if geom.circular else None)
     if nsq <= 0.0:
         raise ValueError("cannot normalize a zero-norm amplitude")
-    eta = _throughput(nsq_out, nsq, spp, phases)
-    return MziResult(conditional_pc=(1.0 - j / nsq_out) / 2.0, throughput_eta=eta)
+    return _result(j, nsq_out, nsq, spp, phases)
 
 
 def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
@@ -342,17 +341,15 @@ def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
         I = int S(theta) S((pi - theta) mod 2 pi) dtheta / int S(theta)^2 dtheta,
 
     with S(theta) = sin[zeta (theta - pi) + alpha_plus].  For integer zeta
-    this evaluates to (1/2)[1 + (-1)^zeta cos(2 alpha_plus)].
+    this evaluates to (1/2)[1 + (-1)^zeta cos(2 alpha_plus)].  Relative to a
+    unit envelope on every node, the envelope is degenerate below the same
+    eta floor as the finite-aperture paths.
     """
     theta = (np.arange(_ORACLE_NODES) + 0.5) * 2.0 * np.pi / _ORACLE_NODES
     s = _sine(theta, spp.zeta, phases.alpha_plus)
     s_ref = _sine(np.mod(np.pi - theta, 2.0 * np.pi), spp.zeta, phases.alpha_plus)
-    den = float(np.sum(s * s))
-    if den / _ORACLE_NODES < _ETA_FLOOR:
-        raise DegenerateInterferenceError(
-            f"sine envelope vanishes identically for zeta = {spp.zeta}, "
-            f"alpha_plus = {phases.alpha_plus}")
-    return (1.0 - float(np.sum(s * s_ref)) / den) / 2.0
+    return _result(float(np.sum(s * s_ref)), float(np.sum(s * s)), _ORACLE_NODES, spp,
+                    phases).conditional_pc
 
 
 def _scan_row(value: float, spp: SppParams, phases: MziPhases,

@@ -28,18 +28,15 @@ from .grids import Grid, Representation, TransverseMode, normalize_mode
 _MAX_DENSE_SPDC_N = 48
 
 
-def _hermite(k: int, x: np.ndarray) -> np.ndarray:
-    """Physicists' Hermite polynomial H_k(x) by the three-term recurrence
-    H_0 = 1, H_1 = 2x, H_{j+1} = 2x H_j - 2j H_{j-1}."""
-    if k < 0:
-        raise ValueError(f"Hermite order must be non-negative, got {k}")
-    if k == 0:
-        return np.ones_like(x)
-    two_x = 2.0 * x
-    prev, cur = np.ones_like(x), two_x
-    for j in range(1, k):
-        prev, cur = cur, two_x * cur - 2.0 * j * prev
-    return cur
+def _hg_profile(k: int, q: np.ndarray, w: float) -> np.ndarray:
+    """The 1-D Hermite-Gaussian profile H_k(s) exp(-q^2 w^2/4), s = q w/sqrt2,
+    of width parameter w, shared by the modes and the pump.  The physicists'
+    Hermite polynomial comes from H_0 = 1, H_{j+1} = 2s H_j - 2j H_{j-1}."""
+    two_s = q * (math.sqrt(2.0) * w)
+    prev, cur = 0.0, 1.0
+    for j in range(k):
+        prev, cur = cur, two_s * cur - 2.0 * j * prev
+    return cur * np.exp(q * q * (-w * w / 4.0))
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -53,27 +50,18 @@ def gaussian_g00(w0: float, grid: Grid,
     return hermite_gaussian(0, 0, w0, grid, representation)
 
 
-def _check_resolution(w0: float, grid: Grid, representation: Representation) -> None:
-    # Require at least 4 samples across the 1/e^2 intensity width.
-    width = 4.0 / w0 if representation is Representation.MOMENTUM else 2.0 * w0
-    if grid.spacing * 4.0 > width:
-        raise ValueError(
-            f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
-
-
 def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
                      representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """HG_mn mode with m along x and n along y; y-parity is (-1)^n."""
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     _check_positive("waist", w0)
-    _check_resolution(w0, grid, representation)
-    q = grid.axis  # the mode separates: H_m(sx) e(qx) times H_n(sy) e(qy)
-    if representation is Representation.MOMENTUM:
-        s, env = q * w0 / np.sqrt(2.0), np.exp(-q ** 2 * w0 ** 2 / 4.0)
-    else:
-        s, env = np.sqrt(2.0) * q / w0, np.exp(-q ** 2 / w0 ** 2)
-    values = np.outer(_hermite(m, s) * env, _hermite(n, s) * env)
+    # The position-space mode is the momentum-space profile at w = 2/w0.
+    w = w0 if representation is Representation.MOMENTUM else 2.0 / w0
+    if grid.spacing * 4.0 > 4.0 / w:  # 4 samples across the 1/e^2 intensity width
+        raise ValueError(
+            f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
+    values = np.outer(_hg_profile(m, grid.axis, w), _hg_profile(n, grid.axis, w))
     return normalize_mode(TransverseMode(values, grid, representation))
 
 
@@ -140,9 +128,7 @@ class PumpMode:
 
     def evaluate(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
         # A gaussian pump has m = n = 0, and H_0 = 1.
-        env = np.exp(-(qx ** 2 + qy ** 2) * self.waist ** 2 / 4.0)
-        s = self.waist / np.sqrt(2.0)
-        return _hermite(self.m, qx * s) * _hermite(self.n, qy * s) * env
+        return _hg_profile(self.m, qx, self.waist) * _hg_profile(self.n, qy, self.waist)
 
     @property
     def x_parity(self) -> int:
@@ -283,14 +269,18 @@ class GaussianBeamParams:
         _check_positive("pump_wavenumber", self.pump_wavenumber)
         if not (math.isfinite(self.z) and self.z >= 0):
             raise ValueError(f"z must be finite and non-negative, got {self.z}")
+        _check_positive("rayleigh_length", self.rayleigh_length)
+        _check_positive("spot_size", self.spot_size)
 
+    # Squares are products: a float ** that overflows raises instead of giving inf.
     @property
     def rayleigh_length(self) -> float:
-        return self.pump_wavenumber * self.waist ** 2 / 2.0
+        return self.pump_wavenumber * (self.waist * self.waist) / 2.0
 
     @property
     def spot_size(self) -> float:
-        return self.waist * np.sqrt(1.0 + (self.z / self.rayleigh_length) ** 2)
+        ratio = self.z / self.rayleigh_length
+        return self.waist * np.sqrt(1.0 + ratio * ratio)
 
     @property
     def curvature_radius(self) -> float:

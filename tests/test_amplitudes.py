@@ -115,8 +115,22 @@ def test_non_finite_amplitude_raises():
             sigma_overlap(bad)
         with pytest.raises(ValueError, match="non-finite"):
             coincidence_probability(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            norm_squared(bad)
         with pytest.raises(ValueError, match="squared norm nan"):
             normalize(bad)
+
+
+def test_norm_squared_of_nearly_cancelling_terms():
+    # ||Phi||^2 = 1e-16 from terms of norm 1: far below the roundoff of Im J,
+    # which norm_squared does not read.
+    rng = np.random.default_rng(1)
+    a, b = random_amplitude(rng, small_grid()), random_amplitude(rng, small_grid())
+    diff = TwoPhotonAmplitude(np.concatenate([a.coeffs, -a.coeffs, 1e-8 * b.coeffs]),
+                              np.concatenate([a.photon1, a.photon1, b.photon1]),
+                              np.concatenate([a.photon2, a.photon2, b.photon2]),
+                              a.grid, a.representation)
+    assert norm_squared(diff) == pytest.approx(1e-16, rel=1e-6)
 
 
 def test_symmetry_decompose_matches_overlap():

@@ -286,6 +286,24 @@ def test_non_finite_value_is_config_error(argv, key, tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["pc", "--state", "bell:psi-minus", "--w0", "1e-300"], "half_width"),
+    (["pc", "--state", "bell:psi-minus", "--half-width", "1e200"], "half_width"),
+    (["pc", "--state", "bell:psi-minus", "--w0", "1e200"], "half_width"),
+    (["pc", "--state", "thin-crystal", "--w0", "1e200"], "rayleigh_length"),
+    (["scan", "--w0", "1e-200", "--grid-n", "64", "--steps", "2"], "rayleigh_length"),
+    (["scan", "--k", "1e-300", "--grid-n", "64", "--steps", "2"], "spot_size"),
+], ids=["pc-tiny-w0", "pc-huge-half-width", "pc-huge-w0", "pc-thin-crystal-huge-w0",
+        "scan-tiny-w0", "scan-tiny-k"])
+def test_out_of_range_value_is_config_error(argv, name, tmp_path, monkeypatch, capsys):
+    # Finite values whose derived grid weight, Rayleigh length or spot size
+    # overflows or underflows: an error naming that quantity, not a traceback.
+    monkeypatch.chdir(tmp_path)  # where a scan would write its default scan.csv
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite and positive")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_config_file_value(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("state = product\nw0 = nan\n")

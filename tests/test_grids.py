@@ -16,7 +16,8 @@ def test_make_grid_basic():
 
 
 @pytest.mark.parametrize("n,hw", [(7, 1.0), (4, 1.0), (8, 0.0), (8, -2.0),
-                                  (8, float("nan")), (8, float("inf"))])
+                                  (8, float("nan")), (8, float("inf")),
+                                  (64, 1e200), (64, 1e-200)])
 def test_make_grid_rejects(n, hw):
     with pytest.raises(ValueError):
         make_grid(n, hw)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
@@ -58,6 +58,34 @@ def test_hermite_gaussian_orthogonality():
     oracle, _ = quad(lambda s: eval_hermite(1, s) * eval_hermite(0, s) * np.exp(-s ** 2),
                      -np.inf, np.inf)
     assert abs(oracle) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(0, 6), n=st.integers(0, 6), w0=st.floats(0.5, 2.0),
+       grid_n=st.sampled_from([16, 32, 48]), representation=st.sampled_from(list(Representation)))
+def test_hermite_gaussian_and_pump_match_the_scipy_closed_form(m, n, w0, grid_n,
+                                                               representation):
+    # H_m(s) H_n(t) exp(-(s^2 + t^2)/2) with s = qx w0/sqrt2 in momentum and
+    # s = sqrt2 x/w0 in position, from scipy's Hermite polynomials.
+    grid = make_grid(grid_n, 6.0)
+    qx, qy = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+
+    def closed_form(scale):
+        s, t = qx * scale, qy * scale
+        return eval_hermite(m, s) * eval_hermite(n, t) * np.exp(-(s ** 2 + t ** 2) / 2.0)
+
+    pump = PumpMode("hermite", w0, m, n).evaluate(qx, qy)
+    expected = closed_form(w0 / np.sqrt(2.0))
+    assert np.abs(pump - expected).max() <= 1e-12 * np.abs(expected).max()
+    try:
+        mode = hermite_gaussian(m, n, w0, grid, representation)
+    except ValueError as exc:
+        assert "does not resolve" in str(exc)
+        reject()
+    if representation is Representation.POSITION:
+        expected = closed_form(np.sqrt(2.0) / w0)
+    expected = expected / np.sqrt(np.sum(expected ** 2) * grid.weight)
+    assert np.abs(mode.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_hermite_gaussian_rejects_negative_indices():
@@ -328,7 +356,10 @@ def test_gaussian_beam_derived_quantities():
     for field, args in [("waist", (np.nan, 1.0, 2.0)), ("waist", (np.inf, 1.0, 2.0)),
                         ("z", (1.0, np.nan, 2.0)), ("z", (1.0, np.inf, 2.0)),
                         ("pump_wavenumber", (1.0, 1.0, np.nan)),
-                        ("pump_wavenumber", (1.0, 1.0, -np.inf))]:
+                        ("pump_wavenumber", (1.0, 1.0, -np.inf)),
+                        ("rayleigh_length", (1e200, 1.0, 2.0)),
+                        ("rayleigh_length", (1e-200, 1.0, 2.0)),
+                        ("spot_size", (1.0, 1.0, 1e-300))]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GaussianBeamParams(*args)
 
