@@ -98,7 +98,9 @@ def inner_product_2d(a: TransverseMode, b: TransverseMode) -> complex:
 
 
 def mode_norm(a: TransverseMode) -> float:
-    return float(np.sqrt(np.sum(np.abs(a.values) ** 2) * a.grid.weight))
+    # The spacing, not the weight, outside the root: on a very coarse or fine
+    # grid the weight times sum |v|^2 overflows or underflows.
+    return float(np.sqrt(np.sum(np.abs(a.values) ** 2)) * a.grid.spacing)
 
 
 def normalize_mode(a: TransverseMode) -> TransverseMode:

@@ -39,6 +39,10 @@ class SppParams:
 
     zeta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.zeta):
+            raise ValueError(f"zeta must be finite, got {self.zeta}")
+
 
 @dataclass(frozen=True)
 class MziPhases:
@@ -47,6 +51,10 @@ class MziPhases:
     i exp[i (zeta pi + alpha_minus)], a global phase that is dropped."""
 
     alpha_plus: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.alpha_plus):
+            raise ValueError(f"alpha_plus must be finite, got {self.alpha_plus}")
 
 
 @dataclass(frozen=True)
@@ -211,10 +219,10 @@ class _FastGeometry:
 @lru_cache(maxsize=4)
 def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> _FastGeometry:
     if aperture_factor < 4.0:
-        # stacklevel 3 names the caller of mzi_coincidence or scan
+        # stacklevel 4 names the caller of mzi_coincidence or scan
         warnings.warn("aperture_factor below 4 barely covers the biphoton "
                       "correlation width; results will be aperture-dominated",
-                      stacklevel=3)
+                      stacklevel=4)
     grid = make_grid(n, aperture_factor * w)
     mask = _disc(grid).astype(bool) if circular else np.ones((n, n), bool)
     band = min(n - 1, int(_TAP_CUTOFF * w / grid.spacing))
@@ -229,8 +237,15 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     return _FastGeometry(mask, theta, hankel, c, float(np.sum(mask * c)))
 
 
+def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int) -> _FastGeometry:
+    """The fast-path geometry of a thin-crystal source propagated z1 = z2 = source.z."""
+    if not (geom.z1 == geom.z2 == source.z):
+        raise ValueError("thin-crystal source requires z1 == z2 == source.z")
+    return _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
+
+
 def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
-                       map_=map) -> list[MziResult | DegenerateInterferenceError]:
+                       map_=map) -> list[tuple[float, float]]:
     # Exact reorganization of the discrete 4D quadrature.  The biphoton
     # weight depends only on x1 + x2 (the phase factors cancel pointwise
     # between Phi(1,2) and Phi*(sigma(1,2))) and is separable per axis:
@@ -257,8 +272,8 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     # with the y-reflection.  One alpha takes B = [E], v = [1], one sine and
     # one sandwich (the per-call cost); several take B = [S, C'], a sine and a
     # cosine and two sandwiches (mapped by map_) for the whole sweep.
-    # A degenerate row is returned as its DegenerateInterferenceError, so it
-    # does not end a sweep.
+    # Each alpha gives (num, den), the j and kept of _result; its total is
+    # geo.tot.
     if len(alphas) == 1:
         trigs = [lambda: _sine(geo.azimuth, spp.zeta, alphas[0])]
         weights = np.ones((1, 1))
@@ -277,14 +292,7 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     num[upper] = num[upper[::-1]] = [np.sum(basis[a] * sandwiches[b]) for a, b in zip(*upper)]
     del sandwiches  # den's temporaries reuse their memory
     den[upper] = den[upper[::-1]] = [np.sum(basis[a] * basis[b] * geo.c) for a, b in zip(*upper)]
-    rows = []
-    for alpha, v in zip(alphas, weights):
-        try:
-            rows.append(_result(float(v @ num @ v), float(v @ den @ v), geo.tot, spp,
-                                MziPhases(alpha)))
-        except DegenerateInterferenceError as exc:
-            rows.append(exc)
-    return rows
+    return [(float(v @ num @ v), float(v @ den @ v)) for v in weights]
 
 
 def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry,
@@ -306,27 +314,24 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
         factor arrays.
     """
     if isinstance(source, GaussianBeamParams):
-        if not (geom.z1 == geom.z2 == source.z):
-            raise ValueError("thin-crystal source requires z1 == z2 == source.z")
-        geo = _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
-        (result,) = _thin_crystal_fast(geo, spp, [phases.alpha_plus])
-        if isinstance(result, DegenerateInterferenceError):
-            raise result
-        return result
-    if not isinstance(source, TwoPhotonAmplitude):
+        geo = _source_geometry(source, geom, grid_n)
+        ((j, kept),) = _thin_crystal_fast(geo, spp, [phases.alpha_plus])
+        total = geo.tot
+    elif isinstance(source, TwoPhotonAmplitude):
+        amp = source
+        if amp.representation is Representation.MOMENTUM:
+            amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
+        # One Gram-engine call with the envelope and the aperture as weights
+        # gives the clipped norm, the enveloped norm and J of the envelope; eta
+        # is relative to the clipped norm, and no factor array is copied or built.
+        total, kept, j = _sigma_grams(amp, sine_envelope(amp.grid, spp.zeta, phases.alpha_plus),
+                                      _disc(amp.grid) if geom.circular else None)
+        if total <= 0.0:
+            raise ValueError("cannot normalize a zero-norm amplitude")
+    else:
         raise TypeError("source must be GaussianBeamParams or TwoPhotonAmplitude, "
                         f"got {type(source).__name__}")
-    amp = source
-    if amp.representation is Representation.MOMENTUM:
-        amp = position_representation(fresnel_phase(amp, geom.z1, geom.z2, geom.k))
-    # One Gram-engine call with the envelope and the aperture as weights gives
-    # the clipped norm, the enveloped norm and J of the envelope; eta is
-    # relative to the clipped norm, and no factor array is copied or built.
-    nsq, nsq_out, j = _sigma_grams(amp, sine_envelope(amp.grid, spp.zeta, phases.alpha_plus),
-                                   _disc(amp.grid) if geom.circular else None)
-    if nsq <= 0.0:
-        raise ValueError("cannot normalize a zero-norm amplitude")
-    return _result(j, nsq_out, nsq, spp, phases)
+    return _result(j, kept, total, spp, phases)
 
 
 def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
@@ -352,15 +357,14 @@ def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
                     phases).conditional_pc
 
 
-def _scan_row(value: float, spp: SppParams, phases: MziPhases,
-              full: MziResult | DegenerateInterferenceError) -> ScanRow:
-    if isinstance(full, MziResult):
-        try:
-            oracle = delta_limit_oracle(spp, phases)
-            return ScanRow(value, full.conditional_pc, oracle, full.throughput_eta, "ok")
-        except DegenerateInterferenceError:
-            pass
-    return ScanRow(value, np.nan, np.nan, np.nan, "degenerate")
+def _scan_row(value: float, spp: SppParams, phases: MziPhases, j: float, kept: float,
+              total: float) -> ScanRow:
+    try:
+        full = _result(j, kept, total, spp, phases)
+        oracle = delta_limit_oracle(spp, phases)
+        return ScanRow(value, full.conditional_pc, oracle, full.throughput_eta, "ok")
+    except DegenerateInterferenceError:
+        return ScanRow(value, np.nan, np.nan, np.nan, "degenerate")
 
 
 def _scan_workers() -> int:
@@ -388,18 +392,15 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
         raise ValueError("need at least 2 scan steps")
     if not lo < hi:
         raise ValueError("scan range must satisfy lo < hi")
-    if geom.z1 != geom.z2:
-        raise ValueError("the thin-crystal source of a scan needs z1 == z2")
     n_workers = _scan_workers()
-    source = GaussianBeamParams(waist, geom.z1, 2.0 * geom.k)
     # Build the cached geometry here, so pool threads never build it twice.
-    geo = _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
+    geo = _source_geometry(GaussianBeamParams(waist, geom.z1, 2.0 * geom.k), geom, grid_n)
     values = [float(v) for v in np.linspace(lo, hi, steps)]
 
     def zeta_row(zeta: float) -> ScanRow:
         spp_row = SppParams(zeta)
-        return _scan_row(zeta, spp_row, phases,
-                         *_thin_crystal_fast(geo, spp_row, [phases.alpha_plus]))
+        ((j, kept),) = _thin_crystal_fast(geo, spp_row, [phases.alpha_plus])
+        return _scan_row(zeta, spp_row, phases, j, kept, geo.tot)
 
     # The pool runs the rows of a zeta sweep, or the two sandwiches that an
     # alpha_plus sweep shares (see _thin_crystal_fast).
@@ -407,7 +408,7 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
         if parameter == "zeta":
             rows = list(pool.map(zeta_row, values))
         else:
-            rows = [_scan_row(alpha, spp, MziPhases(alpha), full) for alpha, full
+            rows = [_scan_row(alpha, spp, MziPhases(alpha), j, kept, geo.tot) for alpha, (j, kept)
                     in zip(values, _thin_crystal_fast(geo, spp, values, pool.map))]
     metadata = {
         "parameter": parameter, "lo": lo, "hi": hi, "steps": steps,

@@ -8,8 +8,8 @@ Conventions:
   * HG_mn follows the same scaling, H_m(qx w0/sqrt2) H_n(qy w0/sqrt2) times
     the Gaussian in momentum space (m along x, n along y); the x- and
     y-parities are (-1)^m and (-1)^n, exact on the reflection-closed grid.
-  * OAM ring |l>: q^|l| exp(-q^2 w0^2/4) e^{i l theta} (Laguerre-Gauss p=0
-    radial profile; the interference results do not depend on this choice).
+  * OAM ring |l>: (q w0)^|l| exp(-q^2 w0^2/4) e^{i l theta} (Laguerre-Gauss
+    p=0 radial profile; the interference results do not depend on this choice).
 All outputs are normalized on the grid.
 """
 
@@ -72,7 +72,8 @@ def oam_ring(l: int, w0: float, grid: Grid,
     qx, qy = grid.meshgrid()
     q = np.hypot(qx, qy)
     theta = np.arctan2(qy, qx)
-    radial = q ** abs(l) * np.exp(-q ** 2 * w0 ** 2 / 4.0)
+    s = q * w0  # in units of the waist, so no tiny or huge w0 over- or underflows
+    radial = s ** abs(l) * np.exp(s * s * -0.25)
     return normalize_mode(
         TransverseMode(radial * np.exp(1j * l * theta), grid, representation))
 
@@ -286,7 +287,8 @@ class GaussianBeamParams:
     def curvature_radius(self) -> float:
         if self.z == 0.0:
             return np.inf
-        return (self.z ** 2 + self.rayleigh_length ** 2) / self.z
+        z0 = self.rayleigh_length
+        return (self.z * self.z + z0 * z0) / self.z
 
 
 def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
@@ -315,15 +317,21 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     ax = grid.axis
     s = ax[:, None]
     t = ax[None, :]
-    exponent = -((s + t) ** 2) / (4.0 * w ** 2)
-    if include_phase and params.z > 0.0:
-        kp = params.pump_wavenumber
-        z0 = params.rayleigh_length
-        r = params.curvature_radius
-        exponent = exponent + 1j * (kp / 4.0) * (
-            z0 ** 2 * (s - t) ** 2 / (2.0 * params.z ** 2 * r)
-            + (s ** 2 + t ** 2) / r)
-    psi_axis = np.exp(exponent)
+    # An extreme z or k_p overflows the chirp, or a tiny z divides it by
+    # zero; either shows as a non-finite psi_axis, reported below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exponent = -((s + t) ** 2) / (4.0 * (w * w))
+        if include_phase and params.z > 0.0:
+            kp = params.pump_wavenumber
+            z0 = params.rayleigh_length
+            r = params.curvature_radius
+            exponent = exponent + 1j * (kp / 4.0) * (
+                z0 * z0 * (s - t) ** 2 / (2.0 * (params.z * params.z) * r)
+                + (s ** 2 + t ** 2) / r)
+        psi_axis = np.exp(exponent)
+    if not np.all(np.isfinite(psi_axis)):
+        raise ValueError(f"the thin-crystal amplitude is not finite for z = {params.z} and "
+                         f"pump_wavenumber = {params.pump_wavenumber}")
     u, sv, vh = np.linalg.svd(psi_axis)
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
     pair_w = np.outer(sv, sv).ravel()

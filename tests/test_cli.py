@@ -304,6 +304,32 @@ def test_out_of_range_value_is_config_error(argv, name, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["pc", "--state", "thin-crystal", "--w0", "1e50", "--z", "1e200"],
+    ["pc", "--state", "thin-crystal", "--pump-wavenumber", "1e300"],
+    ["pc", "--state", "thin-crystal", "--z", "1e-300"],
+], ids=["huge-z", "huge-pump-wavenumber", "tiny-z"])
+def test_thin_crystal_with_an_overflowing_chirp_is_config_error(argv, capsys):
+    # The chirp overflows, or a tiny z divides it by zero: one error naming z
+    # and pump_wavenumber, and no numpy warning (the suite makes those errors).
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: the thin-crystal amplitude is not finite for z = ")
+    assert "pump_wavenumber = " in err
+
+
+@pytest.mark.parametrize("state", [["bell:psi-minus"], ["product", "--l1", "2", "--l2", "-1"]],
+                         ids=["bell", "product"])
+@pytest.mark.parametrize("w0", ["1e-150", "1e-100", "1e100", "1e150"])
+def test_oam_report_is_the_same_at_any_waist(state, w0, capsys):
+    # The Bell and product grids scale as 8 / w0, so the report cannot depend
+    # on the waist, however far from 1 it is.
+    assert main(["pc", "--state", *state]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["pc", "--state", *state, "--w0", w0]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_non_finite_config_file_value(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("state = product\nw0 = nan\n")

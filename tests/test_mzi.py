@@ -476,6 +476,36 @@ def test_alpha_sweep_rows_match_per_point_calls(zeta):
         assert [r.flag for r in result.rows].count("degenerate") == 2
 
 
+def test_zeta_sweep_rows_match_per_point_calls():
+    # A zeta sweep computes each row on its own; each must agree with its own
+    # call, flags included.
+    geom = MziGeometry(1.0, 1.0, aperture_factor=8.0)
+    phases = MziPhases(0.0)
+    result = scan("zeta", 0.0, 2.0, 9, phases=phases, geom=geom, grid_n=128)
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)  # scan's source: waist 1, pumped at 2k
+    for row in result.rows:
+        spp = SppParams(row.parameter)
+        try:
+            single = mzi_coincidence(beam, spp, phases, geom, grid_n=128)
+        except DegenerateInterferenceError:
+            assert row.flag == "degenerate"
+            continue
+        assert row.flag == "ok"
+        assert abs(row.conditional_pc - single.conditional_pc) <= 1e-12
+        assert abs(row.throughput - single.throughput_eta) <= 1e-12
+        assert row.oracle_pc == delta_limit_oracle(spp, phases)
+    # The envelope sin(0) vanishes only at zeta = 0.
+    assert [r.flag for r in result.rows] == ["degenerate"] + ["ok"] * 8
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("make,name", [(SppParams, "zeta"), (MziPhases, "alpha_plus")])
+def test_mzi_parameters_must_be_finite(make, name, value):
+    # A non-finite zeta or alpha_plus would give a NaN P_c and no error.
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        make(value)
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
 def test_scan_rejects_bad_thread_count(monkeypatch, value):
     monkeypatch.setenv("BIPHOTON_THREADS", value)
