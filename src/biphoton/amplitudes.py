@@ -8,11 +8,11 @@ y components) acts term-wise.  The norm, the overlap <sigma Phi, Phi> that
 controls the beamsplitter coincidence rate and the symmetry weights follow
 from two self-Grams and one sigma cross-Gram of the factors.
 
-A factory may hand over the factors in a factored form, which the amplitude
-keeps: its Grams contract in that form, and the (rank, n, n) arrays
-`photon1`/`photon2` are built only when first read.  Replacing a factor
-array drops the form; `normalize` and `apply_sigma` keep it.  Two forms
-exist:
+A factory may hand over the factors in a factored form and no factor
+arrays; only then does the amplitude keep the form: its Grams contract in
+that form, and the (rank, n, n) arrays `photon1`/`photon2` are built only
+when first read.  Given factor arrays drop it; `normalize` and `apply_sigma`
+pass the form on.  Two forms exist:
 
 * per axis (_AxisFactors, the thin-crystal state): f_r = x_{ix[r]} (x) y_{iy[r]}
   built from a few 1-D vectors.  Its arrays are built only up to rank 4096
@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TruncationError
-from .grids import Grid, Representation, TransverseMode, fourier_kernel_1d
+from .grids import Grid, Representation, TransverseMode, _check_compatible, fourier_kernel_1d
 
 _DENSE_MAX_N = 32
 # Per-axis factors of a larger rank are never expanded into (rank, n, n)
@@ -48,18 +48,8 @@ _MAX_EXPANDED_RANK = 4096
 _PHOTONS = ("photon1", "photon2")
 
 
-class _Form:
-    """One photon's factors held in a factored form; `values` builds the
-    (rank, n, n) factor array on first read."""
-
-    def holds(self, values: np.ndarray | None) -> bool:
-        """Whether `values` stands for these factors: not given, or the very
-        array built from them."""
-        return values is None or values is self.__dict__.get("values")
-
-
 @dataclass(frozen=True, eq=False)
-class _AxisFactors(_Form):
+class _AxisFactors:
     """One photon's factors held per axis: term r is the outer product
     x[ix[r]] (x) y[iy[r]] of rows of x (mx, n) and y (my, n)."""
 
@@ -92,7 +82,7 @@ class _AxisFactors(_Form):
 
 
 @dataclass(frozen=True, eq=False)
-class _SectorFactors(_Form):
+class _SectorFactors:
     """One photon's factors held per parity sector: term r is even (+1) or
     odd (-1) along x and along y as x_sign[r] and y_sign[r] say, and is held
     as its vector quadrant[r] in the per-axis even/odd basis on the positive
@@ -141,10 +131,10 @@ class TwoPhotonAmplitude:
     """Low-rank two-photon amplitude: coeffs (R,), factors (R, n, n).
 
     The coefficients are complex; a factor array is float64 if it is given
-    real and complex128 otherwise.  A factory may pass photon1 = photon2 =
-    None with both photons' factors in a factored form in `_form`
-    (_AxisFactors or _SectorFactors); the arrays are then built when first
-    read.
+    real and complex128 otherwise.  `_form` holds both photons' factors in
+    one factored form (_AxisFactors or _SectorFactors) and is kept only when
+    photon1 = photon2 = None; the arrays are then built when first read.
+    Given factor arrays drop `_form`.
     """
 
     coeffs: np.ndarray
@@ -153,26 +143,21 @@ class TwoPhotonAmplitude:
     grid: Grid
     representation: Representation
     truncation_error: float | None = field(default=None, compare=False)
-    _form: tuple[_Form, _Form] | None = field(default=None, repr=False, compare=False)
+    _form: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", c)
         n = self.grid.n
-        given = (self.photon1, self.photon2)
         form = self._form
-        if form is not None and all(f.holds(v) for f, v in zip(form, given)):
+        if form is not None and self.photon1 is None and self.photon2 is None:
             if type(form[0]) is not type(form[1]) or not all(f.fits(c.size, n) for f in form):
                 raise ValueError("factor arrays must have shape (rank, n, n)")
             for name in _PHOTONS:  # served from _form by __getattr__
                 object.__delattr__(self, name)
             return
-        if form is not None:  # a replaced factor: the factored form is stale
-            given = tuple(f.values if v is None else v for f, v in zip(form, given))
-            object.__setattr__(self, "_form", None)
-        for name, values in zip(_PHOTONS, given):
-            if values is None:
-                raise ValueError("factor arrays must have shape (rank, n, n)")
+        object.__setattr__(self, "_form", None)  # given factor arrays replace any form
+        for name, values in zip(_PHOTONS, (self.photon1, self.photon2)):
             values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
             if values.shape != (c.size, n, n):
                 raise ValueError("factor arrays must have shape (rank, n, n)")
@@ -198,13 +183,13 @@ def _factors(amp: TwoPhotonAmplitude):
 
 def _with_factors(amp: TwoPhotonAmplitude, f, g, **changes) -> TwoPhotonAmplitude:
     """amp with factors f, g in the form `_factors` returns, and other changes."""
-    if isinstance(f, _Form):
-        return replace(amp, photon1=None, photon2=None, _form=(f, g), **changes)
-    return replace(amp, photon1=f, photon2=g, _form=None, **changes)
+    if isinstance(f, np.ndarray):
+        return replace(amp, photon1=f, photon2=g, **changes)
+    return replace(amp, photon1=None, photon2=None, _form=(f, g), **changes)
 
 
 def _reflect_y(factors):
-    return factors.reflect_y() if isinstance(factors, _Form) else factors[:, :, ::-1]
+    return factors[:, :, ::-1] if isinstance(factors, np.ndarray) else factors.reflect_y()
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,12 +214,10 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
     """Assemble an (unnormalized) amplitude from (coefficient, f, g) terms."""
     if not terms:
         raise ValueError("need at least one product term")
-    _, f0, g0 = terms[0]
+    f0 = terms[0][1]
     for _, f, g in terms:
-        if f.grid != f0.grid or g.grid != f0.grid:
-            raise ValueError("all factors must share one grid")
-        if f.representation is not f0.representation or g.representation is not f0.representation:
-            raise ValueError("all factors must share one representation")
+        _check_compatible(f, f0)
+        _check_compatible(g, f0)
     coeffs = np.array([c for c, _, _ in terms], dtype=complex)
     photon1 = np.stack([f.values for _, f, _ in terms])
     photon2 = np.stack([g.values for _, _, g in terms])

@@ -42,6 +42,8 @@ class SppParams:
     def __post_init__(self):
         if not math.isfinite(self.zeta):
             raise ValueError(f"zeta must be finite, got {self.zeta}")
+        if not math.isfinite(self.zeta * math.pi):
+            raise ValueError(f"zeta = {self.zeta} overflows the plate phase zeta * pi")
 
 
 @dataclass(frozen=True)
@@ -392,6 +394,8 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
         raise ValueError("need at least 2 scan steps")
     if not lo < hi:
         raise ValueError("scan range must satisfy lo < hi")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"scan range must be finite, got {lo}, {hi}")
     n_workers = _scan_workers()
     # Build the cached geometry here, so pool threads never build it twice.
     geo = _source_geometry(GaussianBeamParams(waist, geom.z1, 2.0 * geom.k), geom, grid_n)

@@ -219,9 +219,16 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     on_x = (slice(None), None, slice(None), None, slice(None), None)
     on_y = (None, slice(None), None, slice(None), None, slice(None))
     # samples[sx, sy, i, j, k, l] = Phi((p_i, p_j), (sx p_k, sy p_l))
-    samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
-        params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
-        / (4.0 * params.pump_wavenumber))
+    # An extreme crystal length, pump wavenumber or pump order overflows the
+    # sinc argument or the Hermite recurrence: a non-finite sample, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
+            params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
+            / (4.0 * params.pump_wavenumber))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"the SPDC amplitude is not finite for pump = {params.pump}, "
+                         f"crystal_length = {params.crystal_length} and "
+                         f"pump_wavenumber = {params.pump_wavenumber}")
     # partner[b]: the block whose photon-2 sector is block b's photon-1
     # sector; its block is block b's transpose.  One block of each pair is
     # factored: free[which[b]] is block b or its partner.

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from biphoton import amplitudes, cli
 from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       Representation, SpdcParams, SppParams, TruncationError,
-                      TwoPhotonAmplitude,
+                      TransverseMode, TwoPhotonAmplitude,
                       apply_sigma, beamsplitter_output, bell_state,
                       coincidence_probability, compress,
                       dense_normalize, dense_norm_squared, dense_sigma,
                       dense_sigma_overlap, entanglement_witness, fresnel_phase,
-                      from_modes, gaussian_g00, hermite_gaussian, make_grid,
+                      from_modes, gaussian_g00, hermite_gaussian,
+                      inner_product_2d, make_grid,
                       mzi_coincidence, normalize,
                       norm_squared, oam_ring,
                       position_representation, product_state, sigma_overlap,
@@ -330,7 +332,7 @@ def _check_form_never_outlives_its_factors(amp, name):
     assert amp._form is not None and dense._form is None
     op = _STALE_CHECKS[name]
     assert np.abs(_outputs(op(amp)) - _outputs(op(dense))).max() <= 1e-12
-    if name.startswith("replace-photon"):
+    if name.startswith("replace-"):
         assert op(amp)._form is None
 
 
@@ -350,6 +352,17 @@ def test_sector_form_never_outlives_its_factors(name):
     amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 1, 2)), make_grid(16, 6.0))
     assert isinstance(amp._form[0], amplitudes._SectorFactors)
     _check_form_never_outlives_its_factors(amp, name)
+
+
+def test_form_is_kept_only_without_factor_arrays():
+    # Given factor arrays drop a form, even the arrays built from it; a form
+    # with one array and one missing photon is a shape error.
+    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), make_grid(16, 6.0))
+    form = amp._form
+    built = replace(amp, photon1=amp.photon1, photon2=amp.photon2, _form=form)
+    assert built._form is None and built.photon1 is form[0].values
+    with pytest.raises(ValueError, match=re.escape("factor arrays must have shape (rank, n, n)")):
+        replace(amp, photon1=amp.photon1, photon2=None, _form=form)
 
 
 def test_sigma_twice_restores_sector_factors_bit_for_bit():
@@ -473,6 +486,25 @@ def test_per_axis_photons_on_different_index_maps_take_the_gather():
         values = _outputs(swapped)
     assert spy.call_count > 0
     assert np.abs(values - _outputs(_as_arrays(swapped))).max() <= 1e-12
+
+
+def test_from_modes_rejects_modes_that_do_not_combine():
+    # from_modes and inner_product_2d share one check, and with it its messages.
+    g = make_grid(16, 4.0)
+    f = TransverseMode(np.ones((16, 16)), g, Representation.MOMENTUM)
+    elsewhere = TransverseMode(np.ones((16, 16)), make_grid(16, 5.0), Representation.MOMENTUM)
+    position = TransverseMode(np.ones((16, 16)), g, Representation.POSITION)
+    with pytest.raises(ValueError, match="need at least one product term"):
+        from_modes([])
+    grids, mixed = "modes live on different grids", "mixed momentum/position arithmetic"
+    for terms, message in [([(1.0, f, f), (1.0, elsewhere, f)], grids),
+                           ([(1.0, f, f), (1.0, f, elsewhere)], grids),
+                           ([(1.0, f, position)], mixed)]:
+        with pytest.raises(ValueError, match=message):
+            from_modes(terms)
+    for a, b, message in [(f, elsewhere, grids), (elsewhere, f, grids), (f, position, mixed)]:
+        with pytest.raises(ValueError, match=message):
+            inner_product_2d(a, b)
 
 
 def test_compress_reports_its_own_truncation_error():

@@ -318,6 +318,34 @@ def test_thin_crystal_with_an_overflowing_chirp_is_config_error(argv, capsys):
     assert "pump_wavenumber = " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--crystal-length", "1e308"], ["--pump-wavenumber", "1e-308"], ["--pump", "hg:300,0"],
+], ids=["huge-crystal-length", "tiny-pump-wavenumber", "hg-300"])
+def test_spdc_pair_that_is_not_finite_is_config_error(argv, capsys):
+    # The sinc argument or the Hermite recurrence overflows: one error naming
+    # the pump, crystal_length and pump_wavenumber, and no numpy warning.
+    assert main(["pc", "--state", "spdc", *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: the SPDC amplitude is not finite for pump = PumpMode(")
+    assert "crystal_length = " in err and "pump_wavenumber = " in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--range", "0,1e308"], "zeta = 1e+308 overflows the plate phase zeta * pi"),
+    (["--range=0,inf"], "scan range must be finite, got 0.0, inf"),
+    (["--range=-1e308,1e308"], "scan range must be finite, got -1e+308, 1e+308"),
+    (["--range=-1e308,1e308", "--parameter", "alpha_plus"],
+     "scan range must be finite, got -1e+308, 1e+308"),
+], ids=["zeta-overflow", "inf", "width-overflow", "alpha-plus-width-overflow"])
+def test_scan_that_overflows_is_config_error(argv, message, tmp_path, monkeypatch, capsys):
+    # These wrote NaN rows flagged ok, or named a NaN zeta or alpha_plus
+    # after a numpy warning; now one error and no CSV.
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "--grid-n", "16", "--steps", "3", *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("state", [["bell:psi-minus"], ["product", "--l1", "2", "--l2", "-1"]],
                          ids=["bell", "product"])
 @pytest.mark.parametrize("w0", ["1e-150", "1e-100", "1e100", "1e150"])

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -504,6 +505,23 @@ def test_mzi_parameters_must_be_finite(make, name, value):
     # A non-finite zeta or alpha_plus would give a NaN P_c and no error.
     with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
         make(value)
+
+
+@pytest.mark.parametrize("zeta", [1e308, -1e308])
+def test_zeta_that_overflows_the_plate_phase_is_rejected(zeta):
+    # A finite zeta with an infinite zeta * pi gave NaN results and no error.
+    with pytest.raises(ValueError, match=re.escape(
+            f"zeta = {zeta} overflows the plate phase zeta * pi")):
+        SppParams(zeta)
+    assert SppParams(zeta / 4.0).zeta == zeta / 4.0  # |zeta| pi is finite
+
+
+@pytest.mark.parametrize("parameter", ["zeta", "alpha_plus"])
+@pytest.mark.parametrize("lo,hi", [(0.0, np.inf), (-1e308, 1e308)], ids=["inf", "overflow"])
+def test_scan_range_must_be_finite(parameter, lo, hi):
+    # An infinite range, or one whose width overflows, gave NaN sweep values.
+    with pytest.raises(ValueError, match=re.escape(f"scan range must be finite, got {lo}, {hi}")):
+        scan(parameter, lo, hi, 3, grid_n=16)
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
