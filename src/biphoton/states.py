@@ -72,8 +72,17 @@ def oam_ring(l: int, w0: float, grid: Grid,
     qx, qy = grid.meshgrid()
     q = np.hypot(qx, qy)
     theta = np.arctan2(qy, qx)
-    s = q * w0  # in units of the waist, so no tiny or huge w0 over- or underflows
-    radial = s ** abs(l) * np.exp(s * s * -0.25)
+    # In units of the waist, so no tiny or huge w0 alone over- or underflows;
+    # a large l or half-width can, and leaves no finite, positive peak.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = q * w0
+        radial = s ** abs(l) * np.exp(s * s * -0.25)
+    peak = radial.max()
+    if not (math.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"the OAM ring profile has no finite, positive peak for l = {l}, "
+                         f"w0 = {w0} and half_width = {grid.half_width}")
+    # Exact scaling by a power of two, the peak into [1/2, 1): no square overflows.
+    radial = np.ldexp(radial, -np.frexp(peak)[1])
     return normalize_mode(
         TransverseMode(radial * np.exp(1j * l * theta), grid, representation))
 
@@ -151,14 +160,16 @@ class SpdcParams:
         _check_positive("pump_wavenumber", self.pump_wavenumber)
 
 
-def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
-              max_rank: int | None) -> tuple[np.ndarray, float]:
-    """Normalized leading coefficients of descending singular weights, kept
-    until the dropped relative norm is below rank_tol, and that error.  The
-    factors are orthonormal singular vectors (for SPDC, in the parity basis
-    and across sectors), so both Grams are grid.weight I and the norm is
-    closed-form."""
-    squares = weights ** 2
+def _truncate(weights: np.ndarray, rank_tol: float,
+              max_rank: int | None) -> tuple[np.ndarray, float, np.ndarray]:
+    """Sort singular weights, given in any order, descending (stable: ties keep
+    index order) and keep them until the dropped relative norm is below
+    rank_tol.  Returns the kept weights normalized, the coefficients of factors
+    of unit quadrature norm, that error and the kept indices into `weights`."""
+    order = np.argsort(-weights, kind="stable")
+    # Exact scaling by a power of two, the largest into [1/2, 1): no square overflows.
+    scaled = np.ldexp(weights[order], -np.frexp(weights[order[0]])[1])
+    squares = scaled ** 2
     total = float(np.sum(squares))
     # tail[k]: the squared norm dropped when k + 1 weights are kept, summed from
     # the smallest up (total minus a prefix sum loses it to cancellation).
@@ -168,9 +179,9 @@ def _truncate(weights: np.ndarray, grid: Grid, rank_tol: float,
         raise TruncationError(
             f"rank {rank} needed for tolerance {rank_tol:g}, cap is {max_rank}; "
             f"use a smaller grid half-width or loosen the tolerance")
-    kept = weights[:rank]
-    return ((kept / (grid.weight * np.linalg.norm(kept))).astype(complex),
-            float(np.sqrt(tail[rank - 1] / total)))
+    kept = scaled[:rank]
+    return ((kept / np.linalg.norm(kept)).astype(complex),
+            float(np.sqrt(tail[rank - 1] / total)), order[:rank])
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -198,10 +209,10 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
       * for an even-even pump every block is symmetric and takes a batched
         `eigh`, B = V diag(lam) V^T, with the factors V sign(lam) and V.
     The singular values of the four blocks (|lam| for `eigh`) are those of
-    the unfolding; they are sorted together (stable) and truncated.  The
-    amplitude keeps each kept pair of vectors on the positive quadrant with
-    its sector's signs (_SectorFactors): every factor is real and exactly
-    even or odd along each axis, and its Grams contract per sector.  The
+    the unfolding, truncated together.  The amplitude keeps each kept pair of
+    vectors on the positive quadrant, over the spacing for unit quadrature
+    norm, with its sector's signs (_SectorFactors): every factor is real and
+    exactly even or odd along each axis, and its Grams contract per sector.  The
     achieved relative norm error of the truncation is stored on the
     returned amplitude as `truncation_error`.
     """
@@ -225,10 +236,17 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
         samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
             params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
             / (4.0 * params.pump_wavenumber))
-    if not np.all(np.isfinite(samples)):
+    peak = np.maximum(samples.max(), -samples.min())  # NaN if any sample is
+    if not math.isfinite(peak):
         raise ValueError(f"the SPDC amplitude is not finite for pump = {params.pump}, "
                          f"crystal_length = {params.crystal_length} and "
                          f"pump_wavenumber = {params.pump_wavenumber}")
+    if peak == 0.0:
+        raise ValueError(f"the SPDC amplitude vanishes on the grid of half_width = "
+                         f"{grid.half_width} for pump = {params.pump}")
+    # Exact scaling by a power of two, the peak into [1/2, 1): no block sum
+    # or singular weight overflows.
+    np.ldexp(samples, -np.frexp(peak)[1], out=samples)
     # partner[b]: the block whose photon-2 sector is block b's photon-1
     # sector; its block is block b's transpose.  One block of each pair is
     # factored: free[which[b]] is block b or its partner.
@@ -250,10 +268,9 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
         sv = np.abs(lam)
         u, vh = v * np.where(lam < 0.0, -1.0, 1.0)[:, None, :], np.swapaxes(v, 1, 2)
     sv = sv[which].ravel()  # every block's weights, the partners' repeated
-    order = np.argsort(-sv, kind="stable")
-    coeffs, err = _truncate(sv[order], grid, rank_tol, max_rank)
-    block, k = np.divmod(order[:coeffs.size], h * h)
-    left, right = u[which[block], :, k], vh[which[block], k]
+    coeffs, err, kept = _truncate(sv, rank_tol, max_rank)
+    block, k = np.divmod(kept, h * h)
+    left, right = u[which[block], :, k] / grid.spacing, vh[which[block], k] / grid.spacing
     transposed = (partner < sector)[block, None]  # U and V swap for the partner
     photon1 = np.where(transposed, right, left)
     photon2 = np.where(transposed, left, right)
@@ -288,7 +305,7 @@ class GaussianBeamParams:
     @property
     def spot_size(self) -> float:
         ratio = self.z / self.rayleigh_length
-        return self.waist * np.sqrt(1.0 + ratio * ratio)
+        return self.waist * math.sqrt(1.0 + ratio * ratio)
 
     @property
     def curvature_radius(self) -> float:
@@ -309,8 +326,8 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     The amplitude separates per Cartesian axis, so the photon-split
     factorization is built from a single per-axis SVD psi = u s vh: photon
     1's term r is u[:, kx_r] (x) u[:, ky_r] and photon 2's vh[kx_r] (x) vh[ky_r].
-    The amplitude holds the factors in that per-axis form (the m <= n
-    singular vectors in use and the maps kx, ky), so its Grams contract per
+    The amplitude holds the factors in that per-axis form (the leading m <= n
+    singular vectors and the maps kx, ky), so its Grams contract per
     axis; the (rank, n, n) arrays photon1/photon2 are built on first read.
     Any rank is taken unless `max_rank` is given: the unweighted report
     contracts an m x m coefficient core, and only reading the arrays or a
@@ -341,13 +358,12 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
                          f"pump_wavenumber = {params.pump_wavenumber}")
     u, sv, vh = np.linalg.svd(psi_axis)
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
-    pair_w = np.outer(sv, sv).ravel()
-    order = np.argsort(pair_w)[::-1]
-    coeffs, err = _truncate(pair_w[order], grid, rank_tol, max_rank)
-    kx, ky = np.unravel_index(order[:coeffs.size], (sv.size, sv.size))
-    used, index = np.unique(np.concatenate([kx, ky]), return_inverse=True)
-    ix, iy = index[:coeffs.size], index[coeffs.size:]
-    u_used, vh_used = np.ascontiguousarray(u[:, used].T), vh[used]
+    coeffs, err, kept = _truncate(np.outer(sv, sv).ravel(), rank_tol, max_rank)
+    ix, iy = np.unravel_index(kept, (sv.size, sv.size))
+    # (0, k) outweighs any pair holding an index above k and sorts first among
+    # equals: the leading m vectors are in use, scaled to unit quadrature norm.
+    m, root = max(ix.max(), iy.max()) + 1, math.sqrt(grid.spacing)
+    u_used, vh_used = np.ascontiguousarray(u[:, :m].T) / root, vh[:m] / root
     for arr in (u_used, vh_used, ix, iy):
         arr.setflags(write=False)
     axes = (_AxisFactors(u_used, u_used, ix, iy), _AxisFactors(vh_used, vh_used, ix, iy))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import biphoton
 
@@ -356,6 +360,150 @@ def test_oam_report_is_the_same_at_any_waist(state, w0, capsys):
     expected = capsys.readouterr().out
     assert main(["pc", "--state", *state, "--w0", w0]) == EXIT_OK
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--grid-n", "16", "--pump", "hg:150,3", "--crystal-length", "1e8"], "P_c = 1.000000"),
+    (["--grid-n", "32", "--pump", "hg:150,3", "--crystal-length", "1e8"], "P_c = 1.000000"),
+    (["--pump", "hg:150,0"], "P_c = 0.000000"),
+], ids=["hg-150-3-n16", "hg-150-3-n32", "hg-150-0"])
+def test_spdc_whose_singular_weights_square_to_overflow_reports_the_pump_parity(argv, line,
+                                                                                capsys):
+    # The squares of these singular weights overflow: the rank was cut to 1
+    # with a NaN truncation error and P_c = 0.5 printed with exit 0, or the
+    # norm came out 0.  An odd y-parity pump gives P_c = 1, an even one 0.
+    assert main(["pc", "--state", "spdc", *argv]) == EXIT_OK
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_spdc_that_vanishes_on_the_grid_is_config_error(capsys):
+    # Every sample of the pump underflows to zero on this grid.
+    argv = ["classify", "--state", "spdc", "--grid-n", "32", "--half-width", "1e8",
+            "--pump", "hg:1,2"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: the SPDC amplitude vanishes on the grid of half_width = 100000000.0 for "
+        "pump = PumpMode(kind='hermite', waist=1.0, m=1, n=2)\n")
+
+
+def test_oam_ring_of_high_order_reports(capsys):
+    # The profile's squares overflowed in the mode norm, which gave "cannot
+    # normalize an amplitude of squared norm 0.0".
+    assert main(["pc", "--state", "bell:psi-minus", "--l", "200"]) == EXIT_OK
+    assert "P_c = 1.000000" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["bell:psi-minus", "--l", "60", "--half-width", "1e150"], "l = 60, w0 = 1.0 and "
+     "half_width = 1e+150"),
+    (["bell:phi-plus", "--w0", "1e30", "--half-width", "1e150"], "l = 1, w0 = 1e+30 and "
+     "half_width = 1e+150"),
+    (["bell:psi-minus", "--grid-n", "32", "--w0", "1e300", "--half-width", "1e30"],
+     "l = 1, w0 = 1e+300 and half_width = 1e+30"),
+], ids=["l-60", "huge-half-width", "huge-w0"])
+def test_oam_ring_that_over_or_underflows_is_config_error(argv, named, capsys):
+    # These ended in "non-finite amplitude", "cannot normalize a zero mode"
+    # or a numpy warning, none of which names what the caller set.
+    assert main(["pc", "--state", *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: the OAM ring profile has no finite, positive peak for {named}\n")
+
+
+def test_thin_crystal_aperture_that_overflows_is_config_error_without_a_warning(capsys):
+    # The spot size was a numpy scalar, and its product with the aperture
+    # factor warned before the half-width error.
+    argv = ["pc", "--state", "thin-crystal", "--w0", "1e-30", "--aperture-factor", "1e300"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: half_width must be finite and positive")
+
+
+@pytest.mark.parametrize("pump,label", [("g00", "symmetric"), ("hg:1,0", "symmetric"),
+                                        ("hg:0,1", "antisymmetric"), ("hg:1,1", "antisymmetric")])
+@pytest.mark.parametrize("w0", ["1e-150", "1e-100", "1e100", "1e150"])
+def test_spdc_label_follows_the_pump_parity_at_any_waist(pump, label, w0, capsys):
+    # The SPDC grid scales as 6 / w0.  Its factors used to hold 1/w0^2 in the
+    # coefficients, and the Grams over- or underflowed away from w0 = 1.
+    argv = ["classify", "--state", "spdc", "--grid-n", "16", "--pump", pump, "--w0", w0]
+    assert main(argv) == EXIT_OK
+    assert f"label = {label}" in capsys.readouterr().out.splitlines()
+
+
+_EXTREMES = ["1e-300", "1e-150", "1e-30", "1e-8", "0.3", "1", "2.5", "1e8", "1e30", "1e150",
+             "1e300"]
+_ORDERS = [0, 1, 2, 3, 60, 140, 150, 200, 300]
+
+
+def _flags(**draws):
+    """Each key given a strategy, as an optional flag: omitted or drawn."""
+    return st.tuples(*(st.one_of(st.none(), strategy.map(lambda v, k=key: [k, str(v)]))
+                       for key, strategy in draws.items()))
+
+
+_VALUES = st.sampled_from(_EXTREMES)
+_SIGNED_ORDERS = st.builds(lambda l, sign: sign * l, st.sampled_from(_ORDERS),
+                           st.sampled_from([1, -1]))
+_STATE_FLAGS = {
+    "bell": _flags(**{"--l": _SIGNED_ORDERS, "--w0": _VALUES, "--half-width": _VALUES}),
+    "product": _flags(**{"--l1": _SIGNED_ORDERS, "--l2": _SIGNED_ORDERS, "--w0": _VALUES,
+                         "--half-width": _VALUES}),
+    "spdc": _flags(**{"--pump": st.one_of(
+        st.just("g00"), st.builds("hg:{},{}".format, st.sampled_from(_ORDERS),
+                                  st.sampled_from(_ORDERS))),
+        "--w0": _VALUES, "--half-width": _VALUES, "--crystal-length": _VALUES,
+        "--pump-wavenumber": _VALUES}),
+    "thin-crystal": _flags(**{"--w0": _VALUES, "--half-width": _VALUES,
+                              "--z": st.sampled_from(["0", *_EXTREMES]),
+                              "--pump-wavenumber": _VALUES, "--aperture-factor": _VALUES}),
+}
+
+
+@st.composite
+def _pc_argv(draw):
+    """A pc or classify argv for any state, setting only flags that state reads."""
+    state = draw(st.sampled_from(["bell:psi-plus", "bell:psi-minus", "bell:phi-plus",
+                                  "bell:phi-minus", "product", "spdc", "thin-crystal"]))
+    flags = draw(_STATE_FLAGS[state.partition(":")[0]])
+    argv = [draw(st.sampled_from(["pc", "classify"])), "--state", state,
+            "--grid-n", draw(st.sampled_from(["16", "32"]))]
+    return argv + [token for flag in flags if flag is not None for token in flag]
+
+
+# derandomize: the same argv on every run, so the suite's time is fixed.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_pc_argv())
+@example(argv=["pc", "--state", "spdc", "--grid-n", "16", "--pump", "hg:150,3",
+               "--crystal-length", "1e8"])
+@example(argv=["pc", "--state", "spdc", "--grid-n", "16", "--pump", "hg:150,0"])
+@example(argv=["classify", "--state", "spdc", "--grid-n", "32", "--half-width", "1e8",
+               "--pump", "hg:1,2"])
+@example(argv=["pc", "--state", "bell:psi-minus", "--grid-n", "16", "--l", "200"])
+@example(argv=["pc", "--state", "bell:psi-minus", "--grid-n", "16", "--l", "60",
+               "--half-width", "1e150"])
+@example(argv=["pc", "--state", "bell:phi-plus", "--grid-n", "16", "--w0", "1e30",
+               "--half-width", "1e150"])
+@example(argv=["pc", "--state", "bell:psi-minus", "--grid-n", "32", "--w0", "1e300",
+               "--half-width", "1e30"])
+@example(argv=["pc", "--state", "thin-crystal", "--grid-n", "16", "--w0", "1e-30",
+               "--aperture-factor", "1e300"])
+@example(argv=["classify", "--state", "spdc", "--grid-n", "16", "--pump", "hg:0,1",
+               "--w0", "1e-100"])
+def test_pc_and_classify_never_print_a_wrong_number(argv):
+    # Any argv exits 0 or 2 with no numpy warning (the suite makes those
+    # errors), prints no NaN with exit 0, and an SPDC report follows the
+    # pump's y-parity: antisymmetric weight 1 for odd n, 0 for even.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+    if code != EXIT_OK:
+        return
+    text = out.getvalue()
+    assert "nan" not in text.lower(), text
+    if "spdc" in argv:
+        pump = argv[argv.index("--pump") + 1] if "--pump" in argv else "g00"
+        odd_y = pump != "g00" and int(pump.split(",")[1]) % 2 == 1
+        weight = float(re.search(r"^antisymmetric_weight = (\S+)$", text, re.M).group(1))
+        assert abs(weight - odd_y) <= 1e-4, text
 
 
 def test_non_finite_config_file_value(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
+from biphoton import states
 from biphoton import (GaussianBeamParams, PumpMode, Representation,
                       SpdcParams, TruncationError, TwoPhotonAmplitude,
                       apply_sigma, bell_state, coincidence_probability,
@@ -341,6 +342,58 @@ def test_spdc_truncation_cap():
 def test_spdc_rejects_huge_grids():
     with pytest.raises(ValueError):
         spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), make_grid(64, 6.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.one_of(st.sampled_from([1.0, 0.5, 0.25]), st.floats(1e-3, 1e3)),
+                        min_size=1, max_size=40),
+       k=st.integers(-900, 900), rank_tol=st.sampled_from([1e-1, 1e-3, 1e-6]))
+def test_truncate_is_exact_under_power_of_two_scaling(weights, k, rank_tol):
+    # The weights are scaled before squaring, so 2^k times them gives the same
+    # terms bit for bit, though their squares over- or underflow.  The order
+    # is descending with ties in index order.
+    weights = np.array(weights)
+    coeffs, err, kept = states._truncate(weights, rank_tol, None)
+    scaled = states._truncate(np.ldexp(weights, k), rank_tol, None)
+    assert coeffs.tobytes() == scaled[0].tobytes()
+    assert err == scaled[1] and np.array_equal(kept, scaled[2])
+    assert kept.tolist() == sorted(range(weights.size), key=lambda i: (-weights[i], i))[:kept.size]
+    assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 <= err <= rank_tol
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+@pytest.mark.parametrize("aperture", [6.0, 12.0, 40.0])
+def test_thin_crystal_uses_the_leading_vectors_at_unit_quadrature_norm(n, aperture):
+    # The kept pairs use the leading m singular vectors per axis, the pairs
+    # of mirrored ties (sigma_i sigma_j = sigma_j sigma_i) included, and every
+    # per-axis vector has unit quadrature norm, so every factor does.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    grid = make_grid(n, aperture * beam.spot_size)
+    for axes in thin_crystal_gaussian(beam, grid)._form:
+        assert axes.x is axes.y
+        assert np.array_equal(np.union1d(axes.ix, axes.iy), np.arange(axes.x.shape[0]))
+        norms = np.sum(np.abs(axes.x) ** 2, axis=1) * grid.spacing
+        assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("waist", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("pump", [(0, 0), (0, 1), (1, 2)])
+def test_state_factors_are_orthonormal_in_the_quadrature(pump, waist):
+    # As normalize_mode and from_modes hold modes, so both factories hold
+    # their factors, at any waist: each photon's Gram is the identity, and
+    # the coefficients are the normalized singular weights.
+    spdc = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", waist, *pump)),
+                      make_grid(16, 6.0 / waist))
+    beam = GaussianBeamParams(waist, 0.5, 2.0 / (waist * waist))  # Rayleigh length 1
+    thin = thin_crystal_gaussian(beam, make_grid(16, 6.0 * beam.spot_size))
+    for amp in (spdc, thin):
+        for name in ("photon1", "photon2"):
+            f = getattr(amp, name).reshape(amp.rank, -1)
+            gram = np.conj(f) @ f.T * amp.grid.weight
+            assert np.abs(gram - np.eye(amp.rank)).max() <= 1e-12, name
+        assert np.linalg.norm(amp.coeffs) == pytest.approx(1.0, abs=1e-15)
+        assert norm_squared(amp) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_beam_derived_quantities():
