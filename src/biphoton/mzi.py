@@ -128,6 +128,9 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
 
 def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:
     """Pointwise spiral phase exp(i zeta theta)."""
+    if not math.isfinite(zeta * 2.0 * math.pi):
+        raise ValueError(f"zeta = {zeta} does not give a finite plate phase zeta * theta "
+                         f"up to 2 pi zeta")
     return TransverseMode(
         mode.values * np.exp(1j * zeta * azimuth(mode.grid)),
         mode.grid, mode.representation,
@@ -141,7 +144,11 @@ def _disc(grid: Grid) -> np.ndarray:
 
 
 def _sine(theta: np.ndarray, zeta: float, alpha_plus: float) -> np.ndarray:
-    return np.sin(zeta * (theta - np.pi) + alpha_plus)
+    # in place on one temporary: a fresh array per step costs page faults at n = 1024
+    phase = theta - np.pi
+    phase *= zeta
+    phase += alpha_plus
+    return np.sin(phase, out=phase)
 
 
 def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
@@ -165,6 +172,9 @@ def _result(j: float, kept: float, total: float, spp: SppParams,
 # Gaussian taps g(s) = exp(-s^2 / (2 w^2)) with |s| > _TAP_CUTOFF * w are
 # dropped: each is below exp(-_TAP_CUTOFF^2 / 2) < 5e-19 of the peak.
 _TAP_CUTOFF = 9.2
+# Kernel frequencies whose Gaussian spectrum is below _SPECTRUM_CUTOFF of its
+# peak are dropped from the sigma overlap; see _thin_crystal_fast for the bound.
+_SPECTRUM_CUTOFF = 1e-17
 
 
 def _fft_size(m: int) -> int:
@@ -181,41 +191,25 @@ def _fft_size(m: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class _GaussHankel:
-    """The symmetric Hankel matrix H[i, k] = g(x_i + x_k) on a half-offset
-    axis.  Since x_i + x_k = (i - (n-1-k)) h, H is a Toeplitz convolution of
-    the index-reversed input, applied by 1-D real FFTs with the kernel cut
-    to `band` taps on each side of its centre.  A transform length of
-    n + band suffices: the circular wrap-around lands only on the first
-    `band` outputs of the full convolution, which are discarded."""
-
-    band: int
-    fft_len: int
-    spectrum: np.ndarray
-
-    def rows(self, a: np.ndarray) -> np.ndarray:
-        """a H, i.e. H applied to every row of a."""
-        n = a.shape[1]
-        full = np.fft.irfft(np.fft.rfft(a[:, ::-1], self.fft_len, axis=1) * self.spectrum,
-                            self.fft_len, axis=1)
-        return full[:, self.band:self.band + n]
-
-    def sandwich(self, b: np.ndarray) -> np.ndarray:
-        """H b H = ((b H)^T H)^T for symmetric H; both passes run over
-        contiguous rows, which is faster than transforming along axis 0."""
-        return self.rows(np.ascontiguousarray(self.rows(b).T)).T
-
-
-@dataclass(frozen=True, eq=False)
 class _FastGeometry:
     """The parts of the thin-crystal fast path that do not depend on zeta or
     alpha_plus; every array is read-only."""
 
     mask: np.ndarray     # aperture, bool: cached, so 1 byte a sample
     azimuth: np.ndarray
-    hankel: _GaussHankel
+    fft_len: int         # L: zero-padded transform length per axis
+    kx: np.ndarray       # kept frequencies along axis 0, as indices mod L
+    mirror: np.ndarray   # position of -kx in kx
+    weight: np.ndarray   # (kept ky, len(kx)) weights of the spectral num
     c: np.ndarray        # H mask H
     tot: float           # sum(mask * C)
+
+    def spectrum(self, b: np.ndarray) -> np.ndarray:
+        """The kept block of the L x L DFT of b zero-padded, transposed: rows
+        ky = 0 .. weight.shape[0] - 1, columns kx.  The FFT along x runs over
+        contiguous rows, which is faster than transforming along axis 0."""
+        cols = np.fft.rfft(b, self.fft_len, axis=1)[:, :self.weight.shape[0]]
+        return np.fft.fft(np.ascontiguousarray(cols.T), self.fft_len, axis=1)[:, self.kx]
 
 
 @lru_cache(maxsize=4)
@@ -227,16 +221,32 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
                       stacklevel=4)
     grid = make_grid(n, aperture_factor * w)
     mask = _disc(grid).astype(bool) if circular else np.ones((n, n), bool)
-    band = min(n - 1, int(_TAP_CUTOFF * w / grid.spacing))
+    h = grid.spacing
+    band = min(n - 1, int(_TAP_CUTOFF * w / h))
     fft_len = _fft_size(n + band)
-    taps = np.arange(-band, band + 1) * grid.spacing
-    hankel = _GaussHankel(band, fft_len,
-                          np.fft.rfft(np.exp(-taps ** 2 / (2.0 * w ** 2)), fft_len))
-    c = hankel.sandwich(mask.astype(float))
+    taps = np.zeros(fft_len)
+    offsets = np.arange(-band, band + 1)
+    taps[offsets % fft_len] = np.exp(-(offsets * h) ** 2 / (2.0 * w ** 2))
+    g_hat = np.fft.fft(taps).real  # the taps are even, so their spectrum is real
+    # C = H M H = g * (M reversed on both axes), cut to the first n x n outputs
+    c = np.ascontiguousarray(np.fft.irfft2(
+        np.fft.rfft2(mask[::-1, ::-1].astype(float), (fft_len, fft_len))
+        * np.outer(g_hat, g_hat[:fft_len // 2 + 1]), (fft_len, fft_len))[:n, :n])
+    cut = math.ceil(math.sqrt(-2.0 * math.log(_SPECTRUM_CUTOFF)) * fft_len * h
+                    / (2.0 * math.pi * w))
+    kx = np.arange(-cut, cut + 1) % fft_len if 2 * cut + 1 < fft_len else np.arange(fft_len)
+    ky = np.arange(min(cut, fft_len // 2) + 1)
+    position = np.empty(fft_len, int)
+    position[kx] = np.arange(kx.size)
+    # rfft keeps ky >= 0; every ky other than 0 and L/2 stands for +-ky
+    doubled = np.where((ky == 0) | (2 * ky == fft_len), 1.0, 2.0)
+    shift = np.exp(-2j * np.pi * (kx * (n - 1) % fft_len) / fft_len)
+    weight = np.outer(doubled * g_hat[ky], g_hat[kx] * shift) / fft_len ** 2
     theta = azimuth(grid)
-    for arr in (mask, theta, hankel.spectrum, c):
+    for arr in (mask, theta, kx, weight, c):
         arr.setflags(write=False)
-    return _FastGeometry(mask, theta, hankel, c, float(np.sum(mask * c)))
+    return _FastGeometry(mask, theta, fft_len, kx, position[-kx % fft_len], weight, c,
+                         float(np.sum(mask * c)))
 
 
 def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int) -> _FastGeometry:
@@ -253,29 +263,49 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     # between Phi(1,2) and Phi*(sigma(1,2))) and is separable per axis:
     # g(x1 + x2) g(y1 + y2) with g(s) = exp(-s^2 / (2 w^2)).  A sum
     # sum_{1,2} A(1) B(2) g(x1 + x2) g(y1 + y2) is therefore sum(A * H B H)
-    # with the symmetric Hankel matrix H[i, k] = g(x_i + x_k), applied per
-    # axis by 1-D real FFTs (see _GaussHankel).  With E the masked sine
-    # envelope and M the aperture,
-    #     num = sum(E * H (E reflected in y) H),
-    #     den = sum(E^2 * C),  tot = sum(M * C),  C = H M H.
+    # with the symmetric Hankel matrix H[i, k] = g(x_i + x_k) = g((i + k -
+    # (n-1)) h).  With E the masked sine envelope and M the aperture,
+    #     num = sum(E * H (E reflected in y) H) = sum(E * (g * F)),
+    #     den = sum(E^2 * C),  tot = sum(M * C),  C = H M H = g * (M reversed),
+    # where * between g and an array is the 2-D convolution with the kernel
+    # g(s_x) g(s_y) and F is E reflected in x (axis 0).
     # The kernel keeps only |s| <= _TAP_CUTOFF w.  Every row of H holds
     # g(0) = 1 (x_i + x_k = 0 at k = n-1-i), and the dropped tail of a row
     # sums to at most 2 e^{-42.3} (1 + w / (9.2 h)) < 1.1e-17 of that for
     # spacings h >= w / 100, far below the ~1e-16 roundoff of the FFTs.
-    # M, the azimuth, the kernel spectrum, C and tot depend only on the
-    # geometry and are cached.
+    #
+    # On the zero-padded L x L grid, L = _fft_size(n + band), the circular
+    # convolution equals the linear one on the n x n outputs, so by Parseval
+    #     num = L^-2 sum_k conj(Ê(k)) ĝ(kx) ĝ(ky) e^{-2 pi i kx (n-1) / L} Ê(-kx, ky)
+    # with Ê the L x L DFT of E and ĝ the real spectrum of the even,
+    # band-cut kernel.  The summand is even in ky, so the rfft's ky >= 0
+    # suffice with weight 2 off ky = 0 and L/2.  ĝ is a sampled Gaussian,
+    # ĝ(k) ~ ĝ(0) exp(-(2 pi k w / (L h))^2 / 2), below _SPECTRUM_CUTOFF ĝ(0)
+    # beyond
+    #     K = ceil(sqrt(2 ln(1 / _SPECTRUM_CUTOFF)) L h / (2 pi w)),
+    # and only |kx|, ky <= K are kept (K = 127 of L/2 = 576 at n = 1024,
+    # aperture 40; K hardly depends on n).  The crop is active only when
+    # 2K + 1 < L, i.e. h < 0.36 w, where the nearest aliased image of the
+    # Gaussian in ĝ is below the same bound; on coarser grids every frequency
+    # is kept.  So a dropped frequency has ĝ(kx) ĝ(ky) <= 2 _SPECTRUM_CUTOFF
+    # ĝ(0)^2, and by Cauchy-Schwarz and Parseval the dropped terms sum to at
+    # most 2 _SPECTRUM_CUTOFF ĝ(0)^2 ||E||^2, while |num| is of the order of
+    # ĝ(0)^2 ||E||^2 and its roundoff of 1e-16 of that.  Each envelope then
+    # costs one rfft along y, one length-L FFT along x of the K + 1 kept
+    # columns, and one weighted sum over (2K + 1)(K + 1) terms.  M, the
+    # azimuth, the crop, its weights, C and tot depend only on the geometry
+    # and are cached.
     #
     # num and den are quadratic in E, and at fixed zeta the envelope is
     # linear in (cos alpha, sin alpha):  E = cos alpha S + sin alpha C' with
     # S = M sin zeta (theta - pi) and C' = M cos zeta (theta - pi).  So for an
     # envelope basis B, every alpha reads num = v^T N v and den = v^T D v off
-    # the Grams N[a, b] = sum(B_a * H (B_b reflected) H) and
-    # D[a, b] = sum(B_a * B_b * C).  Both are symmetric: H is, and it commutes
-    # with the y-reflection.  One alpha takes B = [E], v = [1], one sine and
-    # one sandwich (the per-call cost); several take B = [S, C'], a sine and a
-    # cosine and two sandwiches (mapped by map_) for the whole sweep.
-    # Each alpha gives (num, den), the j and kept of _result; its total is
-    # geo.tot.
+    # the Grams N[a, b] = sum(B_a * (g * B_b reflected in x)) and
+    # D[a, b] = sum(B_a * B_b * C), both symmetric.  One alpha takes B = [E],
+    # v = [1], one sine and one spectrum (the per-call cost); several take
+    # B = [S, C'], a sine and a cosine and two spectra (mapped by map_) for
+    # the whole sweep.  Each alpha gives (num, den), the j and kept of
+    # _result; its total is geo.tot.
     if len(alphas) == 1:
         trigs = [lambda: _sine(geo.azimuth, spp.zeta, alphas[0])]
         weights = np.ones((1, 1))
@@ -285,15 +315,16 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
         weights = np.column_stack([np.cos(alphas), np.sin(alphas)])
 
     def enveloped(trig):
-        b = trig() * geo.mask
-        return b, geo.hankel.sandwich(b[:, ::-1])
+        b = trig()
+        b *= geo.mask
+        return b, geo.spectrum(b)
 
-    basis, sandwiches = zip(*map_(enveloped, trigs))
+    basis, spectra = zip(*map_(enveloped, trigs))
     upper = np.triu_indices(len(basis))
     num, den = np.empty((len(basis),) * 2), np.empty((len(basis),) * 2)
-    num[upper] = num[upper[::-1]] = [np.sum(basis[a] * sandwiches[b]) for a, b in zip(*upper)]
-    del sandwiches  # den's temporaries reuse their memory
-    den[upper] = den[upper[::-1]] = [np.sum(basis[a] * basis[b] * geo.c) for a, b in zip(*upper)]
+    num[upper] = num[upper[::-1]] = [
+        np.vdot(spectra[a], geo.weight * spectra[b][:, geo.mirror]).real for a, b in zip(*upper)]
+    den[upper] = den[upper[::-1]] = [np.vdot(basis[a] * basis[b], geo.c) for a, b in zip(*upper)]
     return [(float(v @ num @ v), float(v @ den @ v)) for v in weights]
 
 

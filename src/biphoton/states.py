@@ -179,9 +179,11 @@ def _truncate(weights: np.ndarray, rank_tol: float,
         raise TruncationError(
             f"rank {rank} needed for tolerance {rank_tol:g}, cap is {max_rank}; "
             f"use a smaller grid half-width or loosen the tolerance")
+    err = float(np.sqrt(tail[rank - 1] / total))
+    if not math.isfinite(err):
+        raise ValueError(f"singular weights must be finite, got a truncation error of {err}")
     kept = scaled[:rank]
-    return ((kept / np.linalg.norm(kept)).astype(complex),
-            float(np.sqrt(tail[rank - 1] / total)), order[:rank])
+    return (kept / np.linalg.norm(kept)).astype(complex), err, order[:rank]
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:

@@ -617,3 +617,27 @@ def test_scan_csv_is_pinned(extra, expected, tmp_path, capsys):
         assert got_flag == want_flag
         assert [float(v) for v in got_values] == pytest.approx(
             [float(v) for v in want_values], rel=0.0, abs=1e-10)
+
+
+# A 4-step zeta scan at the default geometry (n = 1024, aperture 40), where
+# the fast path keeps a small block of the kernel's frequencies; recorded at
+# .12g before that path was rewritten.
+_DEFAULT_GEOMETRY_ROWS = [
+    (0.25, 0.23470062084, 0.234149589544, 0.181690163215),
+    (1.5, 0.604475542515, 0.606103389021, 0.5),
+    (2.75, 0.133997574269, 0.12710424758, 0.528939460176),
+    (4.0, 0.985349009544, 1.0, 0.500002757873),
+]
+
+
+def test_scan_csv_at_the_default_geometry_is_pinned(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--steps", "4", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote 4 rows to {out}\n"
+    lines = out.read_text().splitlines()
+    assert "# grid_n = 1024" in lines and "# aperture_factor = 40.0" in lines
+    rows = [line.split(",") for line in lines[lines.index(
+        "parameter,conditional_pc,oracle_pc,throughput,flag") + 1:]]
+    assert [r[-1] for r in rows] == ["ok"] * 4
+    for row, want in zip(rows, _DEFAULT_GEOMETRY_ROWS, strict=True):
+        assert [float(v) for v in row[:-1]] == pytest.approx(want, rel=0.0, abs=1e-12)

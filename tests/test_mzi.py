@@ -95,6 +95,16 @@ def test_spp_phase_shifts_angular_spectrum():
         assert abs(inner_product_2d(oam_ring(l, 1.0, g), shifted)) < 1e-3
 
 
+@pytest.mark.parametrize("zeta", [5e307, -5e307, float("nan"), float("inf")])
+def test_spp_phase_rejects_a_zeta_whose_phase_overflows(zeta):
+    # The phase zeta * theta runs to 2 pi zeta: 5e307 gave NaN samples and an
+    # overflow warning, with no error.
+    mode = oam_ring(1, 1.0, make_grid(16, 3.0))
+    with pytest.raises(ValueError, match=re.escape(f"zeta = {zeta} ")):
+        spp_phase(mode, zeta)
+    assert np.isfinite(spp_phase(mode, 2e307).values).all()  # 2 pi zeta is finite
+
+
 def test_circular_aperture_masks_and_renormalizes():
     # The disc weight of the circular aperture against the factors clipped to
     # the inscribed disc as arrays and run on the whole grid: eta is relative
@@ -199,6 +209,64 @@ def test_fast_path_matches_convolution_reference(n, aperture, circular, z,
     pc, eta = _fftconvolve_pc(source, spp, phases, geom, n)
     assert abs(fast.conditional_pc - pc) <= 1e-13
     assert abs(fast.throughput_eta - eta) <= 1e-13
+
+
+def _hankel_sandwich_pc(source, spp, alphas, geom, grid_n):
+    """The fast path's sums by two-sided Hankel sandwiches H B H, each H
+    applied to the rows by 1-D real FFTs of the band-cut kernel: the form
+    the spectral sum replaced, and its reference.  Returns (P_c, eta) per
+    alpha_plus."""
+    w = source.spot_size
+    grid = make_grid(grid_n, geom.aperture_factor * w)
+    mask = mzi_module._disc(grid) if geom.circular else np.ones((grid_n, grid_n))
+    band = min(grid_n - 1, int(mzi_module._TAP_CUTOFF * w / grid.spacing))
+    fft_len = mzi_module._fft_size(grid_n + band)
+    taps = np.arange(-band, band + 1) * grid.spacing
+    spectrum = np.fft.rfft(np.exp(-taps ** 2 / (2.0 * w ** 2)), fft_len)
+
+    def rows(a):  # a H, with H[i, k] = g(x_i + x_k)
+        full = np.fft.irfft(np.fft.rfft(a[:, ::-1], fft_len, axis=1) * spectrum, fft_len, axis=1)
+        return full[:, band:band + grid_n]
+
+    def sandwich(b):  # H b H
+        return rows(np.ascontiguousarray(rows(b).T)).T
+
+    c = sandwich(mask)
+    tot = np.sum(mask * c)
+    out = []
+    for alpha in alphas:
+        envelope = sine_envelope(grid, spp.zeta, alpha) * mask
+        num = np.sum(envelope * sandwich(envelope[:, ::-1]))
+        den = np.sum(envelope ** 2 * c)
+        out.append(((1.0 - num / den) / 2.0, den / tot))
+    return out
+
+
+@pytest.mark.parametrize("n,circular,cropped", [(1024, True, True), (1024, False, True),
+                                                (8, False, False)],
+                         ids=["scan-disc", "scan-square", "uncropped-square"])
+def test_fast_path_matches_hankel_sandwich_at_the_scan_geometry(n, circular, cropped):
+    # The scan's own geometry (aperture 40), where the spectral sum keeps a
+    # small block of the kernel's frequencies, and n = 8 on the square, where
+    # it keeps all of them, the ky = L/2 column included.
+    # Both the per-call path (one envelope) and an alpha_plus sweep's 2 x 2
+    # Grams are checked.
+    source = GaussianBeamParams(1.0, 1.0, 2.0)
+    geom = MziGeometry(1.0, 1.0, aperture_factor=40.0, circular=circular)
+    geo = mzi_module._source_geometry(source, geom, n)
+    if cropped:
+        assert 4 * geo.kx.size < geo.fft_len
+    else:
+        assert geo.kx.size == geo.fft_len
+    spp, alphas = SppParams(1.7), [0.4, 2.0]
+    reference = _hankel_sandwich_pc(source, spp, alphas, geom, n)
+    sweep = mzi_module._thin_crystal_fast(geo, spp, alphas)
+    for alpha, (pc, eta), (j, kept) in zip(alphas, reference, sweep):
+        single = mzi_coincidence(source, spp, MziPhases(alpha), geom, grid_n=n)
+        assert abs(single.conditional_pc - pc) <= 1e-13
+        assert abs(single.throughput_eta - eta) <= 1e-13
+        assert abs((1.0 - j / kept) / 2.0 - pc) <= 1e-13
+        assert abs(kept / geo.tot - eta) <= 1e-13
 
 
 def test_fast_path_matches_generic_low_rank():

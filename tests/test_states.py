@@ -362,6 +362,13 @@ def test_truncate_is_exact_under_power_of_two_scaling(weights, k, rank_tol):
     assert 0.0 <= err <= rank_tol
 
 
+@pytest.mark.parametrize("weights", [[1.0, np.nan, 0.5], [np.nan]])
+def test_truncate_rejects_weights_whose_error_is_not_finite(weights):
+    # A NaN weight made the truncation error NaN, which was returned as if valid.
+    with pytest.raises(ValueError, match="truncation error of nan"):
+        states._truncate(np.array(weights), 1e-6, None)
+
+
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
 @pytest.mark.parametrize("aperture", [6.0, 12.0, 40.0])
 def test_thin_crystal_uses_the_leading_vectors_at_unit_quadrature_norm(n, aperture):
