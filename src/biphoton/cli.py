@@ -282,6 +282,11 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateInterferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError as exc:  # numpy refuses the array before touching memory
+        sizes = " or ".join(key for key in ("grid_n", "steps")
+                            if args.command in _KEYS[key].commands)
+        print(f"error: {sizes} too large: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

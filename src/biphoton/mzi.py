@@ -193,23 +193,27 @@ def _fft_size(m: int) -> int:
 @dataclass(frozen=True, eq=False)
 class _FastGeometry:
     """The parts of the thin-crystal fast path that do not depend on zeta or
-    alpha_plus; every array is read-only."""
+    alpha_plus.  Arrays over the grid are kept on the quadrant x > 0, y > 0
+    alone, which the other three mirror (see _thin_crystal_fast); every
+    array is read-only."""
 
-    mask: np.ndarray     # aperture, bool: cached, so 1 byte a sample
-    azimuth: np.ndarray
-    fft_len: int         # L: zero-padded transform length per axis
-    kx: np.ndarray       # kept frequencies along axis 0, as indices mod L
-    mirror: np.ndarray   # position of -kx in kx
-    weight: np.ndarray   # (kept ky, len(kx)) weights of the spectral num
-    c: np.ndarray        # H mask H
-    tot: float           # sum(mask * C)
+    mask: np.ndarray      # aperture on the quadrant, bool: 1 byte a sample
+    azimuth: np.ndarray   # theta_1 in (0, pi / 2) on the quadrant
+    fft_len: int          # L: zero-padded transform length per axis
+    kx: np.ndarray        # kept frequencies along axis 0, as indices mod L
+    mirror: np.ndarray    # position of -kx in kx
+    weight: np.ndarray    # (kept ky, len(kx)) weights of the spectral num
+    y_mirror: np.ndarray  # (kept ky, 1): e^{2 pi i ky / L}
+    c: np.ndarray         # H mask H on the quadrant
+    tot: float            # sum(mask * C) over the whole grid
 
-    def spectrum(self, b: np.ndarray) -> np.ndarray:
-        """The kept block of the L x L DFT of b zero-padded, transposed: rows
-        ky = 0 .. weight.shape[0] - 1, columns kx.  The FFT along x runs over
-        contiguous rows, which is faster than transforming along axis 0."""
-        cols = np.fft.rfft(b, self.fft_len, axis=1)[:, :self.weight.shape[0]]
-        return np.fft.fft(np.ascontiguousarray(cols.T), self.fft_len, axis=1)[:, self.kx]
+    def spectrum(self, rows: np.ndarray) -> np.ndarray:
+        """The kept block of the L x L DFT of a whole envelope, from the
+        (kept ky, n / 2) y-spectra of its rows at x < 0 and at x > 0, each
+        in the quadrant's order: rows ky, columns kx.  The FFT along x runs
+        over contiguous rows, which is faster than along axis 0."""
+        cols = np.concatenate([rows[0][:, ::-1], rows[1]], axis=1)
+        return np.fft.fft(cols, self.fft_len, axis=1)[:, self.kx]
 
 
 @lru_cache(maxsize=4)
@@ -220,7 +224,7 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
                       "correlation width; results will be aperture-dominated",
                       stacklevel=4)
     grid = make_grid(n, aperture_factor * w)
-    mask = _disc(grid).astype(bool) if circular else np.ones((n, n), bool)
+    mask = _disc(grid) if circular else np.ones((n, n))
     h = grid.spacing
     band = min(n - 1, int(_TAP_CUTOFF * w / h))
     fft_len = _fft_size(n + band)
@@ -229,9 +233,8 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     taps[offsets % fft_len] = np.exp(-(offsets * h) ** 2 / (2.0 * w ** 2))
     g_hat = np.fft.fft(taps).real  # the taps are even, so their spectrum is real
     # C = H M H = g * (M reversed on both axes), cut to the first n x n outputs
-    c = np.ascontiguousarray(np.fft.irfft2(
-        np.fft.rfft2(mask[::-1, ::-1].astype(float), (fft_len, fft_len))
-        * np.outer(g_hat, g_hat[:fft_len // 2 + 1]), (fft_len, fft_len))[:n, :n])
+    c = np.fft.irfft2(np.fft.rfft2(mask[::-1, ::-1], (fft_len, fft_len))
+                      * np.outer(g_hat, g_hat[:fft_len // 2 + 1]), (fft_len, fft_len))[:n, :n]
     cut = math.ceil(math.sqrt(-2.0 * math.log(_SPECTRUM_CUTOFF)) * fft_len * h
                     / (2.0 * math.pi * w))
     kx = np.arange(-cut, cut + 1) % fft_len if 2 * cut + 1 < fft_len else np.arange(fft_len)
@@ -242,11 +245,16 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     doubled = np.where((ky == 0) | (2 * ky == fft_len), 1.0, 2.0)
     shift = np.exp(-2j * np.pi * (kx * (n - 1) % fft_len) / fft_len)
     weight = np.outer(doubled * g_hat[ky], g_hat[kx] * shift) / fft_len ** 2
-    theta = azimuth(grid)
-    for arr in (mask, theta, kx, weight, c):
+    half = n // 2
+    axis = grid.axis[half:]
+    quadrant_mask = mask[half:, half:].astype(bool)
+    theta = np.arctan2(axis[None, :], axis[:, None])  # azimuth(grid)[half:, half:]
+    y_mirror = np.exp(2j * np.pi * ky / fft_len)[:, None]
+    quadrant_c = np.ascontiguousarray(c[half:, half:])
+    for arr in (quadrant_mask, theta, kx, weight, y_mirror, quadrant_c):
         arr.setflags(write=False)
-    return _FastGeometry(mask, theta, fft_len, kx, position[-kx % fft_len], weight, c,
-                         float(np.sum(mask * c)))
+    return _FastGeometry(quadrant_mask, theta, fft_len, kx, position[-kx % fft_len], weight,
+                         y_mirror, quadrant_c, float(np.sum(mask * c)))
 
 
 def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int) -> _FastGeometry:
@@ -254,6 +262,63 @@ def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int)
     if not (geom.z1 == geom.z2 == source.z):
         raise ValueError("thin-crystal source requires z1 == z2 == source.z")
     return _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
+
+
+def _quadrant_coefficients(zeta: float, cos_a: float, sin_a: float) -> np.ndarray:
+    """(p_k, r_k) per quadrant k, with sin[zeta (theta - pi) + alpha] =
+    p_k sin(zeta theta_1) + r_k cos(zeta theta_1) on quadrant k = 0..3 (x > 0,
+    y > 0; x < 0, y > 0; x < 0, y < 0; x > 0, y < 0) for (cos_a, sin_a) =
+    (cos alpha, sin alpha); see _thin_crystal_fast."""
+    cz, sz = math.cos(zeta * math.pi), math.sin(zeta * math.pi)
+    # cos and sin of alpha + gamma at gamma = -zeta pi and at gamma = +zeta pi
+    c0, s0 = cos_a * cz + sin_a * sz, sin_a * cz - cos_a * sz
+    c3, s3 = cos_a * cz - sin_a * sz, sin_a * cz + cos_a * sz
+    return np.array([[c0, s0], [-cos_a, sin_a], [cos_a, sin_a], [-c3, s3]])
+
+
+def _fold(geo: _FastGeometry, zeta: float, basis: list[tuple[float, float]],
+          map_) -> tuple[np.ndarray, np.ndarray]:
+    """Per basis vector v = (cos alpha, sin alpha), the (kept ky, n / 2)
+    y-spectra of the envelope's rows at x < 0 and at x > 0, stacked
+    (len(basis), 2, kept ky, n / 2), and the Gram D of the envelopes; see
+    _thin_crystal_fast.  The four half-row spectra die on return, before the
+    FFTs along x: held through them, they raised a row's peak memory past
+    what the allocator keeps, and at n = 256 every row faulted its pages in
+    afresh."""
+    # The kept ky of the half-row spectra of s and c, (ky, x), then those of
+    # their mirrors in y.
+    halves = np.empty((4, geo.weight.shape[0], geo.mask.shape[1]), complex)
+
+    def enveloped(k, trig):
+        b = np.multiply(geo.azimuth, zeta)
+        trig(b, out=b)
+        b *= geo.mask
+        halves[k] = np.fft.rfft(b, geo.fft_len, axis=1)[:, :halves.shape[1]].T
+        np.conjugate(halves[k], out=halves[k + 2])
+        halves[k + 2] *= geo.y_mirror
+        return b
+
+    def quadrant_gram(s, c):
+        # <s^2, C_1>, <s c, C_1> and <c^2, C_1>, added pairwise by np.sum: a
+        # BLAS dot drifts by ~1e-12 over 10^6 like terms
+        gram = np.empty((2, 2))
+        weighted = s * geo.c
+        gram[0, 1] = gram[1, 0] = np.sum(weighted * c)
+        weighted *= s
+        gram[0, 0] = np.sum(weighted)
+        np.multiply(c, geo.c, out=weighted)
+        weighted *= c
+        gram[1, 1] = np.sum(weighted)
+        return gram
+
+    gram = quadrant_gram(*map_(enveloped, (0, 1), (np.sin, np.cos)))
+    coef = np.array([_quadrant_coefficients(zeta, *v) for v in basis])
+    den = np.einsum("aki,ij,bkj->ab", coef, gram, coef)
+    # Per basis vector, the rows at x < 0 take quadrants 1 and 2 and those at
+    # x > 0 quadrants 0 and 3, each a real combination of the four halves.
+    rows = (coef[:, [[1, 2], [0, 3]]].reshape(-1, 4)
+            @ halves.view(float).reshape(4, -1)).view(complex).reshape(-1, 2, *halves.shape[1:])
+    return rows, den
 
 
 def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
@@ -290,41 +355,61 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     # is kept.  So a dropped frequency has ĝ(kx) ĝ(ky) <= 2 _SPECTRUM_CUTOFF
     # ĝ(0)^2, and by Cauchy-Schwarz and Parseval the dropped terms sum to at
     # most 2 _SPECTRUM_CUTOFF ĝ(0)^2 ||E||^2, while |num| is of the order of
-    # ĝ(0)^2 ||E||^2 and its roundoff of 1e-16 of that.  Each envelope then
-    # costs one rfft along y, one length-L FFT along x of the K + 1 kept
-    # columns, and one weighted sum over (2K + 1)(K + 1) terms.  M, the
-    # azimuth, the crop, its weights, C and tot depend only on the geometry
-    # and are cached.
+    # ĝ(0)^2 ||E||^2 and its roundoff of 1e-16 of that.  M, the azimuth, the
+    # crop, its weights, C and tot depend only on the geometry and are cached,
+    # M, the azimuth and C on one quadrant.
+    #
+    # The grid and the aperture are closed under x -> -x and y -> -y, so E
+    # is made on the quadrant x > 0, y > 0 alone.  There theta = theta_1 in
+    # (0, pi / 2), and quadrant k = 0..3 (x > 0, y > 0; x < 0, y > 0;
+    # x < 0, y < 0; x > 0, y < 0) has theta = theta_1, pi - theta_1,
+    # pi + theta_1, 2 pi - theta_1 at the mirrored sample.  So
+    # zeta (theta - pi) = sigma_k zeta theta_1 + gamma_k with sigma = +1, -1,
+    # +1, -1 and gamma = -zeta pi, 0, 0, +zeta pi, and on quadrant k
+    #     E_k = sigma_k cos(alpha + gamma_k) s + sin(alpha + gamma_k) c,
+    #     s = M sin(zeta theta_1),  c = M cos(zeta theta_1)
+    # (_quadrant_coefficients), so the trig runs on (n/2)^2 samples with
+    # arguments up to zeta pi / 2.  A row's y-spectrum is folded from the
+    # spectra F of the quadrant's half rows: its y > 0 half is a half row
+    # that starts at column n/2, and its y < 0 half is a half row reversed to
+    # end at column n/2 - 1, whose DFT is e^{-2 pi i ky (n/2 - 1) / L} conj(F)
+    # for a real half row.  Taking out e^{-2 pi i ky (n/2) / L}, a row is
+    #     F_k(ky) + e^{2 pi i ky / L} conj(F_k'(ky))
+    # with k, k' = 0, 3 for x > 0 and 1, 2 for x < 0.  The factor taken out
+    # depends on ky alone, and num pairs conj(Ê(kx, ky)) with Ê(-kx, ky), so
+    # it cancels.  The rows with x < 0 are the quadrant's rows reversed, and
+    # the FFT along x runs over all n rows, with its shift in the weights.
+    # C = H M H is even in x and in y, since M is and
+    # H[n-1-i, k] = g(x_k - x_i) = H[i, n-1-k].  So with C_1 = C on the
+    # quadrant, den = sum_k sum(E_k^2 * C_1) needs only the three quadrant
+    # sums of s^2 C_1, s c C_1 and c^2 C_1.  Per zeta: a sine and a cosine on
+    # the quadrant, one rfft along y of the n/2 rows of s and of c, and those
+    # three sums; per envelope: two real combinations of the four
+    # (K + 1) x n/2 half-row spectra (one matmul for all envelopes, in _fold),
+    # the row reversal, one length-L FFT along x of the K + 1 columns, and
+    # one weighted sum over (2K + 1)(K + 1) terms.
     #
     # num and den are quadratic in E, and at fixed zeta the envelope is
-    # linear in (cos alpha, sin alpha):  E = cos alpha S + sin alpha C' with
-    # S = M sin zeta (theta - pi) and C' = M cos zeta (theta - pi).  So for an
-    # envelope basis B, every alpha reads num = v^T N v and den = v^T D v off
-    # the Grams N[a, b] = sum(B_a * (g * B_b reflected in x)) and
-    # D[a, b] = sum(B_a * B_b * C), both symmetric.  One alpha takes B = [E],
-    # v = [1], one sine and one spectrum (the per-call cost); several take
-    # B = [S, C'], a sine and a cosine and two spectra (mapped by map_) for
-    # the whole sweep.  Each alpha gives (num, den), the j and kept of
-    # _result; its total is geo.tot.
+    # linear in v = (cos alpha, sin alpha).  So for envelopes E_a of basis
+    # vectors v_a, every alpha reads num = v^T N v and den = v^T D v off the
+    # Grams N[a, b] = sum(E_a * (g * E_b reflected in x)) and
+    # D[a, b] = sum(E_a * E_b * C), both symmetric.  One alpha takes the one
+    # basis vector (cos alpha, sin alpha) and v = [1] (the per-call cost);
+    # several take (1, 0) and (0, 1), with the sine and the cosine, then the
+    # two envelopes, mapped by map_, for the whole sweep.  Each alpha gives
+    # (num, den), the j and kept of _result; its total is geo.tot.
     if len(alphas) == 1:
-        trigs = [lambda: _sine(geo.azimuth, spp.zeta, alphas[0])]
+        basis = [(math.cos(alphas[0]), math.sin(alphas[0]))]
         weights = np.ones((1, 1))
     else:
-        phase = spp.zeta * (geo.azimuth - np.pi)
-        trigs = [lambda: np.sin(phase), lambda: np.cos(phase)]
+        basis = [(1.0, 0.0), (0.0, 1.0)]
         weights = np.column_stack([np.cos(alphas), np.sin(alphas)])
-
-    def enveloped(trig):
-        b = trig()
-        b *= geo.mask
-        return b, geo.spectrum(b)
-
-    basis, spectra = zip(*map_(enveloped, trigs))
+    rows, den = _fold(geo, spp.zeta, basis, map_)
+    spectra = list(map_(geo.spectrum, rows))
     upper = np.triu_indices(len(basis))
-    num, den = np.empty((len(basis),) * 2), np.empty((len(basis),) * 2)
+    num = np.empty((len(basis),) * 2)
     num[upper] = num[upper[::-1]] = [
         np.vdot(spectra[a], geo.weight * spectra[b][:, geo.mirror]).real for a, b in zip(*upper)]
-    den[upper] = den[upper[::-1]] = [np.vdot(basis[a] * basis[b], geo.c) for a, b in zip(*upper)]
     return [(float(v @ num @ v), float(v @ den @ v)) for v in weights]
 
 

@@ -350,6 +350,20 @@ def test_scan_that_overflows_is_config_error(argv, message, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["pc", "--state", "bell:psi-minus", "--grid-n", "100000000000000000"], "grid_n too large"),
+    (["scan", "--grid-n", "16", "--steps", "100000000000000"], "grid_n or steps too large"),
+], ids=["pc-grid-n", "scan-steps"])
+def test_size_numpy_cannot_allocate_is_config_error(argv, message, tmp_path, monkeypatch,
+                                                    capsys):
+    # These ended in a numpy MemoryError traceback with exit 1.  numpy refuses
+    # an array this large before it touches any memory.
+    monkeypatch.chdir(tmp_path)  # where a scan would write its default scan.csv
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {message}: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("state", [["bell:psi-minus"], ["product", "--l1", "2", "--l2", "-1"]],
                          ids=["bell", "product"])
 @pytest.mark.parametrize("w0", ["1e-150", "1e-100", "1e100", "1e150"])

@@ -269,6 +269,67 @@ def test_fast_path_matches_hankel_sandwich_at_the_scan_geometry(n, circular, cro
         assert abs(kept / geo.tot - eta) <= 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 10, 64, 256]), circular=st.booleans(),
+       zeta=st.floats(0.0, 8.0), alpha=st.floats(0.0, np.pi))
+@example(n=64, circular=True, zeta=0.0, alpha=0.3)
+@example(n=64, circular=False, zeta=0.5, alpha=1.2)
+@example(n=10, circular=True, zeta=1.0, alpha=0.0)
+@example(n=256, circular=False, zeta=2.0, alpha=np.pi / 2)
+@example(n=8, circular=True, zeta=4.0, alpha=np.pi)
+def test_quadrant_coefficients_rebuild_the_envelope(n, circular, zeta, alpha):
+    # The fast path evaluates s = M sin(zeta theta_1) and c = M cos(zeta
+    # theta_1) on the quadrant x > 0, y > 0 only.  Mirrored into each
+    # quadrant with that quadrant's coefficients, they must give the masked
+    # envelope on the whole grid.
+    geo = mzi_module._fast_geometry(n, 40.0, circular, 1.0)
+    s = geo.mask * np.sin(zeta * geo.azimuth)
+    c = geo.mask * np.cos(zeta * geo.azimuth)
+    coef = mzi_module._quadrant_coefficients(zeta, np.cos(alpha), np.sin(alpha))
+    half = n // 2
+    up, down = slice(half, None), slice(half - 1, None, -1)  # x or y > 0, < 0
+    envelope = np.empty((n, n))
+    for (rows, cols), (p, r) in zip([(up, up), (down, up), (down, down), (up, down)], coef):
+        envelope[rows, cols] = p * s + r * c
+    grid = make_grid(n, 40.0)
+    mask = mzi_module._disc(grid) if circular else 1.0
+    assert np.max(np.abs(envelope - sine_envelope(grid, zeta, alpha) * mask)) <= 1e-13
+
+
+@pytest.mark.parametrize("circular", [True, False], ids=["disc", "square"])
+@pytest.mark.parametrize("zeta", [0.5, 2.0, 2.5, 4.0])
+def test_quadrant_fold_matches_hankel_sandwich(zeta, circular):
+    # At these zeta, cos(zeta pi) or sin(zeta pi) is 0 or +-1, where a wrong
+    # sign or a swapped pair in the quadrant map would cancel or double a
+    # quadrant.  Per call (one envelope) and for an alpha_plus sweep (two).
+    source = GaussianBeamParams(1.0, 1.0, 2.0)
+    geom = MziGeometry(1.0, 1.0, aperture_factor=40.0, circular=circular)
+    geo = mzi_module._source_geometry(source, geom, 256)
+    spp, alphas = SppParams(zeta), [0.0, 0.4, 2.0]
+    reference = _hankel_sandwich_pc(source, spp, alphas, geom, 256)
+    sweep = mzi_module._thin_crystal_fast(geo, spp, alphas)
+    for alpha, (pc, eta), (j, kept) in zip(alphas, reference, sweep):
+        single = mzi_coincidence(source, spp, MziPhases(alpha), geom, grid_n=256)
+        assert abs(single.conditional_pc - pc) <= 1e-13
+        assert abs(single.throughput_eta - eta) <= 1e-13
+        assert abs((1.0 - j / kept) / 2.0 - pc) <= 1e-13
+        assert abs(kept / geo.tot - eta) <= 1e-13
+
+
+@pytest.mark.parametrize("circular", [True, False], ids=["disc", "square"])
+def test_flat_envelope_gives_exact_coalescence_and_throughput(circular):
+    # At zeta = 0 the envelope is sin(alpha_plus) on the whole aperture, so
+    # num = den and eta = sin^2(alpha_plus) exactly: the thin-crystal state is
+    # symmetric.  A BLAS dot over the grid drifts by ~2e-13 here (n = 1024,
+    # square), so den must be added pairwise.
+    source = GaussianBeamParams(1.0, 1.0, 2.0)
+    geom = MziGeometry(1.0, 1.0, circular=circular)
+    for alpha in (0.7, 1.3):
+        result = mzi_coincidence(source, SppParams(0.0), MziPhases(alpha), geom, grid_n=1024)
+        assert abs(result.conditional_pc) <= 1e-14
+        assert abs(result.throughput_eta - np.sin(alpha) ** 2) <= 1e-15
+
+
 def test_fast_path_matches_generic_low_rank():
     # the generic path: low-rank thin-crystal state propagated through the
     # interferometer against the dedicated convolution path
@@ -543,6 +604,13 @@ def test_alpha_sweep_rows_match_per_point_calls(zeta):
         assert row.oracle_pc == delta_limit_oracle(spp, phases)
     if zeta == 0.0:  # the envelope vanishes at alpha_plus = 0 and pi
         assert [r.flag for r in result.rows].count("degenerate") == 2
+
+
+@pytest.mark.parametrize("zeta", [2.0, 4.0])
+def test_alpha_sweep_rows_match_per_point_calls_at_even_zeta(zeta):
+    # cos(zeta pi) = 1 and sin(zeta pi) = 0: the quadrants x > 0 take the
+    # phase offsets -+zeta pi, which leave the coefficients unchanged here.
+    test_alpha_sweep_rows_match_per_point_calls(zeta)
 
 
 def test_zeta_sweep_rows_match_per_point_calls():
