@@ -20,7 +20,7 @@ from .errors import DegenerateInterferenceError
 from .grids import make_grid
 from .interference import beamsplitter_output
 from .mzi import MziGeometry, MziPhases, ScanResult, SppParams, scan
-from .states import (GaussianBeamParams, PumpMode, SpdcParams, bell_state,
+from .states import (_BELL_KINDS, GaussianBeamParams, PumpMode, SpdcParams, bell_state,
                      oam_ring, product_state, spdc_state, thin_crystal_gaussian)
 
 EXIT_OK = 0
@@ -52,8 +52,7 @@ class _Key(NamedTuple):
 # read.
 _KEYS = {
     "state": _Key(str, None, "two-photon state", _PC, (
-        "bell:psi-plus", "bell:psi-minus", "bell:phi-plus", "bell:phi-minus",
-        "product", "spdc", "thin-crystal")),
+        *("bell:" + kind for kind in _BELL_KINDS), "product", "spdc", "thin-crystal")),
     "l": _Key(int, 1, "OAM index for Bell states", _PC, states=("bell",)),
     "l1": _Key(int, 1, "OAM index of photon 1 (product state)", _PC, states=("product",)),
     "l2": _Key(int, 1, "OAM index of photon 2 (product state)", _PC, states=("product",)),

@@ -120,7 +120,13 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
 
     def phase(z: float) -> np.ndarray:
         # exp(i k z) e(q_x) e(q_y) with e(q) = exp(-i q^2 z / (2k)), per axis
-        e = np.exp(-1j * q2 * z / (2.0 * k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            chirp = -1j * q2 * z / (2.0 * k)
+        if not (math.isfinite(k * z) and np.isfinite(chirp).all()):
+            raise ValueError(f"z = {z} and k = {k} on a grid of half-width "
+                             f"{amp.grid.half_width} do not give a finite Fresnel phase "
+                             "k z - |q|^2 z / (2k)")
+        e = np.exp(chirp)
         return np.outer(np.exp(1j * k * z) * e, e)
 
     return replace(amp, photon1=amp.photon1 * phase(z1), photon2=amp.photon2 * phase(z2))
@@ -204,8 +210,8 @@ class _FastGeometry:
     mirror: np.ndarray    # position of -kx in kx
     weight: np.ndarray    # (kept ky, len(kx)) weights of the spectral num
     y_mirror: np.ndarray  # (kept ky, 1): e^{2 pi i ky / L}
-    c: np.ndarray         # H mask H on the quadrant
-    tot: float            # sum(mask * C) over the whole grid
+    c: np.ndarray         # C_1: C = H M H on the quadrant
+    tot: float            # sum(M * C) over the whole grid: 4 sum(M_1 C_1)
 
     def spectrum(self, rows: np.ndarray) -> np.ndarray:
         """The kept block of the L x L DFT of a whole envelope, from the
@@ -224,7 +230,9 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
                       "correlation width; results will be aperture-dominated",
                       stacklevel=4)
     grid = make_grid(n, aperture_factor * w)
-    mask = _disc(grid) if circular else np.ones((n, n))
+    half = n // 2
+    # _disc for the square too: its n^2 temporaries lift glibc's mmap threshold; rows don't fault
+    mask = _disc(grid)[half:, half:].astype(bool) | (not circular)
     h = grid.spacing
     band = min(n - 1, int(_TAP_CUTOFF * w / h))
     fft_len = _fft_size(n + band)
@@ -232,9 +240,11 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     offsets = np.arange(-band, band + 1)
     taps[offsets % fft_len] = np.exp(-(offsets * h) ** 2 / (2.0 * w ** 2))
     g_hat = np.fft.fft(taps).real  # the taps are even, so their spectrum is real
-    # C = H M H = g * (M reversed on both axes), cut to the first n x n outputs
-    c = np.fft.irfft2(np.fft.rfft2(mask[::-1, ::-1], (fft_len, fft_len))
-                      * np.outer(g_hat, g_hat[:fft_len // 2 + 1]), (fft_len, fft_len))[:n, :n]
+    # C_1 = A M_1 A with the folded Hankel A[i, k] = g(x_i + x_k) + g(x_i - x_k)
+    # on the quadrant, where x_i = (i + 1/2) h
+    i = np.arange(half)
+    fold = taps[i[:, None] + i + 1] + taps[(i[:, None] - i) % fft_len]
+    c = fold @ mask @ fold
     cut = math.ceil(math.sqrt(-2.0 * math.log(_SPECTRUM_CUTOFF)) * fft_len * h
                     / (2.0 * math.pi * w))
     kx = np.arange(-cut, cut + 1) % fft_len if 2 * cut + 1 < fft_len else np.arange(fft_len)
@@ -245,16 +255,14 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     doubled = np.where((ky == 0) | (2 * ky == fft_len), 1.0, 2.0)
     shift = np.exp(-2j * np.pi * (kx * (n - 1) % fft_len) / fft_len)
     weight = np.outer(doubled * g_hat[ky], g_hat[kx] * shift) / fft_len ** 2
-    half = n // 2
     axis = grid.axis[half:]
-    quadrant_mask = mask[half:, half:].astype(bool)
     theta = np.arctan2(axis[None, :], axis[:, None])  # azimuth(grid)[half:, half:]
     y_mirror = np.exp(2j * np.pi * ky / fft_len)[:, None]
-    quadrant_c = np.ascontiguousarray(c[half:, half:])
-    for arr in (quadrant_mask, theta, kx, weight, y_mirror, quadrant_c):
+    mirror = position[-kx % fft_len]
+    for arr in (mask, theta, kx, mirror, weight, y_mirror, c):
         arr.setflags(write=False)
-    return _FastGeometry(quadrant_mask, theta, fft_len, kx, position[-kx % fft_len], weight,
-                         y_mirror, quadrant_c, float(np.sum(mask * c)))
+    return _FastGeometry(mask, theta, fft_len, kx, mirror, weight, y_mirror, c,
+                         4.0 * float(np.sum(mask * c)))
 
 
 def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int) -> _FastGeometry:
@@ -331,7 +339,7 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     # with the symmetric Hankel matrix H[i, k] = g(x_i + x_k) = g((i + k -
     # (n-1)) h).  With E the masked sine envelope and M the aperture,
     #     num = sum(E * H (E reflected in y) H) = sum(E * (g * F)),
-    #     den = sum(E^2 * C),  tot = sum(M * C),  C = H M H = g * (M reversed),
+    #     den = sum(E^2 * C),  tot = sum(M * C),  C = H M H,
     # where * between g and an array is the 2-D convolution with the kernel
     # g(s_x) g(s_y) and F is E reflected in x (axis 0).
     # The kernel keeps only |s| <= _TAP_CUTOFF w.  Every row of H holds
@@ -380,7 +388,12 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     # it cancels.  The rows with x < 0 are the quadrant's rows reversed, and
     # the FFT along x runs over all n rows, with its shift in the weights.
     # C = H M H is even in x and in y, since M is and
-    # H[n-1-i, k] = g(x_k - x_i) = H[i, n-1-k].  So with C_1 = C on the
+    # H[n-1-i, k] = g(x_k - x_i) = H[i, n-1-k].  So C is built on the
+    # quadrant alone: folding the k and l of C[i, j] = sum_{k,l} H[i, k]
+    # M[k, l] H[l, j] onto x_k, y_l > 0 gives C_1 = A M_1 A with the folded
+    # Hankel A[i, k] = g(x_i + x_k) + g(x_i - x_k), x_i = (i + 1/2) h, read
+    # off the band-cut taps, and tot = 4 sum(M_1 C_1): two (n/2)^3 matrix
+    # products at build, no 2-D FFT.  With C_1 = C on the
     # quadrant, den = sum_k sum(E_k^2 * C_1) needs only the three quadrant
     # sums of s^2 C_1, s c C_1 and c^2 C_1.  Per zeta: a sine and a cosine on
     # the quadrant, one rfft along y of the n/2 rows of s and of c, and those

@@ -586,6 +586,38 @@ def test_position_representation_matches_the_unbatched_einsum(seed, rank, n, hal
         assert np.abs(got - np.einsum("ia,rab,jb->rij", k, f, k)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("form", ["arrays", "per-axis", "sectors"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 8),
+       n=st.sampled_from([8, 16, 24, 32]), pump=_PUMPS)
+def test_norm_and_sigma_overlap_survive_position_representation(form, seed, rank, n, pump):
+    # The per-axis Fourier transform is unitary and commutes with sigma, so
+    # ||Phi||^2 and J are the same in both representations, for factor arrays,
+    # per-axis factors (complex, on one shared index map) and SPDC sectors.
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 6.0)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if form == "arrays":
+        amp = TwoPhotonAmplitude(cnormal(rank), cnormal(rank, n, n), cnormal(rank, n, n), grid,
+                                 Representation.MOMENTUM)
+    elif form == "per-axis":
+        m = rng.integers(1, 5, size=2)
+        ix, iy = rng.integers(0, m[0], rank), rng.integers(0, m[1], rank)
+        axes = [amplitudes._AxisFactors(cnormal(m[0], n), cnormal(m[1], n), ix, iy)
+                for _ in range(2)]
+        amp = TwoPhotonAmplitude(cnormal(rank), None, None, grid, Representation.MOMENTUM,
+                                 _form=tuple(axes))
+    else:
+        amp = spdc_state(SpdcParams(1.0, 2.0, pump), grid)
+    nsq, _, j = amplitudes._sigma_grams(amp)
+    pos_nsq, _, pos_j = amplitudes._sigma_grams(position_representation(amp))
+    assert abs(pos_nsq - nsq) <= 1e-12 * nsq
+    assert abs(pos_j - j) <= 1e-12 * nsq
+
+
 def test_position_representation_rejects_position_input():
     rng = np.random.default_rng(7)
     amp = random_amplitude(rng, small_grid(16, 3.0),

@@ -12,12 +12,12 @@ from scipy.signal import fftconvolve
 from biphoton import amplitudes
 from biphoton import mzi as mzi_module
 from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
-                      MziGeometry, MziPhases, Representation, SppParams,
-                      TwoPhotonAmplitude,
+                      MziGeometry, MziPhases, PumpMode, Representation, SpdcParams,
+                      SppParams, TwoPhotonAmplitude,
                       azimuth, coincidence_probability, delta_limit_oracle,
                       fresnel_phase, inner_product_2d, make_grid,
                       mzi_coincidence, norm_squared, oam_ring, product_state,
-                      scan, sigma_overlap, sine_envelope, spp_phase,
+                      scan, sigma_overlap, sine_envelope, spdc_state, spp_phase,
                       thin_crystal_gaussian, to_dense)
 
 from _helpers import random_amplitude, small_grid, smooth_random_mode
@@ -74,6 +74,20 @@ def test_fresnel_phase_matches_the_meshgrid_formula(seed, rank, n, z1, z2, k, re
     for got, f, z in ((moved.photon1, amp.photon1, z1), (moved.photon2, amp.photon2, z2)):
         want = f * np.exp(1j * (k * z - q2 * z / (2.0 * k)))
         assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("z, k", [(1e300, 1e10), (1e307, 1e-5)], ids=["kz", "chirp"])
+def test_fresnel_phase_rejects_a_phase_that_overflows(z, k):
+    # k z overflows in the first geometry, q^2 z / (2k) in the second: both
+    # gave NaN factors after numpy warnings, and the MZI then raised
+    # "non-finite amplitude: squared norm nan", naming nothing the caller set.
+    amp = spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), make_grid(16, 6.0))
+    message = re.escape(f"z = {z} and k = {k} on a grid of half-width 6.0 ")
+    with pytest.raises(ValueError, match=message):
+        mzi_coincidence(amp, SppParams(1.0), MziPhases(0.3), MziGeometry(z, z, k=k))
+    for z1, z2 in ((z, 1.0), (1.0, z)):
+        with pytest.raises(ValueError, match=message):
+            fresnel_phase(amp, z1, z2, k)
 
 
 def test_fresnel_phase_rejects_position_representation():
@@ -314,6 +328,14 @@ def test_quadrant_fold_matches_hankel_sandwich(zeta, circular):
         assert abs(single.throughput_eta - eta) <= 1e-13
         assert abs((1.0 - j / kept) / 2.0 - pc) <= 1e-13
         assert abs(kept / geo.tot - eta) <= 1e-13
+
+
+def test_fast_geometry_arrays_are_read_only():
+    # The cache hands one geometry to every caller, so no caller may write
+    # into it; the index map of -kx was left writable.
+    geo = mzi_module._fast_geometry(64, 40.0, True, 1.0)
+    arrays = [value for value in vars(geo).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("circular", [True, False], ids=["disc", "square"])
