@@ -150,11 +150,9 @@ def _disc(grid: Grid) -> np.ndarray:
 
 
 def _sine(theta: np.ndarray, zeta: float, alpha_plus: float) -> np.ndarray:
-    # in place on one temporary: a fresh array per step costs page faults at n = 1024
-    phase = theta - np.pi
-    phase *= zeta
-    phase += alpha_plus
-    return np.sin(phase, out=phase)
+    # alpha_plus only through its cosine and sine, as on the fast path: a large
+    # alpha_plus added as it is would round the angular term away
+    return np.sin((theta - np.pi) * zeta + math.atan2(math.sin(alpha_plus), math.cos(alpha_plus)))
 
 
 def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
@@ -234,7 +232,8 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     # _disc for the square too: its n^2 temporaries lift glibc's mmap threshold; rows don't fault
     mask = _disc(grid)[half:, half:].astype(bool) | (not circular)
     h = grid.spacing
-    band = min(n - 1, int(_TAP_CUTOFF * w / h))
+    reach = int(_TAP_CUTOFF * w / h)
+    band = min(n - 1, reach)
     fft_len = _fft_size(n + band)
     taps = np.zeros(fft_len)
     offsets = np.arange(-band, band + 1)
@@ -245,8 +244,9 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     i = np.arange(half)
     fold = taps[i[:, None] + i + 1] + taps[(i[:, None] - i) % fft_len]
     c = fold @ mask @ fold
+    # where the grid, not _TAP_CUTOFF, ends the taps, g_hat is not a Gaussian: keep it all
     cut = math.ceil(math.sqrt(-2.0 * math.log(_SPECTRUM_CUTOFF)) * fft_len * h
-                    / (2.0 * math.pi * w))
+                    / (2.0 * math.pi * w)) if reach < n else fft_len
     kx = np.arange(-cut, cut + 1) % fft_len if 2 * cut + 1 < fft_len else np.arange(fft_len)
     ky = np.arange(min(cut, fft_len // 2) + 1)
     position = np.empty(fft_len, int)
@@ -266,9 +266,11 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
 
 
 def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int) -> _FastGeometry:
-    """The fast-path geometry of a thin-crystal source propagated z1 = z2 = source.z."""
-    if not (geom.z1 == geom.z2 == source.z):
-        raise ValueError("thin-crystal source requires z1 == z2 == source.z")
+    """The fast-path geometry of a thin-crystal source, propagated z1 = z2 = z at k = k_p / 2."""
+    if not (geom.z1 == geom.z2 == source.z and source.pump_wavenumber == 2.0 * geom.k):
+        raise ValueError(f"thin-crystal source at z = {source.z} pumped at "
+                         f"{source.pump_wavenumber} requires z1 == z2 == z and k = "
+                         f"pump_wavenumber / 2, got z1 = {geom.z1}, z2 = {geom.z2}, k = {geom.k}")
     return _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
 
 
@@ -358,11 +360,14 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     #     K = ceil(sqrt(2 ln(1 / _SPECTRUM_CUTOFF)) L h / (2 pi w)),
     # and only |kx|, ky <= K are kept (K = 127 of L/2 = 576 at n = 1024,
     # aperture 40; K hardly depends on n).  The crop is active only when
-    # 2K + 1 < L, i.e. h < 0.36 w, where the nearest aliased image of the
-    # Gaussian in ĝ is below the same bound; on coarser grids every frequency
-    # is kept.  So a dropped frequency has ĝ(kx) ĝ(ky) <= 2 _SPECTRUM_CUTOFF
-    # ĝ(0)^2, and by Cauchy-Schwarz and Parseval the dropped terms sum to at
-    # most 2 _SPECTRUM_CUTOFF ĝ(0)^2 ||E||^2, while |num| is of the order of
+    # the grid holds the whole kernel, int(_TAP_CUTOFF w / h) < n (an aperture
+    # factor above about 4.6), so that ĝ is the spectrum of the Gaussian taps
+    # and not of taps the grid cut short, and when 2K + 1 < L, i.e.
+    # h < 0.36 w, where the nearest aliased image of the Gaussian in ĝ is
+    # below the same bound; otherwise every frequency is kept.  So a dropped
+    # frequency has ĝ(kx) ĝ(ky) <= 2 _SPECTRUM_CUTOFF ĝ(0)^2, and by
+    # Cauchy-Schwarz and Parseval the dropped terms sum to at most
+    # 2 _SPECTRUM_CUTOFF ĝ(0)^2 ||E||^2, while |num| is of the order of
     # ĝ(0)^2 ||E||^2 and its roundoff of 1e-16 of that.  M, the azimuth, the
     # crop, its weights, C and tot depend only on the geometry and are cached,
     # M, the azimuth and C on one quadrant.
@@ -483,7 +488,9 @@ def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
     """
     theta = (np.arange(_ORACLE_NODES) + 0.5) * 2.0 * np.pi / _ORACLE_NODES
     s = _sine(theta, spp.zeta, phases.alpha_plus)
-    s_ref = _sine(np.mod(np.pi - theta, 2.0 * np.pi), spp.zeta, phases.alpha_plus)
+    # the nodes are closed under theta -> (pi - theta) mod 2 pi, which takes
+    # node j to node (N/2 - 1 - j) mod N
+    s_ref = np.roll(s[::-1], _ORACLE_NODES // 2)
     return _result(float(np.sum(s * s_ref)), float(np.sum(s * s)), _ORACLE_NODES, spp,
                     phases).conditional_pc
 

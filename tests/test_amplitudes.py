@@ -692,3 +692,21 @@ def test_high_rank_per_axis_state_reports_but_never_expands():
     for name, expand in refused.items():
         with pytest.raises(TruncationError, match=f"cap of {amplitudes._MAX_EXPANDED_RANK}"):
             expand()
+
+
+def test_sigma_overlap_passes_a_random_rank_1024_amplitude():
+    # The Im J check is 1e-10 ||Phi'||^2 at every rank.  Random complex
+    # factors at rank 64, 256 and 1024 read |Im J| / ||Phi||^2 of 1e-18 or
+    # less, so the bound needs no scaling with the rank.
+    rng = np.random.default_rng(1024)
+    rank, grid = 1024, make_grid(32, 4.0)
+
+    def factors():
+        return rng.normal(size=(rank, 32, 32)) + 1j * rng.normal(size=(rank, 32, 32))
+
+    amp = normalize(TwoPhotonAmplitude(rng.normal(size=rank) + 1j * rng.normal(size=rank),
+                                       factors(), factors(), grid, Representation.MOMENTUM))
+    assert amp.rank == rank
+    assert -1.0 <= sigma_overlap(amp) <= 1.0
+    nsq, _, j = amplitudes._norms_and_overlap(amp, None, None)
+    assert abs(j.imag) <= 1e-15 * nsq

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -518,6 +520,61 @@ def test_pc_and_classify_never_print_a_wrong_number(argv):
         odd_y = pump != "g00" and int(pump.split(",")[1]) % 2 == 1
         weight = float(re.search(r"^antisymmetric_weight = (\S+)$", text, re.M).group(1))
         assert abs(weight - odd_y) <= 1e-4, text
+
+
+# One value in four negative: most keys must be positive, and exit 0 is rarer.
+_SIGNED = st.builds(lambda v, sign: sign + v, _VALUES, st.sampled_from(["", "", "", "-"]))
+
+
+@st.composite
+def _scan_argv(draw):
+    """A scan argv at a small grid, with values of either sign as --key=value."""
+    argv = ["scan", "--grid-n", draw(st.sampled_from(["8", "10", "16", "32"])),
+            "--steps", str(draw(st.integers(2, 4)))]
+    for key in ("w0", "z", "k", "aperture-factor", "zeta", "alpha-plus"):
+        if draw(st.booleans()):
+            argv.append(f"--{key}={draw(_SIGNED)}")
+    if draw(st.booleans()):
+        argv.append(f"--range={draw(_SIGNED)},{draw(_SIGNED)}")
+    if draw(st.booleans()):
+        argv += ["--parameter", draw(st.sampled_from(["zeta", "alpha_plus"]))]
+    if draw(st.booleans()):
+        argv.append("--square-aperture")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_scan_argv())
+# Below an aperture factor of about 4.6 the fast path cropped a spectrum that
+# is no Gaussian there; this one printed P_c = -0.000514811184289 flagged ok.
+@example(argv=["scan", "--grid-n", "16", "--steps", "2", "--aperture-factor=1e-150",
+               "--zeta=0", "--parameter", "alpha_plus"])
+def test_scan_never_prints_a_wrong_number(argv):
+    # Any argv exits 0, 2 or 3 with no numpy warning.  With exit 0 every ok
+    # row holds finite probabilities in [0, 1] and a throughput in (0, 1],
+    # and every degenerate row holds nan.  The aperture-below-4 UserWarning
+    # is intended.
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "aperture_factor below 4", UserWarning)
+        path = os.path.join(tmp, "scan.csv")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", path])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DEGENERATE), err.getvalue()
+        if code == EXIT_CONFIG:
+            return
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()
+                    if not line.startswith("#")][1:]
+    assert len(rows) == int(argv[argv.index("--steps") + 1])
+    for row in rows:
+        pc, oracle, eta = map(float, row[1:4])
+        if row[4] == "ok":
+            assert -1e-12 <= pc <= 1.0 + 1e-12 and -1e-12 <= oracle <= 1.0 + 1e-12, row
+            assert 0.0 < eta <= 1.0 + 1e-12, row
+        else:
+            assert row[4] == "degenerate" and np.isnan([pc, oracle, eta]).all(), row
+    assert (code == EXIT_DEGENERATE) == all(row[4] == "degenerate" for row in rows)
 
 
 def test_non_finite_config_file_value(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import math
 import re
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -225,6 +227,25 @@ def test_fast_path_matches_convolution_reference(n, aperture, circular, z,
     assert abs(fast.throughput_eta - eta) <= 1e-13
 
 
+# Below an aperture factor of about 4.6 the grid, not _TAP_CUTOFF, ends the
+# kernel's taps: their spectrum is then no Gaussian, and the fast path must keep
+# every frequency (the crop was off by 1e-2 at aperture 1e-3).
+@pytest.mark.filterwarnings("ignore:aperture_factor below 4:UserWarning")
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("aperture", [1e-3, 0.5, 1.0, 2.0, 3.0])
+def test_fast_path_matches_convolution_reference_below_aperture_4(aperture, n):
+    source = GaussianBeamParams(1.0, 1.0, 2.0)
+    for circular, zeta, alpha in ((True, 1.0, 0.0), (False, 1.7, 0.4)):
+        geom = MziGeometry(1.0, 1.0, aperture_factor=aperture, circular=circular)
+        spp, phases = SppParams(zeta), MziPhases(alpha)
+        fast = mzi_coincidence(source, spp, phases, geom, grid_n=n)
+        pc, eta = _fftconvolve_pc(source, spp, phases, geom, n)
+        assert abs(fast.conditional_pc - pc) <= 1e-13
+        assert abs(fast.throughput_eta - eta) <= 1e-13
+        geo = mzi_module._source_geometry(source, geom, n)
+        assert geo.kx.size == geo.fft_len
+
+
 def _hankel_sandwich_pc(source, spp, alphas, geom, grid_n):
     """The fast path's sums by two-sided Hankel sandwiches H B H, each H
     applied to the rows by 1-D real FFTs of the band-cut kernel: the form
@@ -431,6 +452,37 @@ def test_separable_generic_matches_fast_path(n, aperture, circular, w0, z_over_z
     assert abs(generic.throughput_eta - fast.throughput_eta) <= 1e-9
 
 
+@lru_cache(maxsize=1)
+def _thin_crystal_amplitude_64():
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    return thin_crystal_gaussian(beam, make_grid(64, 6.0 * beam.spot_size), rank_tol=_TIGHT)
+
+
+@settings(max_examples=20, deadline=None)
+@given(zeta=st.floats(0.25, 4.0),
+       alpha=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)))
+@example(zeta=1.5, alpha=1e12)
+@example(zeta=1.5, alpha=1e17)
+@example(zeta=0.25, alpha=1e300)
+def test_alpha_plus_enters_every_path_through_its_cosine_and_sine(zeta, alpha):
+    # alpha_plus added to zeta (theta - pi) as it is rounds the angular term
+    # away when large (the generic path read P_c 0 for 0.578 at 1e17); every
+    # path must read the angle atan2(sin, cos) that the fast path's (cos
+    # alpha_plus, sin alpha_plus) implies.
+    spp, reduced = SppParams(zeta), math.atan2(math.sin(alpha), math.cos(alpha))
+    oracle = delta_limit_oracle(spp, MziPhases(alpha))
+    assert abs(oracle - delta_limit_oracle(spp, MziPhases(reduced))) <= 1e-12
+    source = GaussianBeamParams(1.0, 1.0, 2.0)
+    geom = MziGeometry(1.0, 1.0, aperture_factor=6.0)
+    fast, fast_reduced = (mzi_coincidence(source, spp, MziPhases(a), geom, grid_n=64)
+                          for a in (alpha, reduced))
+    assert abs(fast.conditional_pc - fast_reduced.conditional_pc) <= 1e-12
+    assert abs(fast.throughput_eta - fast_reduced.throughput_eta) <= 1e-12
+    generic = mzi_coincidence(_thin_crystal_amplitude_64(), spp, MziPhases(alpha), geom)
+    assert abs(generic.conditional_pc - fast.conditional_pc) <= 1e-9
+    assert abs(generic.throughput_eta - fast.throughput_eta) <= 1e-9
+
+
 @st.composite
 def _thin_crystal_cases(draw):
     aperture = draw(st.floats(4.0, 40.0))
@@ -527,6 +579,19 @@ def test_mzi_geometry_names_a_non_positive_wavenumber(k):
     # source at 2k; both must fail here, naming the field the caller set.
     with pytest.raises(ValueError, match=f"k must be finite and positive, got {k}"):
         MziGeometry(1.0, 1.0, k=k)
+
+
+@pytest.mark.parametrize("k", [0.01, 7.0, math.nextafter(1.0, 2.0)])
+def test_thin_crystal_source_requires_k_of_half_its_pump(k):
+    # The source's pump wavenumber alone sets its spot size, so another k
+    # would be read as if it were k_p / 2 (P_c 0.384889655816741 at any k).
+    source, spp, phases = GaussianBeamParams(1.0, 1.0, 2.0), SppParams(1.3), MziPhases(0.4)
+    with pytest.raises(ValueError, match=re.escape(f"pumped at 2.0 requires z1 == z2 == z and "
+                                                   f"k = pump_wavenumber / 2, got z1 = 1.0, "
+                                                   f"z2 = 1.0, k = {k}")):
+        mzi_coincidence(source, spp, phases, MziGeometry(1.0, 1.0, k=k), grid_n=64)
+    result = mzi_coincidence(source, spp, phases, MziGeometry(1.0, 1.0, k=1.0), grid_n=64)
+    assert abs(result.conditional_pc - 0.384889655816741) <= 1e-14
 
 
 @pytest.mark.parametrize("source", [None, 1.0, "thin-crystal"])
