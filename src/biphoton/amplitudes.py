@@ -27,6 +27,12 @@ pass the form on.  Two forms exist:
   so an unweighted Gram is block diagonal: one product of quadrant vectors
   per matching sector, 1/16 of the work on the full grid.
 
+An amplitude is immutable: its coefficients and factor arrays are
+read-only (a writable array from the caller is copied once; the factored
+forms freeze theirs), so the unweighted (||Phi||^2, J) is computed once, on
+the first call of any report function, and kept on the amplitude.  Weighted
+Grams (the generic interferometer path) are computed on every call.
+
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
 
@@ -39,7 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TruncationError
-from .grids import Grid, Representation, TransverseMode, _check_compatible, fourier_kernel_1d
+from .grids import (Grid, Representation, TransverseMode, _check_compatible, _read_only,
+                    fourier_kernel_1d)
 
 _DENSE_MAX_N = 32
 # Per-axis factors of a larger rank are never expanded into (rank, n, n)
@@ -57,6 +64,9 @@ class _AxisFactors:
     y: np.ndarray
     ix: np.ndarray
     iy: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.x, self.y, self.ix, self.iy)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -92,6 +102,9 @@ class _SectorFactors:
     x_sign: np.ndarray
     y_sign: np.ndarray
 
+    def __post_init__(self):
+        _read_only(self.quadrant, self.x_sign, self.y_sign)
+
     @cached_property
     def values(self) -> np.ndarray:
         """The (rank, n, n) factor array, built on first read; read-only."""
@@ -115,6 +128,21 @@ class _SectorFactors:
         return _SectorFactors(self.quadrant * self.y_sign[:, None], self.x_sign, self.y_sign)
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`.  An array that can still be
+    written, itself or an array it views, is copied once; a read-only array
+    over read-only memory, as the package's own producers hand over, is
+    taken as it is."""
+    arr = np.asarray(values, dtype=dtype)
+    if isinstance(values, np.ndarray) and np.may_share_memory(arr, values):
+        owner = arr
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if isinstance(owner, np.ndarray):
+            arr = arr.copy()
+    return _read_only(arr)[0]
+
+
 def _unfold(quadrant: np.ndarray, x_sign: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
     """(R, n, n) factors from their (R, n/2, n/2) parity-basis vectors on the
     positive quadrant: factor r is even (+1) or odd (-1) in x and in y as
@@ -131,10 +159,11 @@ class TwoPhotonAmplitude:
     """Low-rank two-photon amplitude: coeffs (R,), factors (R, n, n).
 
     The coefficients are complex; a factor array is float64 if it is given
-    real and complex128 otherwise.  `_form` holds both photons' factors in
-    one factored form (_AxisFactors or _SectorFactors) and is kept only when
-    photon1 = photon2 = None; the arrays are then built when first read.
-    Given factor arrays drop `_form`.
+    real and complex128 otherwise.  Both are held read-only (see `_frozen`),
+    so the unweighted Gram values are kept after their first evaluation.
+    `_form` holds both photons' factors in one factored form (_AxisFactors
+    or _SectorFactors) and is kept only when photon1 = photon2 = None; the
+    arrays are then built when first read.  Given factor arrays drop `_form`.
     """
 
     coeffs: np.ndarray
@@ -146,7 +175,7 @@ class TwoPhotonAmplitude:
     _form: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        c = np.atleast_1d(_frozen(self.coeffs, complex))
         object.__setattr__(self, "coeffs", c)
         n = self.grid.n
         form = self._form
@@ -158,7 +187,7 @@ class TwoPhotonAmplitude:
             return
         object.__setattr__(self, "_form", None)  # given factor arrays replace any form
         for name, values in zip(_PHOTONS, (self.photon1, self.photon2)):
-            values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+            values = _frozen(values, complex if np.iscomplexobj(values) else float)
             if values.shape != (c.size, n, n):
                 raise ValueError("factor arrays must have shape (rank, n, n)")
             object.__setattr__(self, name, values)
@@ -219,8 +248,8 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
         _check_compatible(f, f0)
         _check_compatible(g, f0)
     coeffs = np.array([c for c, _, _ in terms], dtype=complex)
-    photon1 = np.stack([f.values for _, f, _ in terms])
-    photon2 = np.stack([g.values for _, _, g in terms])
+    photon1, photon2 = _read_only(np.stack([f.values for _, f, _ in terms]),
+                                  np.stack([g.values for _, _, g in terms]))
     return TwoPhotonAmplitude(coeffs, photon1, photon2, f0.grid, f0.representation)
 
 
@@ -325,8 +354,12 @@ def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = No
     m x m Grams instead: ||Phi||^2 = <C, Hx C Hy^T> with Hx = Gx1 o Gx2 for
     the per-axis self-Grams, and J = <C, Kx C Ky^T> with Kx = Xx o Xx^H for
     the per-axis cross-Gram Xx; Hy and Ky likewise.  ValueError if any of
-    the three is not finite."""
-    core = _core(amp) if envelope is None and mask is None else None
+    the three is not finite.  The unweighted values are kept on the
+    amplitude, whose factors are read-only, and served on later calls."""
+    unweighted = envelope is None and mask is None
+    if unweighted and "_grams" in amp.__dict__:
+        return amp.__dict__["_grams"]
+    core = _core(amp) if unweighted else None
     if core is None:
         nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
     else:
@@ -338,6 +371,8 @@ def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = No
         j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
     if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
         raise ValueError(f"non-finite amplitude: squared norm {nsq}, J = {j}")
+    if unweighted:
+        amp.__dict__["_grams"] = nsq, nsq_env, j
     return nsq, nsq_env, j
 
 
@@ -455,7 +490,8 @@ def position_representation(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     if amp.representation is not Representation.MOMENTUM:
         raise ValueError("amplitude is already in the position representation")
     k = fourier_kernel_1d(amp.grid, sign=+1)
-    return replace(amp, photon1=k @ amp.photon1 @ k.T, photon2=k @ amp.photon2 @ k.T,
+    photon1, photon2 = _read_only(k @ amp.photon1 @ k.T, k @ amp.photon2 @ k.T)
+    return replace(amp, photon1=photon1, photon2=photon2,
                    grid=amp.grid.conjugate(),
                    representation=Representation.POSITION)
 
@@ -479,7 +515,7 @@ def compress(amp: TwoPhotonAmplitude, tol: float = 1e-12) -> TwoPhotonAmplitude:
         keep[0] = True
     total = float(np.sum(sv ** 2))  # ||Phi||^2: q1 and q2 are orthonormal
     dropped = math.sqrt(float(np.sum(sv[~keep] ** 2)) / total) if total > 0 else 0.0
-    f1 = (q1 @ u)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s
-    f2 = (q2 @ vh.T)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s
+    f1, f2 = _read_only((q1 @ u)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s,
+                        (q2 @ vh.T)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s)
     return replace(amp, coeffs=sv[keep].astype(complex), photon1=f1, photon2=f2,
                    truncation_error=(amp.truncation_error or 0.0) + dropped)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,24 @@ class Grid:
         # Fourier-conjugate grid: spacing_out = pi / half_width_in per axis,
         # so that spacing_in * spacing_out = 2 pi / n.  Involutive.
         return Grid(self.n, self.n * np.pi / (2.0 * self.half_width))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays read-only in place and return them: for arrays just built,
+    which a cache hands to every caller or an amplitude takes uncopied."""
+    for values in arrays:
+        values.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=4)
+def _polar(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """|q| and the unit phasor (qx + i qy)/|q| = e^{i theta} at every sample,
+    read-only and kept for the last four grids.  The half-cell offset keeps
+    |q| > 0."""
+    qx, qy = grid.meshgrid()
+    q = np.hypot(qx, qy)
+    return _read_only(q, (qx + 1j * qy) / q)
 
 
 def make_grid(n: int, half_width: float) -> Grid:
@@ -100,7 +118,7 @@ def inner_product_2d(a: TransverseMode, b: TransverseMode) -> complex:
 def mode_norm(a: TransverseMode) -> float:
     # The spacing, not the weight, outside the root: on a very coarse or fine
     # grid the weight times sum |v|^2 overflows or underflows.
-    return float(np.sqrt(np.sum(np.abs(a.values) ** 2)) * a.grid.spacing)
+    return math.sqrt(np.vdot(a.values, a.values).real) * a.grid.spacing
 
 
 def normalize_mode(a: TransverseMode) -> TransverseMode:

@@ -16,12 +16,14 @@ from functools import cached_property
 import numpy as np
 
 from .amplitudes import TwoPhotonAmplitude, apply_sigma, symmetry_decompose
+from .grids import _read_only
 
 
 @dataclass(frozen=True)
 class BsPhases:
     """Unitary beamsplitter phases; they move amplitude phases around but no
-    output probability depends on them."""
+    output probability depends on them, so nothing in the package reads
+    them: `beamsplitter_output` accepts them and ignores them."""
 
     phi_tau: float = 0.0
     phi_rho: float = 0.0
@@ -48,10 +50,10 @@ class BsOutput:
     def coincidence_amplitude(self) -> TwoPhotonAmplitude:
         """Unnormalized (Phi - sigma Phi)/2, of rank 2R; built on first read."""
         amp, sig = self._input, apply_sigma(self._input)
+        photon1, photon2 = _read_only(np.concatenate([amp.photon1, sig.photon1]),
+                                      np.concatenate([amp.photon2, sig.photon2]))
         return TwoPhotonAmplitude(np.concatenate([amp.coeffs, -sig.coeffs]) / 2.0,
-                                  np.concatenate([amp.photon1, sig.photon1]),
-                                  np.concatenate([amp.photon2, sig.photon2]),
-                                  amp.grid, amp.representation)
+                                  photon1, photon2, amp.grid, amp.representation)
 
 
 class Verdict(Enum):
@@ -68,7 +70,11 @@ def beamsplitter_output(amp: TwoPhotonAmplitude, phases: BsPhases = BsPhases()) 
     """Output channel probabilities of the 50/50 splitter.
 
     The antisymmetric part of the input exits as a coincidence; the symmetric
-    part bunches, split evenly between the two output ports.
+    part bunches, split evenly between the two output ports.  `phases` is
+    never read: no output probability depends on it.  All three come from
+    the amplitude's one unweighted Gram-engine evaluation, shared with
+    `coincidence_probability`, `entanglement_witness` and the
+    `amplitudes` report functions.
     """
     sym, asym = symmetry_decompose(amp)
     return BsOutput(p_both_port1=sym / 2.0, p_both_port2=sym / 2.0,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .amplitudes import TwoPhotonAmplitude, _sigma_grams, position_representation
 from .errors import DegenerateInterferenceError
-from .grids import Grid, Representation, TransverseMode, make_grid
+from .grids import Grid, Representation, TransverseMode, _read_only, make_grid
 from .states import GaussianBeamParams, _check_positive
 
 _ETA_FLOOR = 1e-12
@@ -129,7 +129,8 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
         e = np.exp(chirp)
         return np.outer(np.exp(1j * k * z) * e, e)
 
-    return replace(amp, photon1=amp.photon1 * phase(z1), photon2=amp.photon2 * phase(z2))
+    photon1, photon2 = _read_only(amp.photon1 * phase(z1), amp.photon2 * phase(z2))
+    return replace(amp, photon1=photon1, photon2=photon2)
 
 
 def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:

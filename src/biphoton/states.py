@@ -10,20 +10,23 @@ Conventions:
     y-parities are (-1)^m and (-1)^n, exact on the reflection-closed grid.
   * OAM ring |l>: (q w0)^|l| exp(-q^2 w0^2/4) e^{i l theta} (Laguerre-Gauss
     p=0 radial profile; the interference results do not depend on this choice).
-All outputs are normalized on the grid.
+All outputs are normalized on the grid.  The mode factories read two
+bounded per-grid caches of read-only tables: grids._polar (|q| and e^{i theta},
+4 grids) and _hg_row (1-D Hermite-Gaussian rows, 64 keys).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .amplitudes import (TwoPhotonAmplitude, _AxisFactors, _SectorFactors, from_modes,
                          normalize)
 from .errors import TruncationError
-from .grids import Grid, Representation, TransverseMode, normalize_mode
+from .grids import Grid, Representation, TransverseMode, _polar, _read_only, normalize_mode
 
 _MAX_DENSE_SPDC_N = 48
 
@@ -37,6 +40,13 @@ def _hg_profile(k: int, q: np.ndarray, w: float) -> np.ndarray:
     for j in range(k):
         prev, cur = cur, two_s * cur - 2.0 * j * prev
     return cur * np.exp(q * q * (-w * w / 4.0))
+
+
+@lru_cache(maxsize=64)
+def _hg_row(k: int, w: float, grid: Grid) -> np.ndarray:
+    """`_hg_profile` on the grid's axis, read-only and kept for the last 64
+    (order, width, grid) keys."""
+    return _read_only(_hg_profile(k, grid.axis, w))[0]
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -57,11 +67,11 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
         raise ValueError("mode indices must be non-negative")
     _check_positive("waist", w0)
     # The position-space mode is the momentum-space profile at w = 2/w0.
-    w = w0 if representation is Representation.MOMENTUM else 2.0 / w0
+    w = float(w0 if representation is Representation.MOMENTUM else 2.0 / w0)  # a cache key
     if grid.spacing * 4.0 > 4.0 / w:  # 4 samples across the 1/e^2 intensity width
         raise ValueError(
             f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
-    values = np.outer(_hg_profile(m, grid.axis, w), _hg_profile(n, grid.axis, w))
+    values = np.outer(_hg_row(m, w, grid), _hg_row(n, w, grid))
     return normalize_mode(TransverseMode(values, grid, representation))
 
 
@@ -69,9 +79,7 @@ def oam_ring(l: int, w0: float, grid: Grid,
              representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Ring mode R(q) e^{i l theta}; y-reflection maps it to the -l mode."""
     _check_positive("waist", w0)
-    qx, qy = grid.meshgrid()
-    q = np.hypot(qx, qy)
-    theta = np.arctan2(qy, qx)
+    q, phasor = _polar(grid)
     # In units of the waist, so no tiny or huge w0 alone over- or underflows;
     # a large l or half-width can, and leaves no finite, positive peak.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -83,8 +91,12 @@ def oam_ring(l: int, w0: float, grid: Grid,
                          f"w0 = {w0} and half_width = {grid.half_width}")
     # Exact scaling by a power of two, the peak into [1/2, 1): no square overflows.
     radial = np.ldexp(radial, -np.frexp(peak)[1])
-    return normalize_mode(
-        TransverseMode(radial * np.exp(1j * l * theta), grid, representation))
+    # e^{i l theta} as a power of the unit phasor: a few products per sample,
+    # not a complex exp.
+    winding = phasor ** abs(l)
+    if l < 0:
+        winding = winding.conj()
+    return normalize_mode(TransverseMode(radial * winding, grid, representation))
 
 
 _BELL_KINDS = {
@@ -366,8 +378,6 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     # equals: the leading m vectors are in use, scaled to unit quadrature norm.
     m, root = max(ix.max(), iy.max()) + 1, math.sqrt(grid.spacing)
     u_used, vh_used = np.ascontiguousarray(u[:, :m].T) / root, vh[:m] / root
-    for arr in (u_used, vh_used, ix, iy):
-        arr.setflags(write=False)
     axes = (_AxisFactors(u_used, u_used, ix, iy), _AxisFactors(vh_used, vh_used, ix, iy))
     return TwoPhotonAmplitude(coeffs, None, None, grid, Representation.POSITION,
                               truncation_error=err, _form=axes)

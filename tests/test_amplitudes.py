@@ -123,6 +123,51 @@ def test_non_finite_amplitude_raises():
             normalize(bad)
 
 
+def test_kept_engine_result_cannot_go_stale(monkeypatch):
+    # The unweighted (||Phi||^2, J) is kept on the amplitude after its first
+    # evaluation, which is sound only while nothing can change its factors.
+    rng = np.random.default_rng(21)
+    ref = random_amplitude(rng, small_grid())
+    photon1 = ref.photon1.copy()
+    amp = TwoPhotonAmplitude(ref.coeffs, photon1, ref.photon2.copy(), ref.grid,
+                             ref.representation)
+    assert not (amp.coeffs.flags.writeable or amp.photon1.flags.writeable
+                or amp.photon2.flags.writeable)
+    pc = coincidence_probability(amp)
+    photon1 *= 1j ** np.arange(3)[:, None, None]  # the caller's array, not the amplitude's
+    assert np.array_equal(amp.photon1, ref.photon1)
+    assert coincidence_probability(amp) == pc == coincidence_probability(replace(amp))
+    # Read-only arrays over read-only memory are taken as they are; a
+    # read-only view of memory the caller can still write is copied.
+    assert replace(amp, coeffs=amp.coeffs).photon1 is amp.photon1
+    view = photon1[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(replace(amp, photon1=view).photon1, photon1)
+    spdc = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)), small_grid())
+    assert not any(f.quadrant.flags.writeable for f in spdc._form)
+    assert not any(f.quadrant.flags.writeable for f in apply_sigma(spdc)._form)
+
+    bad = replace(ref, photon1=np.where(np.arange(16) == 3, np.nan, ref.photon1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            sigma_overlap(bad)
+
+    calls = []
+    gram = amplitudes._gram
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gram(*args, **kwargs)
+
+    monkeypatch.setattr(amplitudes, "_gram", counting)
+    unweighted = amplitudes._sigma_grams(amp)
+    envelope = np.ones((16, 16))
+    weighted = [amplitudes._sigma_grams(amp, envelope) for _ in range(2)]
+    assert len(calls) == 2 * 4  # each weighted call: three self-Grams and the cross-Gram
+    assert weighted[0] == weighted[1]
+    assert weighted[0] == pytest.approx(unweighted, rel=1e-12)
+
+
 def test_norm_squared_of_nearly_cancelling_terms():
     # ||Phi||^2 = 1e-16 from terms of norm 1: far below the roundoff of Im J,
     # which norm_squared does not read.
@@ -227,9 +272,11 @@ def test_gram_engine_matches_dense_oracle(seed, rank, n):
 
 def test_gram_products_per_call(monkeypatch, capsys):
     # Regression guard on the Gram engine's cost: two self-Grams and one
-    # sigma cross-Gram per analysis call and per `biphoton pc` report, at most
-    # four products per generic interferometer call, and on a thin-crystal
-    # amplitude at most four per-axis contractions and no factor array built.
+    # sigma cross-Gram per amplitude, whichever analysis call comes first,
+    # none for a later call on the same amplitude, three per `biphoton pc`
+    # report, at most four products per generic interferometer call, and on
+    # a thin-crystal amplitude at most four per-axis contractions and no
+    # factor array built.
     calls, kinds = [], set()
     gram = amplitudes._gram
 
@@ -243,9 +290,13 @@ def test_gram_products_per_call(monkeypatch, capsys):
     amp = random_amplitude(rng, small_grid())
     for fn in (sigma_overlap, symmetry_decompose, coincidence_probability,
                entanglement_witness, beamsplitter_output):
+        fresh = replace(amp)  # no engine result kept yet
         calls.clear()
-        fn(amp)
+        fn(fresh)
         assert sorted(calls) == ["cross", "self", "self"], fn.__name__
+        calls.clear()
+        fn(fresh)
+        assert calls == [], fn.__name__
     build_state = cli.build_state
 
     def build_then_count(cfg):  # count the report, not the state's normalization

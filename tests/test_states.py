@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from biphoton import states
+from biphoton import grids, states
 from biphoton import (GaussianBeamParams, PumpMode, Representation,
                       SpdcParams, TruncationError, TwoPhotonAmplitude,
                       apply_sigma, bell_state, coincidence_probability,
@@ -110,6 +110,51 @@ def test_oam_ring_l0_real_rotation_symmetric():
     ring = oam_ring(0, 1.0, GRID)
     assert np.abs(ring.values.imag).max() == 0.0
     assert np.abs(ring.values - ring.values.T).max() < 1e-14
+
+
+def _assert_cached_tables_read_only(cache, tables):
+    # Every caller shares a cached table, so none may write into it, and the
+    # cache holds a bounded number of them.
+    assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.integers(-40, 40), n=st.sampled_from([16, 32, 64]),
+       half_width=st.floats(2.0, 12.0))
+def test_oam_ring_matches_the_closed_form(l, n, half_width):
+    # The winding is a power of the grid's cached unit phasor; the closed form
+    # takes arctan2 and a complex exp at every sample.
+    grid = make_grid(n, half_width)
+    qx, qy = grid.meshgrid()
+    q = np.hypot(qx, qy)
+    want = q ** abs(l) * np.exp(-q * q / 4.0) * np.exp(1j * l * np.arctan2(qy, qx))
+    want /= np.sqrt(np.sum(np.abs(want) ** 2)) * grid.spacing
+    assert np.abs(oam_ring(l, 1.0, grid).values - want).max() <= 1e-12
+    _assert_cached_tables_read_only(grids._polar, grids._polar(grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 6), n=st.integers(0, 6), w0=st.floats(0.5, 2.0),
+       grid_n=st.sampled_from([32, 64]), half_width=st.floats(2.0, 4.0),
+       representation=st.sampled_from(list(Representation)))
+def test_hermite_gaussian_is_the_same_from_a_cold_cache(m, n, w0, grid_n, half_width,
+                                                        representation):
+    grid = make_grid(grid_n, half_width)
+    w = w0 if representation is Representation.MOMENTUM else 2.0 / w0
+    states._hg_row.cache_clear()
+    cold = hermite_gaussian(m, n, w0, grid, representation).values
+    warm = hermite_gaussian(m, n, w0, grid, representation).values
+    states._hg_row.cache_clear()
+    again = hermite_gaussian(m, n, w0, grid, representation).values
+    assert np.array_equal(cold, warm) and np.array_equal(cold, again)
+    rows = [states._hg_row(k, w, grid) for k in (m, n)]
+    for k, row in zip((m, n), rows):
+        assert np.array_equal(row, states._hg_profile(k, grid.axis, w))
+    _assert_cached_tables_read_only(states._hg_row, rows)
 
 
 def test_oam_ring_orthogonality_matrix():
