@@ -72,7 +72,7 @@ _KEYS = {
     "parameter": _Key(str, "zeta", "swept parameter", _SCAN, ("zeta", "alpha_plus")),
     "zeta": _Key(float, 1.0, "fixed SPP parameter", _SCAN),
     "alpha_plus": _Key(float, 0.0, "fixed interferometer phase", _SCAN),
-    "range": _Key(str, "0.25,4", "scan range as lo,hi", _SCAN),
+    "range": _Key(str, "0.25,4", "scan range lo,hi; write negatives as --range=-4,-0.25", _SCAN),
     "steps": _Key(int, 16, "number of scan points", _SCAN),
     "out": _Key(str, "scan.csv", "output CSV path", _SCAN),
     "square_aperture": _Key(bool, False, "truncate on the square grid, not the disc", _SCAN),

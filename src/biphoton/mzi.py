@@ -28,8 +28,6 @@ from .grids import Grid, Representation, TransverseMode, _read_only, make_grid
 from .states import GaussianBeamParams, _check_positive
 
 _ETA_FLOOR = 1e-12
-# Midpoint nodes of the oracle's angular quadrature.
-_ORACLE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -150,15 +148,12 @@ def _disc(grid: Grid) -> np.ndarray:
     return (x ** 2 + y ** 2 <= grid.half_width ** 2).astype(float)
 
 
-def _sine(theta: np.ndarray, zeta: float, alpha_plus: float) -> np.ndarray:
-    # alpha_plus only through its cosine and sine, as on the fast path: a large
-    # alpha_plus added as it is would round the angular term away
-    return np.sin((theta - np.pi) * zeta + math.atan2(math.sin(alpha_plus), math.cos(alpha_plus)))
-
-
 def sine_envelope(grid: Grid, zeta: float, alpha_plus: float) -> np.ndarray:
     """The MZI envelope sin[zeta (theta - pi) + alpha_plus] on photon 1."""
-    return _sine(azimuth(grid), zeta, alpha_plus)
+    # alpha_plus only through its cosine and sine, as on the fast path: a large
+    # alpha_plus added as it is would round the angular term away
+    return np.sin((azimuth(grid) - np.pi) * zeta
+                  + math.atan2(math.sin(alpha_plus), math.cos(alpha_plus)))
 
 
 def _result(j: float, kept: float, total: float, spp: SppParams,
@@ -275,12 +270,17 @@ def _source_geometry(source: GaussianBeamParams, geom: MziGeometry, grid_n: int)
     return _fast_geometry(grid_n, geom.aperture_factor, geom.circular, source.spot_size)
 
 
+def _plate_angle(zeta: float) -> float:
+    # zeta pi reduced modulo 2 pi by the exact fmod: a huge zeta keeps its cosine and sine
+    return math.fmod(zeta, 2.0) * math.pi
+
+
 def _quadrant_coefficients(zeta: float, cos_a: float, sin_a: float) -> np.ndarray:
     """(p_k, r_k) per quadrant k, with sin[zeta (theta - pi) + alpha] =
     p_k sin(zeta theta_1) + r_k cos(zeta theta_1) on quadrant k = 0..3 (x > 0,
     y > 0; x < 0, y > 0; x < 0, y < 0; x > 0, y < 0) for (cos_a, sin_a) =
     (cos alpha, sin alpha); see _thin_crystal_fast."""
-    cz, sz = math.cos(zeta * math.pi), math.sin(zeta * math.pi)
+    cz, sz = math.cos(_plate_angle(zeta)), math.sin(_plate_angle(zeta))
     # cos and sin of alpha + gamma at gamma = -zeta pi and at gamma = +zeta pi
     c0, s0 = cos_a * cz + sin_a * sz, sin_a * cz - cos_a * sz
     c3, s3 = cos_a * cz - sin_a * sz, sin_a * cz + cos_a * sz
@@ -472,28 +472,29 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
 
 
 def delta_limit_oracle(spp: SppParams, phases: MziPhases) -> float:
-    """Infinite-aperture limit of the MZI coincidence probability.
+    """Infinite-aperture limit of the MZI coincidence probability, in closed form.
 
-    With an aperture much larger than the spot size the biphoton enforces
-    x2 = -x1, i.e. theta2 = theta1 + pi, and the 4D overlap collapses to a 1D
-    angular integral.  The reflected photon-2 angle is then (pi - theta1)
-    mod 2 pi, so
+    With an aperture much larger than the spot size the biphoton enforces x2 = -x1, and
+    P_c = (1 - I) / 2, I = int S(theta) S((pi - theta) mod 2 pi) dtheta / int S(theta)^2 dtheta
+    with S(theta) = sin[zeta (theta - pi) + alpha_plus].  Split at theta = pi, each product
+    has a constant sum angle; with y = zeta pi and u = cos 2 alpha_plus,
 
-        P_c = (1/2) (1 - I),
-        I = int S(theta) S((pi - theta) mod 2 pi) dtheta / int S(theta)^2 dtheta,
+        P_c = (1 - sinc y) (1 + u cos y) / (2 N),   N = 1 - u sinc y cos y
+            = 2 sin^2 alpha_plus + u [(1 - sinc y) + 2 sinc y sin^2(y / 2)],
 
-    with S(theta) = sin[zeta (theta - pi) + alpha_plus].  For integer zeta
-    this evaluates to (1/2)[1 + (-1)^zeta cos(2 alpha_plus)].  Relative to a
-    unit envelope on every node, the envelope is degenerate below the same
-    eta floor as the finite-aperture paths.
-    """
-    theta = (np.arange(_ORACLE_NODES) + 0.5) * 2.0 * np.pi / _ORACLE_NODES
-    s = _sine(theta, spp.zeta, phases.alpha_plus)
-    # the nodes are closed under theta -> (pi - theta) mod 2 pi, which takes
-    # node j to node (N/2 - 1 - j) mod N
-    s_ref = np.roll(s[::-1], _ORACLE_NODES // 2)
-    return _result(float(np.sum(s * s_ref)), float(np.sum(s * s)), _ORACLE_NODES, spp,
-                    phases).conditional_pc
+    (1/2)[1 + (-1)^zeta u] at integer zeta; the second N does not cancel.  N / 2, a unit
+    envelope's throughput, has the finite-aperture paths' eta floor."""
+    # y divides sin y and feeds the series; sin y, cos y and sin(y / 2) are read
+    # off the reduced plate angle
+    y, plate = spp.zeta * math.pi, _plate_angle(spp.zeta)
+    # dip = 1 - sinc y, below |y| = 0.5 by its Taylor series to y^14 / 15! (1e-18 relative)
+    dip = 1.0 - math.sin(plate) / y if abs(y) >= 0.5 else math.fsum(
+        (-1) ** (k + 1) * y ** (2 * k) / math.factorial(2 * k + 1) for k in range(1, 8))
+    sin2 = math.sin(phases.alpha_plus) ** 2
+    u = 1.0 - 2.0 * sin2  # cos 2 alpha_plus
+    norm = 2.0 * sin2 + u * (dip + 2.0 * (1.0 - dip) * math.sin(plate / 2.0) ** 2)  # N
+    # j = N - 2 N P_c with 2 N P_c = dip (1 + u cos y); _result checks N / 2 before dividing
+    return _result(norm - dip * (1.0 + u * math.cos(plate)), norm, 2, spp, phases).conditional_pc
 
 
 def _scan_row(value: float, spp: SppParams, phases: MziPhases, j: float, kept: float,

@@ -598,6 +598,8 @@ def test_import_leaves_scipy_unloaded():
 # Report text, CSV `#` headers, column names and flags must match exactly;
 # numeric CSV fields within 1e-10, so that another numpy or BLAS build cannot
 # fail the test on the last printed digit.
+# The oracle_pc column was re-recorded when delta_limit_oracle became exact
+# (the first recording carried a 4096-node quadrature's error, up to 2.2e-7).
 _GOLDEN_REPORTS = [
     (["pc", "--state", "bell:psi-minus"],
      "P_c = 1.000000\nsymmetric_weight = 0.000000\nantisymmetric_weight = 1.000000\n"
@@ -629,13 +631,13 @@ _GOLDEN_SCANS = [
      "# z2 = 1.0\n"
      "# zeta = 1.0\n"
      "parameter,conditional_pc,oracle_pc,throughput,flag\n"
-     "0.25,0.234709976795,0.234149589544,0.181691504846,ok\n"
-     "0.785714285714,0.0692530055935,0.0680851362874,0.598735446996,ok\n"
-     "1.32142857143,0.31591201133,0.315998003704,0.445759401005,ok\n"
-     "1.85714285714,0.952788342752,0.957044832833,0.533395482747,ok\n"
-     "2.39285714286,0.606684030024,0.606787824794,0.479221251164,ok\n"
-     "2.92857142857,0.0208385958368,0.0119510427732,0.511806373629,ok\n"
-     "3.46428571429,0.488063266581,0.489564051591,0.49488393015,ok\n"
+     "0.25,0.234709976795,0.234149631325,0.181691504846,ok\n"
+     "0.785714285714,0.0692530055935,0.0680851445768,0.598735446996,ok\n"
+     "1.32142857143,0.31591201133,0.315997940703,0.445759401005,ok\n"
+     "1.85714285714,0.952788342752,0.957044824516,0.533395482747,ok\n"
+     "2.39285714286,0.606684030024,0.606787961494,0.479221251164,ok\n"
+     "2.92857142857,0.0208385958368,0.0119510446956,0.511806373629,ok\n"
+     "3.46428571429,0.488063266581,0.489563835005,0.49488393015,ok\n"
      "4,0.985344561021,1,0.499909586865,ok\n"),
     (["--parameter", "alpha_plus", "--zeta", "1.7"],
      "# alpha_plus = 0.0\n"
@@ -653,14 +655,14 @@ _GOLDEN_SCANS = [
      "# z2 = 1.0\n"
      "# zeta = 1.7\n"
      "parameter,conditional_pc,oracle_pc,throughput,flag\n"
-     "0.25,0.806481571967,0.809473872729,0.539021745307,ok\n"
-     "0.785714285714,0.574901630364,0.575559147182,0.499971887218,ok\n"
-     "1.32142857143,0.304302646486,0.302179614805,0.460951329924,ok\n"
-     "1.85714285714,0.316880452684,0.314887915729,0.462629592961,ok\n"
-     "2.39285714286,0.595771167907,0.596640785652,0.503257491896,ok\n"
-     "2.92857142857,0.814537432666,0.817610208528,0.540490241211,ok\n"
-     "3.46428571429,0.787102804209,0.789901313318,0.535521679981,ok\n"
-     "4,0.533179694434,0.533412177075,0.493530334913,ok\n"),
+     "0.25,0.806481571967,0.809473818528,0.539021745307,ok\n"
+     "0.785714285714,0.574901630364,0.575559061327,0.499971887218,ok\n"
+     "1.32142857143,0.304302646486,0.302179540697,0.460951329924,ok\n"
+     "1.85714285714,0.316880452684,0.314887839911,0.462629592961,ok\n"
+     "2.39285714286,0.595771167907,0.596640701073,0.503257491896,ok\n"
+     "2.92857142857,0.814537432666,0.81761015612,0.540490241211,ok\n"
+     "3.46428571429,0.787102804209,0.789901254993,0.535521679981,ok\n"
+     "4,0.533179694434,0.533412089606,0.493530334913,ok\n"),
 ]
 
 
@@ -692,11 +694,11 @@ def test_scan_csv_is_pinned(extra, expected, tmp_path, capsys):
 
 # A 4-step zeta scan at the default geometry (n = 1024, aperture 40), where
 # the fast path keeps a small block of the kernel's frequencies; recorded at
-# .12g before that path was rewritten.
+# .12g before that path was rewritten; the oracle column as in _GOLDEN_SCANS.
 _DEFAULT_GEOMETRY_ROWS = [
-    (0.25, 0.23470062084, 0.234149589544, 0.181690163215),
-    (1.5, 0.604475542515, 0.606103389021, 0.5),
-    (2.75, 0.133997574269, 0.12710424758, 0.528939460176),
+    (0.25, 0.23470062084, 0.234149631325, 0.181690163215),
+    (1.5, 0.604475542515, 0.606103295395, 0.5),
+    (2.75, 0.133997574269, 0.127104301809, 0.528939460176),
     (4.0, 0.985349009544, 1.0, 0.500002757873),
 ]
 

@@ -523,6 +523,63 @@ def test_oracle_rejects_vanishing_envelope_and_few_nodes():
         delta_limit_oracle(SppParams(0.0), MziPhases(0.0))
 
 
+@pytest.mark.parametrize("zeta,reduced", [(1e15, 0.0), (2.0 ** 60, 0.0), (1e300, 0.0),
+                                          (2.0 ** 52 + 1.0, 1.0)])
+def test_huge_zeta_reads_its_exact_plate_angle(zeta, reduced):
+    # zeta pi rounded before its cosine and sine is noise for zeta near 1e15
+    # and beyond; reduced by fmod(zeta, 2), which is exact, an integer zeta
+    # keeps (1/2)[1 + (-1)^zeta cos 2 alpha_plus] and the fast path its
+    # quadrant coefficients.
+    for alpha in (0.0, 0.3, 1.0, np.pi / 2, 2.5):
+        want = 0.5 * (1.0 + math.cos(reduced * math.pi) * math.cos(2.0 * alpha))
+        assert abs(delta_limit_oracle(SppParams(zeta), MziPhases(alpha)) - want) <= 1e-15
+        c, s = math.cos(alpha), math.sin(alpha)
+        np.testing.assert_array_equal(mzi_module._quadrant_coefficients(zeta, c, s),
+                                      mzi_module._quadrant_coefficients(reduced, c, s))
+
+
+_LEGENDRE = np.polynomial.legendre.leggauss(96)
+
+
+def _oracle_integrals_by_gauss_legendre(zeta, alpha):
+    """The two angular integrals of the delta limit, of S(theta) S((pi -
+    theta) mod 2 pi) and of S(theta)^2, each by a 96-node Gauss-Legendre
+    rule on (0, pi) and on (pi, 2 pi), where its integrand is smooth."""
+    # alpha enters through its cosine and sine: added to zeta (theta - pi)
+    # near a multiple of pi, it would round S away at small zeta
+    def envelope(theta):
+        return np.sin(zeta * (theta - np.pi)) * math.cos(alpha) + np.cos(
+            zeta * (theta - np.pi)) * math.sin(alpha)
+
+    num = den = 0.0
+    for lo in (0.0, np.pi):
+        theta = lo + (_LEGENDRE[0] + 1.0) * np.pi / 2.0
+        s, s_ref = envelope(theta), envelope(np.mod(np.pi - theta, 2.0 * np.pi))
+        num += np.pi / 2.0 * np.dot(_LEGENDRE[1], s * s_ref)
+        den += np.pi / 2.0 * np.dot(_LEGENDRE[1], s * s)
+    return num, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(zeta=st.one_of(st.floats(-8.0, 8.0), st.floats(1e-12, 0.1), st.floats(-0.1, -1e-12)),
+       alpha=st.floats(-7.0, 7.0))
+@example(zeta=1e-4, alpha=0.0)
+@example(zeta=-3e-6, alpha=0.0)
+@example(zeta=2e-5, alpha=1e-9)
+@example(zeta=7.5, alpha=0.0)
+@example(zeta=0.3, alpha=1e-9)
+@example(zeta=5e-6, alpha=-np.pi)
+def test_oracle_matches_gauss_legendre_on_each_half(zeta, alpha):
+    # The closed form against an independent rule.  N = 1 - u sinc y cos y
+    # as written cancels at small zeta (P_c off by 1.9e-8 at zeta = -3e-6,
+    # alpha = 0), which this bound catches.
+    num, den = _oracle_integrals_by_gauss_legendre(zeta, alpha)
+    if den / (2.0 * np.pi) < 1e-12:
+        return  # a unit envelope's eta below the floor, where the oracle raises
+    want = 0.5 * (1.0 - num / den)
+    assert abs(delta_limit_oracle(SppParams(zeta), MziPhases(alpha)) - want) <= 1e-14
+
+
 def test_large_aperture_converges_to_oracle():
     geom = MziGeometry(1.0, 1.0, aperture_factor=40.0)
     source = GaussianBeamParams(1.0, 1.0, 2.0)
