@@ -72,9 +72,7 @@ class _AxisFactors:
     def values(self) -> np.ndarray:
         """The (rank, n, n) factor array, built on first read; read-only."""
         self.check_expandable("(rank, n, n) factor arrays")
-        values = self.x[self.ix][:, :, None] * self.y[self.iy][:, None, :]
-        values.setflags(write=False)
-        return values
+        return _read_only(self.x[self.ix][:, :, None] * self.y[self.iy][:, None, :])[0]
 
     def fits(self, rank: int, n: int) -> bool:
         return (self.ix.size == rank and self.iy.size == rank
@@ -109,9 +107,7 @@ class _SectorFactors:
     def values(self) -> np.ndarray:
         """The (rank, n, n) factor array, built on first read; read-only."""
         h = math.isqrt(self.quadrant.shape[1])
-        values = _unfold(self.quadrant.reshape(-1, h, h), self.x_sign, self.y_sign)
-        values.setflags(write=False)
-        return values
+        return _read_only(_unfold(self.quadrant.reshape(-1, h, h), self.x_sign, self.y_sign))[0]
 
     @cached_property
     def sectors(self) -> list[np.ndarray]:
@@ -171,8 +167,8 @@ class TwoPhotonAmplitude:
     photon2: np.ndarray | None
     grid: Grid
     representation: Representation
-    truncation_error: float | None = field(default=None, compare=False)
-    _form: tuple | None = field(default=None, repr=False, compare=False)
+    truncation_error: float | None = None
+    _form: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         c = np.atleast_1d(_frozen(self.coeffs, complex))
@@ -279,8 +275,7 @@ def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
     one flat gather: m^2 n^2 + m^4 n work for m vectors per axis, against
     R^2 n^2 for the (R, n, n) arrays.  Without W the integral separates, and
     G is the product of the two axes' m x m Grams."""
-    for factors in (a, b):
-        factors.check_expandable("rank x rank Grams")
+    a.check_expandable("rank x rank Grams")  # b has a's rank: both hold one amplitude's factors
     if pointwise is None:
         gx, gy = _axis_grams(a, b, weight)
         return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)

@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitudes import TwoPhotonAmplitude, symmetry_decompose
-from .errors import DegenerateInterferenceError
 from .grids import make_grid
 from .interference import beamsplitter_output
 from .mzi import MziGeometry, MziPhases, ScanResult, SppParams, scan
@@ -278,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateInterferenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except MemoryError as exc:  # numpy refuses the array before touching memory
         sizes = " or ".join(key for key in ("grid_n", "steps")
                             if args.command in _KEYS[key].commands)

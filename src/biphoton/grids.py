@@ -39,9 +39,7 @@ class Grid:
 
     @cached_property
     def axis(self) -> np.ndarray:
-        ax = (np.arange(self.n) - (self.n - 1) / 2.0) * self.spacing
-        ax.setflags(write=False)
-        return ax
+        return _read_only((np.arange(self.n) - (self.n - 1) / 2.0) * self.spacing)[0]
 
     @property
     def weight(self) -> float:

@@ -17,7 +17,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -255,8 +255,7 @@ def _fast_geometry(n: int, aperture_factor: float, circular: bool, w: float) -> 
     theta = np.arctan2(axis[None, :], axis[:, None])  # azimuth(grid)[half:, half:]
     y_mirror = np.exp(2j * np.pi * ky / fft_len)[:, None]
     mirror = position[-kx % fft_len]
-    for arr in (mask, theta, kx, mirror, weight, y_mirror, c):
-        arr.setflags(write=False)
+    _read_only(mask, theta, kx, mirror, weight, y_mirror, c)
     return _FastGeometry(mask, theta, fft_len, kx, mirror, weight, y_mirror, c,
                          4.0 * float(np.sum(mask * c)))
 
@@ -293,9 +292,9 @@ def _fold(geo: _FastGeometry, zeta: float, basis: list[tuple[float, float]],
     y-spectra of the envelope's rows at x < 0 and at x > 0, stacked
     (len(basis), 2, kept ky, n / 2), and the Gram D of the envelopes; see
     _thin_crystal_fast.  The four half-row spectra die on return, before the
-    FFTs along x: held through them, they raised a row's peak memory past
-    what the allocator keeps, and at n = 256 every row faulted its pages in
-    afresh."""
+    FFTs along x.  Warm rows at n = 256 and 512 still fault 496 and 1,024
+    pages each, as glibc trims the heap top after every row; from n = 1024
+    the build's n^2 temporaries have raised the trim threshold."""
     # The kept ky of the half-row spectra of s and c, (ky, x), then those of
     # their mirrors in y.
     halves = np.empty((4, geo.weight.shape[0], geo.mask.shape[1]), complex)
@@ -552,12 +551,7 @@ def scan(parameter: str, lo: float, hi: float, steps: int, *,
         else:
             rows = [_scan_row(alpha, spp, MziPhases(alpha), j, kept, geo.tot) for alpha, (j, kept)
                     in zip(values, _thin_crystal_fast(geo, spp, values, pool.map))]
-    metadata = {
-        "parameter": parameter, "lo": lo, "hi": hi, "steps": steps,
-        "zeta": spp.zeta, "alpha_plus": phases.alpha_plus,
-        "z1": geom.z1, "z2": geom.z2, "k": geom.k,
-        "aperture_factor": geom.aperture_factor, "circular": geom.circular,
-        "grid_n": grid_n, "waist": waist,
-        "reference_pc": 0.5,  # no-interference baseline
-    }
+    metadata = dict(parameter=parameter, lo=lo, hi=hi, steps=steps, **asdict(spp),
+                    **asdict(phases), **asdict(geom), grid_n=grid_n, waist=waist,
+                    reference_pc=0.5)  # no-interference baseline
     return ScanResult(rows, metadata)

@@ -28,3 +28,13 @@ def random_amplitude(rng, grid, rank=3, representation=Representation.MOMENTUM):
 
 def small_grid(n=16, half_width=5.0):
     return make_grid(n, half_width)
+
+
+def spdc_pair(params, grid):
+    """The SPDC pair v(q1 + q2) sinc(L |q1 - q2|^2 / (4 k_p)) sampled on the
+    whole (n, n, n, n) grid, indexed (x1, y1, x2, y2); unnormalized."""
+    ax = grid.axis
+    q1x, q1y, q2x, q2y = np.meshgrid(ax, ax, ax, ax, indexing="ij")
+    return params.pump.evaluate(q1x + q2x, q1y + q2y) * np.sinc(
+        params.crystal_length * ((q1x - q2x) ** 2 + (q1y - q2y) ** 2)
+        / (4.0 * params.pump_wavenumber) / np.pi)

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from biphoton import amplitudes, cli
-from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
+from biphoton import (DenseAmplitude, GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       Representation, SpdcParams, SppParams, TruncationError,
                       TransverseMode, TwoPhotonAmplitude,
                       apply_sigma, beamsplitter_output, bell_state,
@@ -24,7 +25,7 @@ from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       to_dense)
 from biphoton.grids import fourier_kernel_1d
 
-from _helpers import random_amplitude, small_grid, smooth_random_mode
+from _helpers import random_amplitude, small_grid, smooth_random_mode, spdc_pair
 
 
 def test_normalize_idempotent_and_homogeneous():
@@ -54,6 +55,8 @@ def test_normalize_zero_rejected():
                               np.zeros((1, g.n, g.n)), g, Representation.MOMENTUM)
     with pytest.raises(ValueError):
         normalize(zero)
+    with pytest.raises(ValueError, match="cannot normalize a zero-norm amplitude"):
+        dense_normalize(to_dense(zero))
 
 
 def test_sigma_is_involution_exact():
@@ -168,6 +171,37 @@ def test_kept_engine_result_cannot_go_stale(monkeypatch):
     assert weighted[0] == pytest.approx(unweighted, rel=1e-12)
 
 
+def test_sigma_grams_holds_im_j_to_the_enveloped_norm(monkeypatch):
+    # J' / ||Phi'||^2 must be real: Im J' is held to 1e-10 of the enveloped
+    # norm, not of the clipped one.
+    amp = random_amplitude(np.random.default_rng(4), small_grid())
+    monkeypatch.setattr(amplitudes, "_norms_and_overlap",
+                        lambda *args: (1.0, 0.5, complex(0.25, 0.5e-10)))
+    assert amplitudes._sigma_grams(amp) == (1.0, 0.5, 0.25)
+    monkeypatch.setattr(amplitudes, "_norms_and_overlap",
+                        lambda *args: (1.0, 0.5, complex(0.25, -0.6e-10)))
+    with pytest.raises(ValueError, match="sigma overlap has imaginary part -6e-11"):
+        amplitudes._sigma_grams(amp)
+
+
+def test_cached_arrays_are_read_only():
+    # A grid's axis and the factor arrays a factored form builds are built
+    # once and handed to every caller, so none of them can be written.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    per_axis = thin_crystal_gaussian(beam, make_grid(16, 6.0 * beam.spot_size))
+    per_sector = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)),
+                            make_grid(16, 6.0))
+    arrays = {"Grid.axis": make_grid(16, 3.0).axis}
+    for name, amp in (("per-axis", per_axis), ("per-sector", per_sector)):
+        for photon in ("photon1", "photon2"):
+            arrays[f"{name} {photon}"] = getattr(amp, photon)
+            assert getattr(amp, photon) is arrays[f"{name} {photon}"]  # built once
+    for name, values in arrays.items():
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
 def test_norm_squared_of_nearly_cancelling_terms():
     # ||Phi||^2 = 1e-16 from terms of norm 1: far below the roundoff of Im J,
     # which norm_squared does not read.
@@ -224,6 +258,10 @@ def test_to_dense_rejects_large_grids():
     amp = bell_state("psi-plus", 1, 1.0, g)
     with pytest.raises(ValueError):
         to_dense(amp)
+    with pytest.raises(ValueError, match="dense form limited to n <= 32, got 64"):
+        DenseAmplitude(np.zeros((64,) * 4), g, Representation.MOMENTUM)
+    with pytest.raises(ValueError, match=re.escape("dense values must have shape (n, n, n, n)")):
+        DenseAmplitude(np.zeros((8, 8, 8, 4)), make_grid(8, 1.0), Representation.MOMENTUM)
 
 
 def test_dense_oracle_agrees_on_overlap_and_norm():
@@ -414,6 +452,13 @@ def test_form_is_kept_only_without_factor_arrays():
     assert built._form is None and built.photon1 is form[0].values
     with pytest.raises(ValueError, match=re.escape("factor arrays must have shape (rank, n, n)")):
         replace(amp, photon1=amp.photon1, photon2=None, _form=form)
+    # Both photons' factors must be held in one kind of form.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    axis_form = thin_crystal_gaussian(beam, make_grid(16, 6.0 * beam.spot_size))._form
+    with pytest.raises(ValueError, match=re.escape("factor arrays must have shape (rank, n, n)")):
+        replace(amp, photon1=None, photon2=None, _form=(form[0], axis_form[1]))
+    with pytest.raises(AttributeError, match="has no attribute 'photon3'"):
+        amp.photon3
 
 
 def test_sigma_twice_restores_sector_factors_bit_for_bit():
@@ -459,18 +504,45 @@ def test_sector_grams_match_an_array_copy(pump, n, crystal_length):
     # The per-sector Grams of an SPDC amplitude against the same factors
     # held as plain arrays: the norm, J and both symmetry weights, and the
     # engine's three values under a pointwise envelope and mask, which take
-    # the arrays.
+    # the arrays.  Both sides of that weighted check run the same array
+    # arithmetic, so at n <= 16 the weighted values are also checked against
+    # the pair formula evaluated densely.
+    params = SpdcParams(crystal_length, 2.0, pump)
     grid = make_grid(n, 6.0)
-    amp = spdc_state(SpdcParams(crystal_length, 2.0, pump), grid)
+    amp = spdc_state(params, grid)
     rescaled = normalize(amplitudes._with_factors(amp, *amp._form, coeffs=3.0 * amp.coeffs))
     qx, qy = grid.meshgrid()
     envelope, mask = np.cos(0.4 * qx + 0.3 * qy), (qx ** 2 + 2.0 * qy ** 2 < 20.0) * 1.0
-    for state in (amp, rescaled, apply_sigma(rescaled)):
+    references = [None] * 3
+    if n <= 16:
+        pair = dense_normalize(DenseAmplitude(spdc_pair(params, grid), grid,
+                                              Representation.MOMENTUM))
+        references = [pair, pair, dense_sigma(pair)]
+    for state, reference in zip((amp, rescaled, apply_sigma(rescaled)), references):
         assert isinstance(state._form[0], amplitudes._SectorFactors)
         copy = _as_arrays(state)
         assert np.abs(_outputs(state) - _outputs(copy)).max() <= 1e-12
         weighted = [amplitudes._sigma_grams(a, envelope, mask) for a in (state, copy)]
         assert np.abs(np.subtract(*weighted)).max() <= 1e-12
+        if reference is not None:
+            # The truncation drops a part of relative norm eps orthogonal to
+            # what it keeps, so the normalized state is within
+            # eps sqrt(1 + eps^2) of the normalized pair.  Each value is a form
+            # <A Phi, B Phi> with ||A||, ||B|| <= 1 (|envelope|, |mask| <= 1,
+            # sigma unitary) and moves by at most twice that distance.
+            eps = state.truncation_error
+            bound = 2.0 * eps * math.sqrt(1.0 + eps ** 2) + 1e-12
+            assert np.abs(np.subtract(weighted[0], _dense_weighted_grams(
+                reference, envelope, mask))).max() <= bound
+
+
+def _dense_weighted_grams(amp, envelope, mask):
+    """`_sigma_grams`' three values for a dense amplitude, from the 4-D array:
+    both photons times the mask, then photon 1 times the envelope."""
+    masked = amp.values * mask[:, :, None, None] * mask[None, None, :, :]
+    enveloped = replace(amp, values=masked * envelope[:, :, None, None])
+    return (dense_norm_squared(replace(amp, values=masked)), dense_norm_squared(enveloped),
+            dense_sigma_overlap(enveloped))
 
 
 def _thin_crystal(n, aperture, z_over_z0, rank_tol, max_rank):
@@ -574,6 +646,16 @@ def test_compress_reports_its_own_truncation_error():
     exact = random_amplitude(np.random.default_rng(9), small_grid())
     assert exact.truncation_error is None
     assert compress(exact).truncation_error < 1e-12
+    # A tol above every weight still keeps the leading term.
+    single = compress(amp, tol=2.0)
+    assert single.rank == 1
+    assert abs(single.coeffs[0]) == pytest.approx(np.abs(squeezed.coeffs).max(), rel=1e-12)
+    rest = TwoPhotonAmplitude(np.concatenate([amp.coeffs, -single.coeffs]),
+                              np.concatenate([amp.photon1, single.photon1]),
+                              np.concatenate([amp.photon2, single.photon2]),
+                              amp.grid, amp.representation)
+    assert single.truncation_error == pytest.approx(
+        amp.truncation_error + np.sqrt(norm_squared(rest) / norm_squared(amp)), rel=1e-6)
 
 
 def test_apply_sigma_keeps_truncation_error_and_per_axis_form():

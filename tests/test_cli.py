@@ -67,6 +67,8 @@ def test_missing_state_is_config_error(capsys):
 def test_bad_pump_is_config_error(capsys):
     assert main(["pc", "--state", "spdc", "--pump", "lg:0"]) == EXIT_CONFIG
     assert "pump" in capsys.readouterr().err
+    assert main(["pc", "--state", "spdc", "--pump", "hg:1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: bad pump spec 'hg:1'; expected hg:m,n\n"
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -84,6 +86,28 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("state = product\nwibble = 3\n")
     assert main(["pc", "--config", str(cfg)]) == EXIT_CONFIG
     assert "wibble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,message", [
+    ("# a comment\n\nstate = product\nl1\n", "run.cfg:4: expected key = value, got 'l1'"),
+    ("state = foo\n", "unknown state 'foo'"),
+], ids=["line-without-equals", "unknown-state"])
+def test_malformed_config_file_is_config_error(config, message, tmp_path, monkeypatch,
+                                               capsys):
+    # Comment and blank lines are skipped but counted; a state from the file
+    # is not checked by argparse's choices, so build_state names it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config)
+    assert main(["classify", "--config", "run.cfg"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_scan_to_a_missing_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "scan.csv"
+    argv = ["scan", "--grid-n", "16", "--steps", "2", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_missing(capsys):
@@ -612,6 +636,8 @@ _GOLDEN_REPORTS = [
     (["classify", "--state", "spdc", "--pump", "hg:0,1"],
      "symmetric_weight = 0.000000\nantisymmetric_weight = 1.000000\n"
      "label = antisymmetric\n"),
+    (["classify", "--state", "product", "--l1", "1", "--l2", "2"],
+     "symmetric_weight = 0.500000\nantisymmetric_weight = 0.500000\nlabel = mixed\n"),
 ]
 
 _GOLDEN_SCANS = [

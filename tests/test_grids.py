@@ -113,3 +113,11 @@ def test_reflect_y_is_involution():
     rng = np.random.default_rng(5)
     m = TransverseMode(rng.normal(size=(16, 16)), g, Representation.MOMENTUM)
     assert np.array_equal(reflect_y(reflect_y(m)).values, m.values)
+
+
+def test_transverse_mode_rejects_a_wrong_shape_and_a_zero_norm():
+    g = make_grid(16, 2.0)
+    with pytest.raises(ValueError, match=r"values shape \(16, 8\) does not match grid n=16"):
+        TransverseMode(np.ones((16, 8)), g, Representation.MOMENTUM)
+    with pytest.raises(ValueError, match="cannot normalize a zero mode"):
+        normalize_mode(TransverseMode(np.zeros((16, 16)), g, Representation.MOMENTUM))

@@ -628,6 +628,9 @@ def test_mzi_coincidence_validations():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mzi_coincidence(amp, SppParams(1.0), MziPhases(0.3), small)
+    zero = replace(amp, coeffs=np.zeros(amp.rank))
+    with pytest.raises(ValueError, match="cannot normalize a zero-norm amplitude"):
+        mzi_coincidence(zero, SppParams(1.0), MziPhases(0.3), small)
 
 
 @pytest.mark.parametrize("k", [0.0, -1.0])

@@ -17,7 +17,7 @@ from biphoton import (GaussianBeamParams, PumpMode, Representation,
                       symmetry_decompose, thin_crystal_gaussian, to_dense,
                       dense_sigma_overlap)
 
-from _helpers import smooth_random_mode
+from _helpers import smooth_random_mode, spdc_pair
 
 GRID = make_grid(64, 8.0)
 
@@ -298,12 +298,8 @@ def test_pump_parities(pump, parities):
 def _dense_eigh_reference(params, grid, rank_tol=1e-6):
     """Rank, truncation error and symmetry weights of the SPDC pair from an
     eigendecomposition of its whole (n^2, n^2) unfolding."""
-    n, ax = grid.n, grid.axis
-    q1x, q1y, q2x, q2y = np.meshgrid(ax, ax, ax, ax, indexing="ij")
-    pair = params.pump.evaluate(q1x + q2x, q1y + q2y) * np.sinc(
-        params.crystal_length * ((q1x - q2x) ** 2 + (q1y - q2y) ** 2)
-        / (4.0 * params.pump_wavenumber) / np.pi)
-    lam, v = np.linalg.eigh(pair.reshape(n * n, n * n))
+    n = grid.n
+    lam, v = np.linalg.eigh(spdc_pair(params, grid).reshape(n * n, n * n))
     order = np.argsort(-np.abs(lam), kind="stable")
     squares = lam[order] ** 2
     dropped = np.append(np.cumsum(squares[::-1])[::-1][1:], 0.0)  # keeping k + 1
