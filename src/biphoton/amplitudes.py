@@ -27,11 +27,11 @@ pass the form on.  Two forms exist:
   so an unweighted Gram is block diagonal: one product of quadrant vectors
   per matching sector, 1/16 of the work on the full grid.
 
-An amplitude is immutable: its coefficients and factor arrays are
-read-only (a writable array from the caller is copied once; the factored
-forms freeze theirs), so the unweighted (||Phi||^2, J) is computed once, on
-the first call of any report function, and kept on the amplitude.  Weighted
-Grams (the generic interferometer path) are computed on every call.
+An amplitude is immutable: its coefficients and factors are read-only (a
+writable array from the caller is copied once), so it keeps its unweighted
+(||Phi||^2, J) from one evaluation: the one `normalize` made and handed on,
+or else its first report call's.  Weighted Grams (the generic interferometer
+path) are computed on every call.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -207,8 +207,10 @@ def _factors(amp: TwoPhotonAmplitude):
 
 
 def _with_factors(amp: TwoPhotonAmplitude, f, g, **changes) -> TwoPhotonAmplitude:
-    """amp with factors f, g in the form `_factors` returns, and other changes."""
+    """amp with factors f, g in the form `_factors` returns, and other changes.
+    Factor arrays must be fresh or already frozen: they are frozen in place."""
     if isinstance(f, np.ndarray):
+        f, g = _read_only(f, g)
         return replace(amp, photon1=f, photon2=g, **changes)
     return replace(amp, photon1=None, photon2=None, _form=(f, g), **changes)
 
@@ -300,8 +302,7 @@ def _sector_gram(a: _SectorFactors, b: _SectorFactors, weight: float) -> np.ndar
     gram = np.zeros((a.quadrant.shape[0], b.quadrant.shape[0]),
                     dtype=np.result_type(a.quadrant, b.quadrant))
     for rows, cols in zip(a.sectors, b.sectors):
-        if rows.size and cols.size:
-            gram[np.ix_(rows, cols)] = np.conj(a.quadrant[rows]) @ b.quadrant[cols].T
+        gram[np.ix_(rows, cols)] = np.conj(a.quadrant[rows]) @ b.quadrant[cols].T
     return gram * weight
 
 
@@ -417,10 +418,14 @@ def norm_squared(amp: TwoPhotonAmplitude) -> float:
 
 
 def normalize(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
-    nsq = norm_squared(amp)
+    """amp at unit norm.  It keeps the evaluation made here unless ||Phi||^2 is subnormal."""
+    nsq, _, j = _norms_and_overlap(amp)
     if not nsq > 0.0:
         raise ValueError(f"cannot normalize an amplitude of squared norm {nsq}")
-    return _with_factors(amp, *_factors(amp), coeffs=amp.coeffs / np.sqrt(nsq))
+    unit = _with_factors(amp, *_factors(amp), coeffs=amp.coeffs / np.sqrt(nsq))
+    if nsq >= np.finfo(float).tiny:  # else the scaled coefficients need not give unit norm
+        unit.__dict__["_grams"] = 1.0, 1.0, j / nsq
+    return unit
 
 
 def apply_sigma(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
@@ -485,10 +490,8 @@ def position_representation(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     if amp.representation is not Representation.MOMENTUM:
         raise ValueError("amplitude is already in the position representation")
     k = fourier_kernel_1d(amp.grid, sign=+1)
-    photon1, photon2 = _read_only(k @ amp.photon1 @ k.T, k @ amp.photon2 @ k.T)
-    return replace(amp, photon1=photon1, photon2=photon2,
-                   grid=amp.grid.conjugate(),
-                   representation=Representation.POSITION)
+    return _with_factors(amp, k @ amp.photon1 @ k.T, k @ amp.photon2 @ k.T,
+                         grid=amp.grid.conjugate(), representation=Representation.POSITION)
 
 
 def compress(amp: TwoPhotonAmplitude, tol: float = 1e-12) -> TwoPhotonAmplitude:
@@ -510,7 +513,7 @@ def compress(amp: TwoPhotonAmplitude, tol: float = 1e-12) -> TwoPhotonAmplitude:
         keep[0] = True
     total = float(np.sum(sv ** 2))  # ||Phi||^2: q1 and q2 are orthonormal
     dropped = math.sqrt(float(np.sum(sv[~keep] ** 2)) / total) if total > 0 else 0.0
-    f1, f2 = _read_only((q1 @ u)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s,
-                        (q2 @ vh.T)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s)
-    return replace(amp, coeffs=sv[keep].astype(complex), photon1=f1, photon2=f2,
-                   truncation_error=(amp.truncation_error or 0.0) + dropped)
+    return _with_factors(amp, (q1 @ u)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s,
+                         (q2 @ vh.T)[:, keep].T.reshape(-1, amp.grid.n, amp.grid.n) / s,
+                         coeffs=sv[keep].astype(complex),
+                         truncation_error=(amp.truncation_error or 0.0) + dropped)

@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import TwoPhotonAmplitude, apply_sigma, symmetry_decompose
-from .grids import _read_only
+from .amplitudes import TwoPhotonAmplitude, _with_factors, apply_sigma, symmetry_decompose
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,10 @@ class BsOutput:
     def coincidence_amplitude(self) -> TwoPhotonAmplitude:
         """Unnormalized (Phi - sigma Phi)/2, of rank 2R; built on first read."""
         amp, sig = self._input, apply_sigma(self._input)
-        photon1, photon2 = _read_only(np.concatenate([amp.photon1, sig.photon1]),
-                                      np.concatenate([amp.photon2, sig.photon2]))
-        return TwoPhotonAmplitude(np.concatenate([amp.coeffs, -sig.coeffs]) / 2.0,
-                                  photon1, photon2, amp.grid, amp.representation)
+        return _with_factors(amp, np.concatenate([amp.photon1, sig.photon1]),
+                             np.concatenate([amp.photon2, sig.photon2]),
+                             coeffs=np.concatenate([amp.coeffs, -sig.coeffs]) / 2.0,
+                             truncation_error=None)
 
 
 class Verdict(Enum):

@@ -17,12 +17,12 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import TwoPhotonAmplitude, _sigma_grams, position_representation
+from .amplitudes import TwoPhotonAmplitude, _sigma_grams, _with_factors, position_representation
 from .errors import DegenerateInterferenceError
 from .grids import Grid, Representation, TransverseMode, _read_only, make_grid
 from .states import GaussianBeamParams, _check_positive
@@ -127,8 +127,7 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
         e = np.exp(chirp)
         return np.outer(np.exp(1j * k * z) * e, e)
 
-    photon1, photon2 = _read_only(amp.photon1 * phase(z1), amp.photon2 * phase(z2))
-    return replace(amp, photon1=photon1, photon2=photon2)
+    return _with_factors(amp, amp.photon1 * phase(z1), amp.photon2 * phase(z2))
 
 
 def spp_phase(mode: TransverseMode, zeta: float) -> TransverseMode:

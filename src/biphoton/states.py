@@ -198,10 +198,6 @@ def _truncate(weights: np.ndarray, rank_tol: float,
     return (kept / np.linalg.norm(kept)).astype(complex), err, order[:rank]
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    return np.sinc(x / np.pi)  # sin(x)/x with sinc(0) = 1
-
-
 def spdc_state(params: SpdcParams, grid: Grid, *,
                rank_tol: float = 1e-6, max_rank: int | None = None) -> TwoPhotonAmplitude:
     """Down-converted pair v(q1+q2) sinc(L |q1-q2|^2 / (4 k_p)), normalized,
@@ -247,9 +243,9 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     # An extreme crystal length, pump wavenumber or pump order overflows the
     # sinc argument or the Hermite recurrence: a non-finite sample, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = params.pump.evaluate(sums[on_x], sums[on_y]) * _sinc(
+        samples = params.pump.evaluate(sums[on_x], sums[on_y]) * np.sinc(  # sin(x)/x at x pi
             params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
-            / (4.0 * params.pump_wavenumber))
+            / (4.0 * params.pump_wavenumber) / np.pi)
     peak = np.maximum(samples.max(), -samples.min())  # NaN if any sample is
     if not math.isfinite(peak):
         raise ValueError(f"the SPDC amplitude is not finite for pump = {params.pump}, "

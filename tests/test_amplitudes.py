@@ -186,7 +186,8 @@ def test_sigma_grams_holds_im_j_to_the_enveloped_norm(monkeypatch):
 
 def test_cached_arrays_are_read_only():
     # A grid's axis and the factor arrays a factored form builds are built
-    # once and handed to every caller, so none of them can be written.
+    # once and handed to every caller, and a derived amplitude takes the
+    # factor arrays built for it uncopied, so none of them can be written.
     beam = GaussianBeamParams(1.0, 1.0, 2.0)
     per_axis = thin_crystal_gaussian(beam, make_grid(16, 6.0 * beam.spot_size))
     per_sector = spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)),
@@ -196,10 +197,79 @@ def test_cached_arrays_are_read_only():
         for photon in ("photon1", "photon2"):
             arrays[f"{name} {photon}"] = getattr(amp, photon)
             assert getattr(amp, photon) is arrays[f"{name} {photon}"]  # built once
+    amp = random_amplitude(np.random.default_rng(8), small_grid())
+    derived = {"position_representation": position_representation(amp),
+               "compress": compress(amp),
+               "fresnel_phase": fresnel_phase(amp, 0.5, 0.3, 2.0),
+               "coincidence_amplitude": beamsplitter_output(amp).coincidence_amplitude}
+    for name, out in derived.items():
+        for photon in ("photon1", "photon2"):
+            arrays[f"{name} {photon}"] = getattr(out, photon)
     for name, values in arrays.items():
         assert not values.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0
+
+
+def test_with_factors_takes_fresh_arrays_and_copies_a_writable_view():
+    amp = random_amplitude(np.random.default_rng(9), small_grid())
+    fresh = np.array(amp.photon1)
+    assert amplitudes._with_factors(amp, fresh, amp.photon2).photon1 is fresh
+    base = np.array(amp.photon2)
+    out = amplitudes._with_factors(amp, amp.photon1, base[:])
+    assert not np.shares_memory(out.photon2, base)
+    assert base.flags.writeable
+    base[0] = 0.0
+    assert np.array_equal(out.photon2, amp.photon2)
+
+
+_BEAM = GaussianBeamParams(1.0, 1.0, 2.0)
+_SCALED_KINDS = {
+    "array": lambda: random_amplitude(np.random.default_rng(10), small_grid(), rank=4),
+    "per-axis": lambda: thin_crystal_gaussian(_BEAM, make_grid(32, 6.0 * _BEAM.spot_size)),
+    "per-sector": lambda: spdc_state(SpdcParams(1.0, 2.0, PumpMode("hermite", 1.0, 0, 1)),
+                                     make_grid(16, 6.0)),
+}
+
+
+def _scaled(amp, scale):
+    """amp with its coefficients times `scale`, keeping no engine result."""
+    return amplitudes._with_factors(amp, *amplitudes._factors(amp), coeffs=scale * amp.coeffs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_SCALED_KINDS)), exponent=st.floats(-100.0, 100.0),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_normalize_hands_on_a_sound_engine_result(kind, exponent, phase):
+    # The (||Phi||^2, J) that normalize keeps on its result against a fresh
+    # evaluation of a copy that keeps none.
+    unit = normalize(_scaled(_SCALED_KINDS[kind](), 10.0 ** exponent * np.exp(1j * phase)))
+    kept = unit.__dict__["_grams"]
+    fresh = amplitudes._norms_and_overlap(
+        amplitudes._with_factors(unit, *amplitudes._factors(unit)))
+    assert kept[:2] == (1.0, 1.0)
+    assert np.abs(np.subtract(kept, fresh)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-160])
+@pytest.mark.parametrize("kind", sorted(_SCALED_KINDS) + ["bell", "product"])
+def test_normalize_of_a_subnormal_norm_reports_the_unscaled_pc_or_raises(kind, scale):
+    # ||Phi||^2 ~ scale^2 is subnormal: normalize keeps no result, and the
+    # report's own evaluation either passes the normalization check, near
+    # the unscaled P_c (at 1e-158), or raises (at 1e-160).  It never
+    # reports another P_c.
+    g = small_grid(32, 8.0)
+    amp = {"bell": lambda: bell_state("psi-minus", 2, 1.0, g),
+           "product": lambda: product_state(oam_ring(1, 1.0, g), oam_ring(2, 1.0, g)),
+           **_SCALED_KINDS}[kind]()
+    unit = normalize(_scaled(amp, scale))
+    assert "_grams" not in unit.__dict__
+    try:
+        pc = coincidence_probability(unit)
+    except ValueError as err:
+        assert "not normalized" in str(err)
+    else:
+        assert pc == pytest.approx(coincidence_probability(amp), abs=1e-6)
 
 
 def test_norm_squared_of_nearly_cancelling_terms():
@@ -311,10 +381,11 @@ def test_gram_engine_matches_dense_oracle(seed, rank, n):
 def test_gram_products_per_call(monkeypatch, capsys):
     # Regression guard on the Gram engine's cost: two self-Grams and one
     # sigma cross-Gram per amplitude, whichever analysis call comes first,
-    # none for a later call on the same amplitude, three per `biphoton pc`
-    # report, at most four products per generic interferometer call, and on
-    # a thin-crystal amplitude at most four per-axis contractions and no
-    # factor array built.
+    # none for a later call on the same amplitude, three per whole
+    # `biphoton pc` or `classify` run (the state's `normalize` hands its
+    # evaluation on to the report), at most four products per generic
+    # interferometer call, and on a thin-crystal amplitude at most four
+    # per-axis contractions and no factor array built.
     calls, kinds = [], set()
     gram = amplitudes._gram
 
@@ -335,17 +406,13 @@ def test_gram_products_per_call(monkeypatch, capsys):
         calls.clear()
         fn(fresh)
         assert calls == [], fn.__name__
-    build_state = cli.build_state
-
-    def build_then_count(cfg):  # count the report, not the state's normalization
-        state = build_state(cfg)
+    for argv, line in [(["pc", "--state", "bell:psi-minus"], "verdict = entangled"),
+                       (["classify", "--state", "product", "--l1", "1", "--l2", "2"],
+                        "label = mixed")]:
         calls.clear()
-        return state
-
-    monkeypatch.setattr(cli, "build_state", build_then_count)
-    assert cli.main(["pc", "--state", "bell:psi-minus"]) == cli.EXIT_OK
-    assert "verdict = entangled" in capsys.readouterr().out
-    assert sorted(calls) == ["cross", "self", "self"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert line in capsys.readouterr().out
+        assert sorted(calls) == ["cross", "self", "self"], argv
     pos = random_amplitude(rng, small_grid(16, 3.0), representation=Representation.POSITION)
     for circular in (True, False):
         calls.clear()
