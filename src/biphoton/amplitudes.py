@@ -285,9 +285,7 @@ def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
     n = a.x.shape[1]
     ax = (np.conj(a.x)[:, None, :] * b.x[None, :, :]).reshape(-1, n)
     ay = (np.conj(a.y)[:, None, :] * b.y[None, :, :]).reshape(-1, n)
-    # A W as one real product: W is real, so Re and Im rows go through it apart.
-    aw = np.concatenate([ax.real, ax.imag]) @ (pointwise * weight)
-    k = (aw[:ax.shape[0]] + 1j * aw[ax.shape[0]:]) @ ay.T
+    k = ax @ (pointwise * weight) @ ay.T
     cols = k.shape[1]
     rows = a.ix * (b.x.shape[0] * cols) + a.iy * b.y.shape[0]
     return np.take(k.ravel(), rows[:, None] + (b.ix * cols + b.iy)[None, :])

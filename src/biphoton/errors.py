@@ -2,8 +2,8 @@
 
 
 class TruncationError(RuntimeError):
-    """Low-rank factorization could not reach the requested accuracy within
-    its rank cap, or a state's rank is too large to expand into arrays."""
+    """A per-axis state's rank is above the cap (4096) for expanding its
+    factors into (rank, n, n) arrays or rank x rank Grams."""
 
 
 class DegenerateInterferenceError(RuntimeError):

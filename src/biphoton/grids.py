@@ -74,13 +74,14 @@ def _polar(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 def make_grid(n: int, half_width: float) -> Grid:
     """Build a reflection-closed grid; n must be even and >= 8, and the
-    half-width positive with a finite, non-zero cell weight."""
+    half-width positive with a finite, normal cell weight, so that 1/weight,
+    the squared sum of a unit-norm factor, and every Gram entry are finite."""
     if n % 2 != 0 or n < 8:
         raise ValueError(f"grid size must be even and >= 8, got {n}")
     grid = Grid(n, float(half_width))
-    if not (half_width > 0 and 0.0 < grid.weight < math.inf):
+    if not (half_width > 0 and np.finfo(float).tiny <= grid.weight < math.inf):
         raise ValueError(f"half_width must be finite and positive and give a finite, "
-                         f"non-zero cell weight (2 half_width / n)^2, got {half_width} "
+                         f"normal cell weight (2 half_width / n)^2, got {half_width} "
                          f"for n = {n}")
     return grid
 
@@ -131,21 +132,14 @@ def reflect_y(a: TransverseMode) -> TransverseMode:
     return TransverseMode(a.values[:, ::-1], a.grid, a.representation)
 
 
-def fourier_2d(mode: TransverseMode, direction: str = "forward") -> TransverseMode:
-    """Unitary 2D Fourier transform between momentum and position.
-
-    The forward map takes momentum to position with the exp(+i x.q)/(2 pi)
-    kernel; the inverse is its adjoint.  The output lives on the conjugate
-    grid, and inverse(forward(f)) == f up to roundoff.
-    """
-    directions = {"forward": (Representation.MOMENTUM, Representation.POSITION, +1),
-                  "inverse": (Representation.POSITION, Representation.MOMENTUM, -1)}
-    if direction not in directions:
-        raise ValueError(f"unknown direction {direction!r}")
-    in_rep, out_rep, sign = directions[direction]
-    if mode.representation is not in_rep:
-        raise ValueError(f"{direction} transform expects a {in_rep.value}-representation mode")
+def fourier_2d(mode: TransverseMode) -> TransverseMode:
+    """Unitary 2D Fourier transform into the other representation: momentum
+    to position with the exp(+i x.q)/(2 pi) kernel, position to momentum with
+    its adjoint.  The output lives on the conjugate grid, and
+    fourier_2d(fourier_2d(f)) == f up to roundoff."""
+    sign = +1 if mode.representation is Representation.MOMENTUM else -1
     k = fourier_kernel_1d(mode.grid, sign)
+    out_rep = Representation.POSITION if sign > 0 else Representation.MOMENTUM
     return TransverseMode(k @ mode.values @ k.T, mode.grid.conjugate(), out_rep)
 
 

@@ -114,12 +114,11 @@ def fresnel_phase(amp: TwoPhotonAmplitude, z1: float, z2: float, k: float) -> Tw
     photon 1 over z1 and photon 2 over z2 (momentum representation)."""
     if amp.representation is not Representation.MOMENTUM:
         raise ValueError("fresnel_phase acts in the momentum representation")
-    q2 = amp.grid.axis ** 2
 
     def phase(z: float) -> np.ndarray:
         # exp(i k z) e(q_x) e(q_y) with e(q) = exp(-i q^2 z / (2k)), per axis
         with np.errstate(over="ignore", invalid="ignore"):
-            chirp = -1j * q2 * z / (2.0 * k)
+            chirp = -1j * amp.grid.axis ** 2 * z / (2.0 * k)
         if not (math.isfinite(k * z) and np.isfinite(chirp).all()):
             raise ValueError(f"z = {z} and k = {k} on a grid of half-width "
                              f"{amp.grid.half_width} do not give a finite Fresnel phase "
@@ -423,10 +422,8 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
         weights = np.column_stack([np.cos(alphas), np.sin(alphas)])
     rows, den = _fold(geo, spp.zeta, basis, map_)
     spectra = list(map_(geo.spectrum, rows))
-    upper = np.triu_indices(len(basis))
-    num = np.empty((len(basis),) * 2)
-    num[upper] = num[upper[::-1]] = [
-        np.vdot(spectra[a], geo.weight * spectra[b][:, geo.mirror]).real for a, b in zip(*upper)]
+    mirrored = [geo.weight * s[:, geo.mirror] for s in spectra]
+    num = np.array([[np.vdot(a, b).real for b in mirrored] for a in spectra])
     return [(float(v @ num @ v), float(v @ den @ v)) for v in weights]
 
 

@@ -10,6 +10,9 @@ Conventions:
     y-parities are (-1)^m and (-1)^n, exact on the reflection-closed grid.
   * OAM ring |l>: (q w0)^|l| exp(-q^2 w0^2/4) e^{i l theta} (Laguerre-Gauss
     p=0 radial profile; the interference results do not depend on this choice).
+  * A position-space mode of waist w0 is the Fourier partner of the momentum
+    mode: the momentum profile at width 2/w0 in place of w0, so the Gaussian
+    is exp(-|x|^2 / w0^2) and the ring (2 r / w0)^|l| exp(-r^2 / w0^2).
 All outputs are normalized on the grid.  The mode factories read two
 bounded per-grid caches of read-only tables: grids._polar (|q| and e^{i theta},
 4 grids) and _hg_row (1-D Hermite-Gaussian rows, 64 keys).
@@ -25,7 +28,6 @@ import numpy as np
 
 from .amplitudes import (TwoPhotonAmplitude, _AxisFactors, _SectorFactors, from_modes,
                          normalize)
-from .errors import TruncationError
 from .grids import Grid, Representation, TransverseMode, _polar, _read_only, normalize_mode
 
 _MAX_DENSE_SPDC_N = 48
@@ -54,6 +56,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _width(w0: float, representation: Representation) -> float:
+    """The momentum profile's width parameter for waist w0: w0 itself, or
+    2/w0 for its position-space Fourier partner."""
+    _check_positive("waist", w0)
+    return float(w0 if representation is Representation.MOMENTUM else 2.0 / w0)  # a cache key
+
+
 def gaussian_g00(w0: float, grid: Grid,
                  representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Fundamental Gaussian mode, normalized on the grid."""
@@ -65,9 +74,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
     """HG_mn mode with m along x and n along y; y-parity is (-1)^n."""
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
-    _check_positive("waist", w0)
-    # The position-space mode is the momentum-space profile at w = 2/w0.
-    w = float(w0 if representation is Representation.MOMENTUM else 2.0 / w0)  # a cache key
+    w = _width(w0, representation)
     if grid.spacing * 4.0 > 4.0 / w:  # 4 samples across the 1/e^2 intensity width
         raise ValueError(
             f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
@@ -77,13 +84,14 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
 
 def oam_ring(l: int, w0: float, grid: Grid,
              representation: Representation = Representation.MOMENTUM) -> TransverseMode:
-    """Ring mode R(q) e^{i l theta}; y-reflection maps it to the -l mode."""
-    _check_positive("waist", w0)
+    """Ring mode R e^{i l theta}, R as the module docstring gives it in each
+    representation; y-reflection maps it to the -l mode."""
+    w = _width(w0, representation)
     q, phasor = _polar(grid)
-    # In units of the waist, so no tiny or huge w0 alone over- or underflows;
+    # In units of the width, so no tiny or huge w0 alone over- or underflows;
     # a large l or half-width can, and leaves no finite, positive peak.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = q * w0
+        s = q * w
         radial = s ** abs(l) * np.exp(s * s * -0.25)
     peak = radial.max()
     if not (math.isfinite(peak) and peak > 0.0):
@@ -172,8 +180,7 @@ class SpdcParams:
         _check_positive("pump_wavenumber", self.pump_wavenumber)
 
 
-def _truncate(weights: np.ndarray, rank_tol: float,
-              max_rank: int | None) -> tuple[np.ndarray, float, np.ndarray]:
+def _truncate(weights: np.ndarray, rank_tol: float) -> tuple[np.ndarray, float, np.ndarray]:
     """Sort singular weights, given in any order, descending (stable: ties keep
     index order) and keep them until the dropped relative norm is below
     rank_tol.  Returns the kept weights normalized, the coefficients of factors
@@ -187,10 +194,6 @@ def _truncate(weights: np.ndarray, rank_tol: float,
     # the smallest up (total minus a prefix sum loses it to cancellation).
     tail = np.append(np.cumsum(squares[::-1])[::-1][1:], 0.0)
     rank = min(int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1), weights.size)
-    if max_rank is not None and rank > max_rank:
-        raise TruncationError(
-            f"rank {rank} needed for tolerance {rank_tol:g}, cap is {max_rank}; "
-            f"use a smaller grid half-width or loosen the tolerance")
     err = float(np.sqrt(tail[rank - 1] / total))
     if not math.isfinite(err):
         raise ValueError(f"singular weights must be finite, got a truncation error of {err}")
@@ -198,8 +201,7 @@ def _truncate(weights: np.ndarray, rank_tol: float,
     return (kept / np.linalg.norm(kept)).astype(complex), err, order[:rank]
 
 
-def spdc_state(params: SpdcParams, grid: Grid, *,
-               rank_tol: float = 1e-6, max_rank: int | None = None) -> TwoPhotonAmplitude:
+def spdc_state(params: SpdcParams, grid: Grid, *, rank_tol: float = 1e-6) -> TwoPhotonAmplitude:
     """Down-converted pair v(q1+q2) sinc(L |q1-q2|^2 / (4 k_p)), normalized,
     rank-compressed across the photon split.
 
@@ -234,23 +236,25 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
     h = n // 2
     p = grid.axis[h:]  # the positive half-axis; grid.axis[h - 1 - i] = -p[i]
     signs = np.array([1.0, -1.0])
-    # Per axis, [s, i, k] for photon 1 at p_i and photon 2 at s p_k.
-    sums = p[None, :, None] + signs[:, None, None] * p[None, None, :]
-    diffs_sq = (p[None, :, None] - signs[:, None, None] * p[None, None, :]) ** 2
     on_x = (slice(None), None, slice(None), None, slice(None), None)
     on_y = (None, slice(None), None, slice(None), None, slice(None))
     # samples[sx, sy, i, j, k, l] = Phi((p_i, p_j), (sx p_k, sy p_l))
-    # An extreme crystal length, pump wavenumber or pump order overflows the
-    # sinc argument or the Hermite recurrence: a non-finite sample, reported below.
+    # An extreme crystal length, pump wavenumber, pump order or half-width
+    # overflows the sinc argument or the Hermite recurrence: a non-finite
+    # sample, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Per axis, [s, i, k] for photon 1 at p_i and photon 2 at s p_k.
+        sums = p[None, :, None] + signs[:, None, None] * p[None, None, :]
+        diffs_sq = (p[None, :, None] - signs[:, None, None] * p[None, None, :]) ** 2
         samples = params.pump.evaluate(sums[on_x], sums[on_y]) * np.sinc(  # sin(x)/x at x pi
             params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
             / (4.0 * params.pump_wavenumber) / np.pi)
     peak = np.maximum(samples.max(), -samples.min())  # NaN if any sample is
     if not math.isfinite(peak):
         raise ValueError(f"the SPDC amplitude is not finite for pump = {params.pump}, "
-                         f"crystal_length = {params.crystal_length} and "
-                         f"pump_wavenumber = {params.pump_wavenumber}")
+                         f"crystal_length = {params.crystal_length}, "
+                         f"pump_wavenumber = {params.pump_wavenumber} and "
+                         f"half_width = {grid.half_width}")
     if peak == 0.0:
         raise ValueError(f"the SPDC amplitude vanishes on the grid of half_width = "
                          f"{grid.half_width} for pump = {params.pump}")
@@ -278,7 +282,7 @@ def spdc_state(params: SpdcParams, grid: Grid, *,
         sv = np.abs(lam)
         u, vh = v * np.where(lam < 0.0, -1.0, 1.0)[:, None, :], np.swapaxes(v, 1, 2)
     sv = sv[which].ravel()  # every block's weights, the partners' repeated
-    coeffs, err, kept = _truncate(sv, rank_tol, max_rank)
+    coeffs, err, kept = _truncate(sv, rank_tol)
     block, k = np.divmod(kept, h * h)
     left, right = u[which[block], :, k] / grid.spacing, vh[which[block], k] / grid.spacing
     transposed = (partner < sector)[block, None]  # U and V swap for the partner
@@ -326,8 +330,7 @@ class GaussianBeamParams:
 
 
 def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
-                          include_phase: bool = True, rank_tol: float = 1e-6,
-                          max_rank: int | None = None) -> TwoPhotonAmplitude:
+                          include_phase: bool = True, rank_tol: float = 1e-6) -> TwoPhotonAmplitude:
     """Position-space biphoton from a thin crystal pumped by a Gaussian:
 
         Psi ~ exp{-|x1+x2|^2/(4 w^2(z))
@@ -339,9 +342,9 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     The amplitude holds the factors in that per-axis form (the leading m <= n
     singular vectors and the maps kx, ky), so its Grams contract per
     axis; the (rank, n, n) arrays photon1/photon2 are built on first read.
-    Any rank is taken unless `max_rank` is given: the unweighted report
-    contracts an m x m coefficient core, and only reading the arrays or a
-    weighted Gram (the generic interferometer path) needs rank <= 4096.
+    Any rank is taken: the unweighted report contracts an m x m coefficient
+    core, and only reading the arrays or a weighted Gram (the generic
+    interferometer path) needs rank <= 4096.
     The coefficient k_p z0^2 / (8 z (z^2 + z0^2)) of the |x1-x2|^2 chirp
     diverges as z -> 0+, and the rank grows with it; z = 0 itself is taken
     without phase.  P_c is unaffected: the phase cancels in J.  The achieved
@@ -368,7 +371,7 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
                          f"pump_wavenumber = {params.pump_wavenumber}")
     u, sv, vh = np.linalg.svd(psi_axis)
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
-    coeffs, err, kept = _truncate(np.outer(sv, sv).ravel(), rank_tol, max_rank)
+    coeffs, err, kept = _truncate(np.outer(sv, sv).ravel(), rank_tol)
     ix, iy = np.unravel_index(kept, (sv.size, sv.size))
     # (0, k) outweighs any pair holding an index above k and sorts first among
     # equals: the leading m vectors are in use, scaled to unit quadrature norm.

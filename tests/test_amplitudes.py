@@ -612,10 +612,10 @@ def _dense_weighted_grams(amp, envelope, mask):
             dense_sigma_overlap(enveloped))
 
 
-def _thin_crystal(n, aperture, z_over_z0, rank_tol, max_rank):
+def _thin_crystal(n, aperture, z_over_z0, rank_tol):
     beam = GaussianBeamParams(1.0, z_over_z0, 2.0)  # Rayleigh length 1
     return thin_crystal_gaussian(beam, make_grid(n, aperture * beam.spot_size),
-                                 rank_tol=rank_tol, max_rank=max_rank)
+                                 rank_tol=rank_tol)
 
 
 def _without_core(fn, amp):
@@ -632,10 +632,8 @@ def test_core_path_matches_gather_and_dense_copy(n, aperture, z_over_z0, rank_to
     # per-axis gather and against the same factors held as plain arrays.  The
     # rank is capped so that both references fit in memory; the array copy is
     # taken where its Grams stay small.
-    try:
-        amp = _thin_crystal(n, aperture, z_over_z0, rank_tol, max_rank=1200)
-    except TruncationError:
-        assume(False)
+    amp = _thin_crystal(n, aperture, z_over_z0, rank_tol)
+    assume(amp.rank <= 1200)
     for state in (amp, apply_sigma(normalize(amp))):
         assert amplitudes._core(state) is not None
         core = _outputs(state)
@@ -650,6 +648,8 @@ def test_core_path_matches_gather_and_dense_copy(n, aperture, z_over_z0, rank_to
 def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, n):
     # Complex, non-orthogonal per-axis vectors and coefficients, with
     # repeated (ix, iy) pairs, shared by both photons: the core sums them.
+    # With a real envelope, and a 0/1 mask or none, the weighted per-axis
+    # Grams (_axis_gram) give the array copy's (||Phi||^2, ||Phi'||^2, J').
     rng = np.random.default_rng(seed)
 
     def cnormal(*shape):
@@ -662,12 +662,18 @@ def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, 
                              Representation.MOMENTUM, _form=tuple(axes))
     for state in (amp, apply_sigma(normalize(amp))):
         assert amplitudes._core(state) is not None
-        core, want = _outputs(state), _outputs(_as_arrays(state))
+        arrays = _as_arrays(state)
+        core, want = _outputs(state), _outputs(arrays)
         assert np.abs(core - want).max() <= 1e-12 * max(1.0, abs(want[0]))
+        envelope = rng.normal(size=(n, n))
+        for mask in (None, (rng.random((n, n)) < 0.7).astype(float)):
+            got = np.array(amplitudes._norms_and_overlap(state, envelope, mask))
+            want = np.array(amplitudes._norms_and_overlap(arrays, envelope, mask))
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(want[0]))
 
 
 def test_per_axis_photons_on_different_index_maps_take_the_gather():
-    amp = _thin_crystal(32, 6.0, 1.0, 1e-6, 4096)
+    amp = _thin_crystal(32, 6.0, 1.0, 1e-6)
     f, g = amp._form
     swapped = amplitudes._with_factors(amp, f, amplitudes._AxisFactors(g.x, g.y, g.iy, g.ix))
     assert swapped._form is not None and amplitudes._core(swapped) is None

@@ -449,6 +449,29 @@ def test_oam_ring_that_over_or_underflows_is_config_error(argv, named, capsys):
         f"error: the OAM ring profile has no finite, positive peak for {named}\n")
 
 
+_SUBNORMAL_WEIGHT = ("error: half_width must be finite and positive and give a finite, normal "
+                     "cell weight (2 half_width / n)^2, got {} for n = {}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--state", "spdc", "--half-width", "1e-154"],
+     _SUBNORMAL_WEIGHT.format("1e-154", 32)),
+    # The default half-width 8 / w0 of an OAM state.
+    (["pc", "--state", "bell:psi-minus", "--w0", "1e154"], _SUBNORMAL_WEIGHT.format("8e-154", 64)),
+    (["pc", "--state", "spdc", "--pump", "hg:0,1", "--w0", "1e-155", "--half-width", "1e155",
+      "--grid-n", "32"],
+     "error: the SPDC amplitude is not finite for pump = PumpMode(kind='hermite', "
+     "waist=1e-155, m=0, n=1), crystal_length = 1.0, pump_wavenumber = 2.0 and "
+     "half_width = 1e+155\n"),
+], ids=["spdc-subnormal-weight", "bell-subnormal-weight", "spdc-overflow"])
+def test_extreme_grid_is_config_error_naming_the_half_width(argv, message, capsys):
+    # A subnormal cell weight made the Grams non-finite ("non-finite amplitude:
+    # squared norm nan", after two matmul warnings for SPDC), and the SPDC
+    # photon-difference square overflowed outside the errstate block.
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+
+
 def test_thin_crystal_aperture_that_overflows_is_config_error_without_a_warning(capsys):
     # The spot size was a numpy scalar, and its product with the aperture
     # factor warned before the half-width error.
@@ -527,6 +550,10 @@ def _pc_argv(draw):
                "--aperture-factor", "1e300"])
 @example(argv=["classify", "--state", "spdc", "--grid-n", "16", "--pump", "hg:0,1",
                "--w0", "1e-100"])
+@example(argv=["classify", "--state", "spdc", "--half-width", "1e-154"])
+@example(argv=["pc", "--state", "spdc", "--pump", "hg:0,1", "--w0", "1e-155",
+               "--half-width", "1e155", "--grid-n", "32"])
+@example(argv=["pc", "--state", "bell:psi-minus", "--w0", "1e154"])
 def test_pc_and_classify_never_print_a_wrong_number(argv):
     # Any argv exits 0 or 2 with no numpy warning (the suite makes those
     # errors), prints no NaN with exit 0, and an SPDC report follows the

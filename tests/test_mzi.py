@@ -16,7 +16,7 @@ from biphoton import mzi as mzi_module
 from biphoton import (DegenerateInterferenceError, GaussianBeamParams,
                       MziGeometry, MziPhases, PumpMode, Representation, SpdcParams,
                       SppParams, TwoPhotonAmplitude,
-                      azimuth, coincidence_probability, delta_limit_oracle,
+                      azimuth, bell_state, coincidence_probability, delta_limit_oracle,
                       fresnel_phase, inner_product_2d, make_grid,
                       mzi_coincidence, norm_squared, oam_ring, product_state,
                       scan, sigma_overlap, sine_envelope, spdc_state, spp_phase,
@@ -48,6 +48,14 @@ def test_fresnel_phase_zero_distance_identity():
     amp = random_amplitude(np.random.default_rng(1), small_grid())
     same = fresnel_phase(amp, 0.0, 0.0, 1.0)
     assert np.abs(same.photon1 - amp.photon1).max() < 1e-15
+
+
+def test_fresnel_phase_whose_q_squared_overflows_raises_without_a_warning():
+    # |q|^2 on the half-width-1e155 axis overflowed outside the errstate
+    # block: a numpy warning before the ValueError.
+    amp = bell_state("psi-minus", 1, 1e-154, make_grid(16, 1e155))
+    with pytest.raises(ValueError, match="do not give a finite Fresnel phase"):
+        mzi_coincidence(amp, SppParams(1.0), MziPhases(0.0), MziGeometry(1.0, 1.0))
 
 
 @settings(max_examples=40, deadline=None)

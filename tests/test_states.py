@@ -1,3 +1,4 @@
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.special import eval_hermite
 
 from biphoton import grids, states
 from biphoton import (GaussianBeamParams, PumpMode, Representation,
-                      SpdcParams, TruncationError, TwoPhotonAmplitude,
-                      apply_sigma, bell_state, coincidence_probability,
+                      SpdcParams, TwoPhotonAmplitude,
+                      apply_sigma, bell_state, coincidence_probability, fourier_2d,
                       gaussian_g00, hermite_gaussian, inner_product_2d,
                       make_grid, mode_norm, norm_squared, normalize, oam_ring,
                       product_state, reflect_y, sigma_overlap, spdc_state,
@@ -124,17 +125,35 @@ def _assert_cached_tables_read_only(cache, tables):
 
 @settings(max_examples=60, deadline=None)
 @given(l=st.integers(-40, 40), n=st.sampled_from([16, 32, 64]),
-       half_width=st.floats(2.0, 12.0))
-def test_oam_ring_matches_the_closed_form(l, n, half_width):
+       half_width=st.floats(2.0, 12.0), representation=st.sampled_from(list(Representation)))
+def test_oam_ring_matches_the_closed_form(l, n, half_width, representation):
     # The winding is a power of the grid's cached unit phasor; the closed form
-    # takes arctan2 and a complex exp at every sample.
+    # takes arctan2 and a complex exp at every sample.  At waist 1 the ring is
+    # q^|l| exp(-q^2/4) in momentum and (2r)^|l| exp(-r^2) in position.
     grid = make_grid(n, half_width)
     qx, qy = grid.meshgrid()
     q = np.hypot(qx, qy)
-    want = q ** abs(l) * np.exp(-q * q / 4.0) * np.exp(1j * l * np.arctan2(qy, qx))
+    if representation is Representation.MOMENTUM:
+        radial = q ** abs(l) * np.exp(-q * q / 4.0)
+    else:
+        radial = (2.0 * q) ** abs(l) * np.exp(-q * q)
+    want = radial * np.exp(1j * l * np.arctan2(qy, qx))
     want /= np.sqrt(np.sum(np.abs(want) ** 2)) * grid.spacing
-    assert np.abs(oam_ring(l, 1.0, grid).values - want).max() <= 1e-12
+    assert np.abs(oam_ring(l, 1.0, grid, representation).values - want).max() <= 1e-12
     _assert_cached_tables_read_only(grids._polar, grids._polar(grid))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("factory", [*(partial(oam_ring, l) for l in range(-3, 4)),
+                                     *(partial(hermite_gaussian, *mn)
+                                       for mn in [(0, 0), (1, 0), (2, 1)])],
+                         ids=[*(f"oam{l}" for l in range(-3, 4)), "hg00", "hg10", "hg21"])
+def test_position_factory_is_the_fourier_partner_of_the_momentum_mode(factory, n):
+    # A factory's position mode of waist w0 is the Fourier transform of its
+    # momentum mode of the same waist, on the conjugate grid.
+    position = fourier_2d(factory(1.0, make_grid(n, 10.0)))
+    built = factory(1.0, position.grid, Representation.POSITION)
+    assert abs(inner_product_2d(position, built)) >= 1.0 - 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,12 +393,6 @@ def test_spdc_factorizations_per_pump_parity(pump, svd_batches, eigh_batches):
     assert calls == {"svd": svd_batches, "eigh": eigh_batches}
 
 
-def test_spdc_truncation_cap():
-    with pytest.raises(TruncationError):
-        spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), SPDC_GRID,
-                   max_rank=5)
-
-
 def test_spdc_rejects_huge_grids():
     with pytest.raises(ValueError):
         spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), make_grid(64, 6.0))
@@ -394,8 +407,8 @@ def test_truncate_is_exact_under_power_of_two_scaling(weights, k, rank_tol):
     # terms bit for bit, though their squares over- or underflow.  The order
     # is descending with ties in index order.
     weights = np.array(weights)
-    coeffs, err, kept = states._truncate(weights, rank_tol, None)
-    scaled = states._truncate(np.ldexp(weights, k), rank_tol, None)
+    coeffs, err, kept = states._truncate(weights, rank_tol)
+    scaled = states._truncate(np.ldexp(weights, k), rank_tol)
     assert coeffs.tobytes() == scaled[0].tobytes()
     assert err == scaled[1] and np.array_equal(kept, scaled[2])
     assert kept.tolist() == sorted(range(weights.size), key=lambda i: (-weights[i], i))[:kept.size]
@@ -407,7 +420,7 @@ def test_truncate_is_exact_under_power_of_two_scaling(weights, k, rank_tol):
 def test_truncate_rejects_weights_whose_error_is_not_finite(weights):
     # A NaN weight made the truncation error NaN, which was returned as if valid.
     with pytest.raises(ValueError, match="truncation error of nan"):
-        states._truncate(np.array(weights), 1e-6, None)
+        states._truncate(np.array(weights), 1e-6)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
