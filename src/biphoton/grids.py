@@ -114,17 +114,38 @@ def inner_product_2d(a: TransverseMode, b: TransverseMode) -> complex:
     return complex(np.vdot(a.values, b.values) * a.grid.weight)
 
 
-def mode_norm(a: TransverseMode) -> float:
+def _norms(a: TransverseMode) -> tuple[np.ndarray, float, float]:
+    """a's values times 2^-e and their norm on the grid, for the exact power of
+    two that brings the largest real or imaginary part into [1/2, 1), so no
+    square over- or underflows; then a's own norm, inf if it exceeds the float
+    range.  Raises for non-finite values."""
+    parts = np.ascontiguousarray(a.values).view(float)
+    peak = max(parts.max(), -parts.min())  # NaN if any part is
+    if not math.isfinite(peak):
+        raise ValueError(f"mode values must be finite, got a largest part of {peak}")
+    e = int(np.frexp(peak)[1])
+    scaled = np.ldexp(parts, -e).view(complex)
     # The spacing, not the weight, outside the root: on a very coarse or fine
     # grid the weight times sum |v|^2 overflows or underflows.
-    return math.sqrt(np.vdot(a.values, a.values).real) * a.grid.spacing
+    nrm = math.sqrt(np.vdot(scaled, scaled).real) * a.grid.spacing
+    with np.errstate(over="ignore"):
+        return scaled, nrm, float(np.ldexp(nrm, e))
+
+
+def mode_norm(a: TransverseMode) -> float:
+    """The L2 norm on the grid; inf if it exceeds the float range."""
+    return _norms(a)[2]
 
 
 def normalize_mode(a: TransverseMode) -> TransverseMode:
-    nrm = mode_norm(a)
+    scaled, nrm, full = _norms(a)
     if nrm == 0.0:
         raise ValueError("cannot normalize a zero mode")
-    return TransverseMode(a.values / nrm, a.grid, a.representation)
+    # The values over their own norm where it is a normal float, so subnormal
+    # parts are rounded once; the scaled values over theirs elsewhere.
+    if np.finfo(float).tiny <= full < math.inf:
+        return TransverseMode(a.values / full, a.grid, a.representation)
+    return TransverseMode(scaled / nrm, a.grid, a.representation)
 
 
 def reflect_y(a: TransverseMode) -> TransverseMode:

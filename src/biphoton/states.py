@@ -15,12 +15,19 @@ Conventions:
     is exp(-|x|^2 / w0^2) and the ring (2 r / w0)^|l| exp(-r^2 / w0^2).
 All outputs are normalized on the grid.  The mode factories read two
 bounded per-grid caches of read-only tables: grids._polar (|q| and e^{i theta},
-4 grids) and _hg_row (1-D Hermite-Gaussian rows, 64 keys).
+4 grids) and _hg_row (1-D Hermite-Gaussian rows, 64 keys).  A third cache,
+_MODES, keeps the normalized modes that hermite_gaussian (and so gaussian_g00)
+and oam_ring return, up to _MODE_CACHE_BYTES of values, least recently used
+out first.  Factory modes are therefore shared and read-only: copy the values
+before writing to them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +38,43 @@ from .amplitudes import (TwoPhotonAmplitude, _AxisFactors, _SectorFactors, from_
 from .grids import Grid, Representation, TransverseMode, _polar, _read_only, normalize_mode
 
 _MAX_DENSE_SPDC_N = 48
+_MODE_CACHE_BYTES = 32 * 2 ** 20  # a mode holds 16 n^2 bytes: 32 modes at n = 256
+
+
+class _ModeCache:
+    """Factory modes by key, read-only and shared by every caller.  Holds at
+    most `budget` bytes of values, least recently used out first; a mode
+    larger than the budget is returned, never kept.  A build that raises
+    keeps nothing.  Builds run under the lock, so each key is built once."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._modes: OrderedDict[Hashable, TransverseMode] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, build: Callable[[], TransverseMode]) -> TransverseMode:
+        with self._lock:
+            mode = self._modes.get(key)
+            if mode is not None:
+                self._modes.move_to_end(key)
+                return mode
+            mode = build()
+            _read_only(mode.values)
+            if mode.values.nbytes <= self.budget:
+                self._modes[key] = mode
+                self.nbytes += mode.values.nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._modes.popitem(last=False)[1].values.nbytes
+            return mode
+
+    def clear(self) -> None:
+        with self._lock:
+            self._modes.clear()
+            self.nbytes = 0
+
+
+_MODES = _ModeCache(_MODE_CACHE_BYTES)
 
 
 def _hg_profile(k: int, q: np.ndarray, w: float) -> np.ndarray:
@@ -71,40 +115,59 @@ def gaussian_g00(w0: float, grid: Grid,
 
 def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
                      representation: Representation = Representation.MOMENTUM) -> TransverseMode:
-    """HG_mn mode with m along x and n along y; y-parity is (-1)^n."""
+    """HG_mn mode with m along x and n along y; y-parity is (-1)^n.  The mode
+    is cached and shared, its values read-only: copy them before writing."""
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     w = _width(w0, representation)
     if grid.spacing * 4.0 > 4.0 / w:  # 4 samples across the 1/e^2 intensity width
         raise ValueError(
             f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
-    values = np.outer(_hg_row(m, w, grid), _hg_row(n, w, grid))
-    return normalize_mode(TransverseMode(values, grid, representation))
+
+    def build() -> TransverseMode:
+        # A high order overflows the Hermite recurrence, or the outer product
+        # of two finite rows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _hg_row(m, w, grid), _hg_row(n, w, grid)
+            peak = np.abs(rows[0]).max() * np.abs(rows[1]).max()
+        if not math.isfinite(peak):
+            raise ValueError(f"HG_{m},{n} overflows the float range for w0 = {w0} and "
+                             f"half_width = {grid.half_width}")
+        return normalize_mode(TransverseMode(np.outer(*rows), grid, representation))
+
+    return _MODES.get(("hg", m, n, w, grid, representation), build)
 
 
 def oam_ring(l: int, w0: float, grid: Grid,
              representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """Ring mode R e^{i l theta}, R as the module docstring gives it in each
-    representation; y-reflection maps it to the -l mode."""
+    representation; y-reflection maps it to the -l mode.  The mode is cached
+    and shared, its values read-only: copy them before writing."""
     w = _width(w0, representation)
-    q, phasor = _polar(grid)
-    # In units of the width, so no tiny or huge w0 alone over- or underflows;
-    # a large l or half-width can, and leaves no finite, positive peak.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = q * w
-        radial = s ** abs(l) * np.exp(s * s * -0.25)
-    peak = radial.max()
-    if not (math.isfinite(peak) and peak > 0.0):
-        raise ValueError(f"the OAM ring profile has no finite, positive peak for l = {l}, "
-                         f"w0 = {w0} and half_width = {grid.half_width}")
-    # Exact scaling by a power of two, the peak into [1/2, 1): no square overflows.
-    radial = np.ldexp(radial, -np.frexp(peak)[1])
-    # e^{i l theta} as a power of the unit phasor: a few products per sample,
-    # not a complex exp.
-    winding = phasor ** abs(l)
-    if l < 0:
-        winding = winding.conj()
-    return normalize_mode(TransverseMode(radial * winding, grid, representation))
+
+    def build() -> TransverseMode:
+        q, phasor = _polar(grid)
+        # In units of the width, so no tiny or huge w0 alone over- or
+        # underflows; a large l or half-width can, and leaves no finite,
+        # positive peak.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = q * w
+            radial = s ** abs(l) * np.exp(s * s * -0.25)
+        peak = radial.max()
+        if not (math.isfinite(peak) and peak > 0.0):
+            raise ValueError(f"the OAM ring profile has no finite, positive peak for l = {l}, "
+                             f"w0 = {w0} and half_width = {grid.half_width}")
+        # Exact scaling by a power of two, the peak into [1/2, 1): no product
+        # with the winding underflows.
+        radial = np.ldexp(radial, -np.frexp(peak)[1])
+        # e^{i l theta} as a power of the unit phasor: a few products per
+        # sample, not a complex exp.
+        winding = phasor ** abs(l)
+        if l < 0:
+            winding = winding.conj()
+        return normalize_mode(TransverseMode(radial * winding, grid, representation))
+
+    return _MODES.get(("oam", l, w, grid, representation), build)
 
 
 _BELL_KINDS = {

@@ -112,3 +112,32 @@ def test_transverse_mode_rejects_a_wrong_shape_and_a_zero_norm():
         TransverseMode(np.ones((16, 8)), g, Representation.MOMENTUM)
     with pytest.raises(ValueError, match="cannot normalize a zero mode"):
         normalize_mode(TransverseMode(np.zeros((16, 16)), g, Representation.MOMENTUM))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e307, 1e308])
+def test_mode_norm_and_normalize_mode_scale_extreme_values(scale):
+    # Squaring 1e160 overflows and 1e-170 underflows: the norm is taken on
+    # the values scaled by a power of two, so each mode normalizes to the same
+    # shape.  At 1e308 the norm itself exceeds the float range.
+    g = make_grid(64, 8.0)
+    rng = np.random.default_rng(11)
+    shape = rng.uniform(0.5, 1.0, (64, 64)) * np.exp(2j * np.pi * rng.uniform(size=(64, 64)))
+    shape_norm = np.sqrt(np.sum(np.abs(shape) ** 2)) * g.spacing
+    mode = TransverseMode(shape * scale, g, Representation.MOMENTUM)
+    if scale < 1e308:
+        assert mode_norm(mode) == pytest.approx(shape_norm * scale, rel=1e-13)
+    else:
+        assert mode_norm(mode) == float("inf")
+    unit = normalize_mode(mode)
+    assert mode_norm(unit) == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(unit.values - shape / shape_norm).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+def test_mode_norm_and_normalize_mode_reject_non_finite_values(bad):
+    values = np.ones((16, 16), dtype=complex)
+    values[3, 5] = bad
+    mode = TransverseMode(values, make_grid(16, 2.0), Representation.MOMENTUM)
+    for measure in (mode_norm, normalize_mode):
+        with pytest.raises(ValueError, match="mode values must be finite, got a largest part"):
+            measure(mode)

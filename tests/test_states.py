@@ -1,3 +1,6 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from unittest import mock
 
@@ -10,13 +13,13 @@ from scipy.special import eval_hermite
 
 from biphoton import grids, states
 from biphoton import (GaussianBeamParams, PumpMode, Representation,
-                      SpdcParams, TwoPhotonAmplitude,
+                      SpdcParams, TransverseMode, TwoPhotonAmplitude,
                       apply_sigma, bell_state, coincidence_probability, fourier_2d,
                       gaussian_g00, hermite_gaussian, inner_product_2d,
                       make_grid, mode_norm, norm_squared, normalize, oam_ring,
-                      product_state, reflect_y, sigma_overlap, spdc_state,
-                      symmetry_decompose, thin_crystal_gaussian, to_dense,
-                      dense_sigma_overlap)
+                      position_representation, product_state, reflect_y,
+                      sigma_overlap, spdc_state, symmetry_decompose,
+                      thin_crystal_gaussian, to_dense, dense_sigma_overlap)
 
 from _helpers import smooth_random_mode, spdc_pair
 
@@ -114,9 +117,13 @@ def test_oam_ring_l0_real_rotation_symmetric():
 
 
 def _assert_cached_tables_read_only(cache, tables):
-    # Every caller shares a cached table, so none may write into it, and the
-    # cache holds a bounded number of them.
-    assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
+    # Every caller shares a cached table or mode, so none may write into it,
+    # and the cache holds a bounded number of tables, or of bytes.
+    if cache is states._MODES:
+        assert 0 < cache.nbytes <= cache.budget <= states._MODE_CACHE_BYTES
+        assert cache.nbytes == sum(mode.values.nbytes for mode in cache._modes.values())
+    else:
+        assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -139,8 +146,10 @@ def test_oam_ring_matches_the_closed_form(l, n, half_width, representation):
         radial = (2.0 * q) ** abs(l) * np.exp(-q * q)
     want = radial * np.exp(1j * l * np.arctan2(qy, qx))
     want /= np.sqrt(np.sum(np.abs(want) ** 2)) * grid.spacing
-    assert np.abs(oam_ring(l, 1.0, grid, representation).values - want).max() <= 1e-12
+    ring = oam_ring(l, 1.0, grid, representation)
+    assert np.abs(ring.values - want).max() <= 1e-12
     _assert_cached_tables_read_only(grids._polar, grids._polar(grid))
+    _assert_cached_tables_read_only(states._MODES, [ring.values])
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -165,15 +174,157 @@ def test_hermite_gaussian_is_the_same_from_a_cold_cache(m, n, w0, grid_n, half_w
     grid = make_grid(grid_n, half_width)
     w = w0 if representation is Representation.MOMENTUM else 2.0 / w0
     states._hg_row.cache_clear()
+    states._MODES.clear()
     cold = hermite_gaussian(m, n, w0, grid, representation).values
     warm = hermite_gaussian(m, n, w0, grid, representation).values
     states._hg_row.cache_clear()
+    states._MODES.clear()
     again = hermite_gaussian(m, n, w0, grid, representation).values
     assert np.array_equal(cold, warm) and np.array_equal(cold, again)
     rows = [states._hg_row(k, w, grid) for k in (m, n)]
     for k, row in zip((m, n), rows):
         assert np.array_equal(row, states._hg_profile(k, grid.axis, w))
     _assert_cached_tables_read_only(states._hg_row, rows)
+    _assert_cached_tables_read_only(states._MODES, [warm, again])
+
+
+@pytest.mark.parametrize("representation", list(Representation))
+@pytest.mark.parametrize("factory", [partial(hermite_gaussian, 2, 1), gaussian_g00,
+                                     partial(oam_ring, -3), partial(oam_ring, 2)],
+                         ids=["hg21", "g00", "oam-3", "oam2"])
+def test_factory_mode_from_the_cache_is_the_cold_build(factory, representation):
+    # A hit returns the object the cold call built and cached, and its values
+    # still equal a build from an empty cache.  The other representation at
+    # waist 2 has the same width and values, but is another mode.
+    grid = make_grid(32, 5.0)
+    states._MODES.clear()
+    cold = factory(1.0, grid, representation)
+    hit = factory(1.0, grid, representation)
+    assert hit is cold
+    other = next(r for r in Representation if r is not representation)
+    twin = factory(2.0, grid, other)
+    assert twin.representation is other and np.array_equal(twin.values, hit.values)
+    states._MODES.clear()
+    rebuilt = factory(1.0, grid, representation)
+    assert rebuilt is not cold and np.array_equal(rebuilt.values, hit.values)
+    assert hit.grid == grid and hit.representation is representation
+    _assert_cached_tables_read_only(states._MODES, [hit.values, rebuilt.values])
+
+
+def test_mode_cache_keeps_its_byte_budget_and_evicts_the_least_recently_used():
+    grid = make_grid(256, 40.0)
+    per_mode = 16 * 256 ** 2  # 1 MiB
+    capacity = states._MODE_CACHE_BYTES // per_mode
+    keys = [(m, n) for m in range(6) for n in range(7)]
+    assert len(keys) > capacity
+    states._MODES.clear()
+    modes = [hermite_gaussian(m, n, 1.0, grid) for m, n in keys]
+    assert states._MODES.nbytes == capacity * per_mode == states._MODE_CACHE_BYTES
+    _assert_cached_tables_read_only(states._MODES, [mode.values for mode in modes])
+    oldest_kept = len(keys) - capacity
+    assert hermite_gaussian(*keys[-1], 1.0, grid) is modes[-1]
+    assert hermite_gaussian(*keys[oldest_kept], 1.0, grid) is modes[oldest_kept]  # now newest
+    evicted = hermite_gaussian(*keys[0], 1.0, grid)  # a miss: evicts keys[oldest_kept + 1]
+    assert evicted is not modes[0] and np.array_equal(evicted.values, modes[0].values)
+    assert hermite_gaussian(*keys[oldest_kept], 1.0, grid) is modes[oldest_kept]
+    assert hermite_gaussian(*keys[oldest_kept + 1], 1.0, grid) is not modes[oldest_kept + 1]
+    assert states._MODES.nbytes == states._MODE_CACHE_BYTES
+    # A mode larger than the budget is returned, read-only, and never kept.
+    states._MODES.clear()
+    with mock.patch.object(states._MODES, "budget", per_mode - 1):
+        big = oam_ring(1, 1.0, grid)
+        assert oam_ring(1, 1.0, grid) is not big and not big.values.flags.writeable
+        assert states._MODES.nbytes == 0 and not states._MODES._modes
+
+
+def test_mode_cache_under_concurrent_callers():
+    # Four threads, switching every microsecond.  Without eviction every
+    # caller of a key gets one mode; with a budget of three modes among four
+    # keys the cache evicts on most misses, and its byte count stays the sum
+    # of the modes it holds.
+    grid = make_grid(16, 5.0)
+    calls = [partial(oam_ring, l, 1.0, grid) for l in (-2, -1, 1, 2)] * 128
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        states._MODES.clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            modes = list(pool.map(lambda call: call(), calls, timeout=60))
+        assert all(mode is modes[i % 4] for i, mode in enumerate(modes))
+        assert states._MODES.nbytes == 4 * 16 * 16 ** 2
+        states._MODES.clear()
+        with mock.patch.object(states._MODES, "budget", 3 * 16 * 16 ** 2):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                churned = list(pool.map(lambda call: call(), calls, timeout=60))
+            _assert_cached_tables_read_only(states._MODES, [])
+            assert states._MODES.nbytes == 3 * 16 * 16 ** 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(mode.values, modes[i % 4].values)
+               for i, mode in enumerate(churned))
+
+
+def test_hermite_gaussian_of_a_high_order_is_normalized_or_rejected():
+    # HG_150's row peaks at 2.3e153 on this grid, so the squares of the mode
+    # overflow: it used to normalize to zeros.  At m = 400 the Hermite
+    # recurrence itself overflows.  Neither warns, and the rejected mode is
+    # not cached.
+    states._MODES.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mode = hermite_gaussian(150, 0, 1.0, GRID)
+        for m, n in [(400, 0), (0, 400), (150, 200)]:
+            with pytest.raises(ValueError, match=f"HG_{m},{n} overflows the float range "
+                                                 "for w0 = 1.0 and half_width = 8.0"):
+                hermite_gaussian(m, n, 1.0, GRID)
+    assert list(states._MODES._modes) == [("hg", 150, 0, 1.0, GRID, Representation.MOMENTUM)]
+    row = states._hg_profile(150, GRID.axis, 1.0)
+    assert np.abs(row).max() == pytest.approx(2.3e153, rel=0.05)
+    want = np.outer(row / np.abs(row).max(), states._hg_profile(0, GRID.axis, 1.0))
+    want /= np.sqrt(np.sum(want ** 2)) * GRID.spacing
+    assert mode_norm(mode) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(mode.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_resolution_guard_raises_exactly_past_one_sample_per_width():
+    # The guard raises when the spacing exceeds 1/w; on make_grid(8, hw) the
+    # spacing is hw/4.  A mode built on the same grid and waist first does
+    # not let a new key skip the guard.
+    states._MODES.clear()
+    coarse, fine = make_grid(8, 4.0 * 1.001), make_grid(8, 4.0 * 0.999)
+    assert coarse.spacing == pytest.approx(1.001) and fine.spacing == pytest.approx(0.999)
+    hermite_gaussian(1, 0, 1.0, fine)
+    gaussian_g00(1.0, fine)
+    with pytest.raises(ValueError, match="grid spacing 1.001 does not resolve a mode of waist 1"):
+        gaussian_g00(1.0, coarse)
+    # The position mode of waist 1 has width 2: half the width it may have.
+    with pytest.raises(ValueError, match="grid spacing 0.999 does not resolve"):
+        gaussian_g00(1.0, fine, Representation.POSITION)
+    gaussian_g00(0.998, coarse)
+    with pytest.raises(ValueError, match="grid spacing 1.001 does not resolve"):
+        hermite_gaussian(0, 0, 1.0, coarse)
+    with pytest.raises(ValueError, match="grid spacing 1.001 does not resolve"):
+        hermite_gaussian(2, 0, 0.9995, coarse)
+
+
+def test_a_momentum_phase_ramp_moves_the_position_mode_to_plus_a():
+    # The exp(+i x.q) kernel maps g(q) exp(-i q_x a) to G(x - a): centred on
+    # x = +a, through fourier_2d and through position_representation.
+    a = 1.5
+    g00 = gaussian_g00(1.0, GRID)
+    ramp = TransverseMode(g00.values * np.exp(-1j * a * GRID.axis)[:, None], GRID,
+                          Representation.MOMENTUM)
+
+    def centroid(values, grid):
+        density = np.abs(values) ** 2
+        x, y = grid.meshgrid()
+        return np.sum(density * x) / np.sum(density), np.sum(density * y) / np.sum(density)
+
+    moved = fourier_2d(ramp)
+    assert centroid(moved.values, moved.grid) == pytest.approx((a, 0.0), abs=1e-4)
+    pair = position_representation(product_state(ramp, g00))
+    assert centroid(pair.photon1[0], pair.grid) == pytest.approx((a, 0.0), abs=1e-4)
+    assert centroid(pair.photon2[0], pair.grid) == pytest.approx((0.0, 0.0), abs=1e-4)
 
 
 def test_oam_ring_orthogonality_matrix():
