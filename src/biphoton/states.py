@@ -25,6 +25,7 @@ before writing to them.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
@@ -38,6 +39,9 @@ from .amplitudes import (TwoPhotonAmplitude, _AxisFactors, _SectorFactors, from_
 from .grids import Grid, Representation, TransverseMode, _polar, _read_only, normalize_mode
 
 _MAX_DENSE_SPDC_N = 48
+# A per-axis table [s, i, k] broadcast over the SPDC samples [sx, sy, i, j, k, l].
+_ON_X = (slice(None), None, slice(None), None, slice(None), None)
+_ON_Y = (None, slice(None), None, slice(None), None, slice(None))
 _MODE_CACHE_BYTES = 32 * 2 ** 20  # a mode holds 16 n^2 bytes: 32 modes at n = 256
 
 
@@ -95,6 +99,15 @@ def _hg_row(k: int, w: float, grid: Grid) -> np.ndarray:
     return _read_only(_hg_profile(k, grid.axis, w))[0]
 
 
+def _mode_index(k) -> int:
+    """k as a Python int: an int or NumPy integer, never a float such as 1.0,
+    which would hash as a cache key equal to 1 but fail in a fresh build."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"mode indices must be integers, got {k}") from None
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -117,6 +130,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
                      representation: Representation = Representation.MOMENTUM) -> TransverseMode:
     """HG_mn mode with m along x and n along y; y-parity is (-1)^n.  The mode
     is cached and shared, its values read-only: copy them before writing."""
+    m, n = _mode_index(m), _mode_index(n)
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     w = _width(w0, representation)
@@ -143,6 +157,7 @@ def oam_ring(l: int, w0: float, grid: Grid,
     """Ring mode R e^{i l theta}, R as the module docstring gives it in each
     representation; y-reflection maps it to the -l mode.  The mode is cached
     and shared, its values read-only: copy them before writing."""
+    l = _mode_index(l)
     w = _width(w0, representation)
 
     def build() -> TransverseMode:
@@ -213,6 +228,8 @@ class PumpMode:
         if self.kind not in ("gaussian", "hermite"):
             raise ValueError(f"unknown pump kind {self.kind!r}")
         _check_positive("waist", self.waist)
+        object.__setattr__(self, "m", _mode_index(self.m))
+        object.__setattr__(self, "n", _mode_index(self.n))
         if self.m < 0 or self.n < 0:
             raise ValueError("mode indices must be non-negative")
         if self.kind == "gaussian" and (self.m or self.n):
@@ -264,6 +281,23 @@ def _truncate(weights: np.ndarray, rank_tol: float) -> tuple[np.ndarray, float, 
     return (kept / np.linalg.norm(kept)).astype(complex), err, order[:rank]
 
 
+def _phase_matching(a: np.ndarray) -> np.ndarray:
+    """sinc(a_x + a_y) = sin(a_x + a_y) / (a_x + a_y) over the SPDC samples
+    [sx, sy, i, j, k, l], from the per-axis table a[s, i, k] >= 0 of
+    L (p_i - s p_k)^2 / (4 k_p): the sine of the sum from the sines and
+    cosines of the n^2/2 table entries, not of the n^4/4 samples.  Exactly 1
+    where a_x + a_y = 0, as at q1 = q2.  Built in place: besides the result,
+    one sample-sized array and a boolean mask."""
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    sinc = sin_a[_ON_X] * cos_a[_ON_Y]
+    scratch = cos_a[_ON_X] * sin_a[_ON_Y]
+    sinc += scratch
+    np.add(a[_ON_X], a[_ON_Y], out=scratch)
+    sinc /= scratch
+    sinc[scratch == 0.0] = 1.0  # sin 0 / 0
+    return sinc
+
+
 def spdc_state(params: SpdcParams, grid: Grid, *, rank_tol: float = 1e-6) -> TwoPhotonAmplitude:
     """Down-converted pair v(q1+q2) sinc(L |q1-q2|^2 / (4 k_p)), normalized,
     rank-compressed across the photon split.
@@ -275,7 +309,10 @@ def spdc_state(params: SpdcParams, grid: Grid, *, rank_tol: float = 1e-6) -> Two
     couples only to photon 2's sector (a p_x, b p_y), and the (n^2, n^2)
     unfolding splits into four (n^2/4, n^2/4) blocks, each a signed sum of
     the pair sampled with photon 1 on the positive quadrant and photon 2 on
-    each of the four quadrants (n^4/4 samples).  The pair is
+    each of the four quadrants (n^4/4 samples).  The sinc argument is a sum
+    of an x term and a y term, so the samples' sinc comes from per-axis
+    sine and cosine tables (_phase_matching), built in place, and is then
+    multiplied by the pump.  The pair is
     exchange-symmetric, so the block of sector (a, b) is the transpose of
     the block of sector (a p_x, b p_y):
       * for a pump with an odd parity the sectors pair up, and one batched
@@ -299,8 +336,6 @@ def spdc_state(params: SpdcParams, grid: Grid, *, rank_tol: float = 1e-6) -> Two
     h = n // 2
     p = grid.axis[h:]  # the positive half-axis; grid.axis[h - 1 - i] = -p[i]
     signs = np.array([1.0, -1.0])
-    on_x = (slice(None), None, slice(None), None, slice(None), None)
-    on_y = (None, slice(None), None, slice(None), None, slice(None))
     # samples[sx, sy, i, j, k, l] = Phi((p_i, p_j), (sx p_k, sy p_l))
     # An extreme crystal length, pump wavenumber, pump order or half-width
     # overflows the sinc argument or the Hermite recurrence: a non-finite
@@ -309,9 +344,9 @@ def spdc_state(params: SpdcParams, grid: Grid, *, rank_tol: float = 1e-6) -> Two
         # Per axis, [s, i, k] for photon 1 at p_i and photon 2 at s p_k.
         sums = p[None, :, None] + signs[:, None, None] * p[None, None, :]
         diffs_sq = (p[None, :, None] - signs[:, None, None] * p[None, None, :]) ** 2
-        samples = params.pump.evaluate(sums[on_x], sums[on_y]) * np.sinc(  # sin(x)/x at x pi
-            params.crystal_length * (diffs_sq[on_x] + diffs_sq[on_y])
-            / (4.0 * params.pump_wavenumber) / np.pi)
+        samples = _phase_matching(
+            params.crystal_length * diffs_sq / (4.0 * params.pump_wavenumber))
+        samples *= params.pump.evaluate(sums[_ON_X], sums[_ON_Y])
     peak = np.maximum(samples.max(), -samples.min())  # NaN if any sample is
     if not math.isfinite(peak):
         raise ValueError(f"the SPDC amplitude is not finite for pump = {params.pump}, "
@@ -338,6 +373,7 @@ def spdc_state(params: SpdcParams, grid: Grid, *, rank_tol: float = 1e-6) -> Two
     for out, b in zip(blocks, free):
         along_x = [parts[b // 2](samples[0, sy], samples[1, sy]) for sy in (0, 1)]
         parts[b % 2](*along_x, out=out.reshape(h, h, h, h))
+    del samples, along_x  # not held through the factorization
     if free.size < sector.size:  # the blocks pair up
         u, sv, vh = np.linalg.svd(blocks)
     else:  # every block is symmetric
@@ -392,6 +428,27 @@ class GaussianBeamParams:
         return (self.z * self.z + z0 * z0) / self.z
 
 
+def _parity_svd(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.linalg.svd` of an (n, n) matrix, n even, with psi[::-1, ::-1] ==
+    psi, from two (n/2, n/2) SVDs.  The reflection e_i <-> e_{n-1-i}
+    commutes with psi, so in the basis (e_i +- e_{n-1-i})/sqrt2 psi splits
+    into an even block upper + mirror and an odd block upper - mirror.  The
+    singular values of both, merged descending (stable: ties put the even
+    block first), are psi's; each singular vector v of a block unfolds to
+    [+-v[::-1], v] / sqrt2 on the full axis, so every vector is exactly even
+    or odd."""
+    h = psi.shape[0] // 2
+    upper, mirror = psi[h:, h:], psi[h:, h - 1::-1]
+    u, sv, vh = np.linalg.svd(np.stack([upper + mirror, upper - mirror]))
+    order = np.argsort(-sv, axis=None, kind="stable")
+    parity, k = np.divmod(order, h)
+    sign = np.array([1.0, -1.0])[parity, None]
+    # (n, n/2) rows, in order, over sqrt2 before the mirror half is copied.
+    u, vh = u[parity, :, k] / math.sqrt(2.0), vh[parity, k] / math.sqrt(2.0)
+    u, vh = (np.concatenate([sign * v[:, ::-1], v], axis=1) for v in (u, vh))
+    return u.T, sv.ravel()[order], vh
+
+
 def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
                           include_phase: bool = True, rank_tol: float = 1e-6) -> TwoPhotonAmplitude:
     """Position-space biphoton from a thin crystal pumped by a Gaussian:
@@ -400,8 +457,11 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
                + i (k_p/4) [z0^2 |x1-x2|^2 / (2 z^2 R(z)) + (|x1|^2+|x2|^2)/R(z)]}
 
     The amplitude separates per Cartesian axis, so the photon-split
-    factorization is built from a single per-axis SVD psi = u s vh: photon
-    1's term r is u[:, kx_r] (x) u[:, ky_r] and photon 2's vh[kx_r] (x) vh[ky_r].
+    factorization is built from the per-axis SVD psi = u s vh: photon 1's
+    term r is u[:, kx_r] (x) u[:, ky_r] and photon 2's vh[kx_r] (x) vh[ky_r].
+    On the half-offset grid psi(-s, -t) = psi(s, t) exactly, so that SVD
+    is two half-size SVDs, one per reflection parity (_parity_svd), and every
+    per-axis vector is exactly even or odd.
     The amplitude holds the factors in that per-axis form (the leading m <= n
     singular vectors and the maps kx, ky), so its Grams contract per
     axis; the (rank, n, n) arrays photon1/photon2 are built on first read.
@@ -432,7 +492,7 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     if not np.all(np.isfinite(psi_axis)):
         raise ValueError(f"the thin-crystal amplitude is not finite for z = {params.z} and "
                          f"pump_wavenumber = {params.pump_wavenumber}")
-    u, sv, vh = np.linalg.svd(psi_axis)
+    u, sv, vh = _parity_svd(psi_axis)
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
     coeffs, err, kept = _truncate(np.outer(sv, sv).ravel(), rank_tol)
     ix, iy = np.unravel_index(kept, (sv.size, sv.size))

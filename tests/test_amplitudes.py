@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton import amplitudes, cli
+from biphoton import amplitudes, cli, states
 from biphoton import (DenseAmplitude, GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       Representation, SpdcParams, SppParams, TruncationError,
                       TransverseMode, TwoPhotonAmplitude,
@@ -601,6 +601,42 @@ def test_sector_grams_match_an_array_copy(pump, n, crystal_length):
             bound = 2.0 * eps * math.sqrt(1.0 + eps ** 2) + 1e-12
             assert np.abs(np.subtract(weighted[0], _dense_weighted_grams(
                 reference, envelope, mask))).max() <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(pump=_PUMPS, crystal_length=st.floats(0.1, 50.0), pump_wavenumber=st.floats(0.5, 4.0))
+def test_spdc_sinc_from_per_axis_tables_matches_np_sinc(pump, crystal_length, pump_wavenumber):
+    # The samples' sinc comes from sines and cosines of per-axis tables: the
+    # state is the one sampled with np.sinc of the whole argument, and the
+    # sinc is exactly 1 at q1 = q2.
+    params = SpdcParams(crystal_length, pump_wavenumber, pump)
+    grid = make_grid(16, 6.0)
+    h = grid.n // 2
+    p = grid.axis[h:]
+    # d2[s, i, k] = (p_i - s p_k)^2; samples [sx, sy, i, j, k, l].
+    d2 = (p[None, :, None] - np.array([1.0, -1.0])[:, None, None] * p[None, None, :]) ** 2
+    d2x, d2y = d2[:, None, :, None, :, None], d2[None, :, None, :, None, :]
+
+    def with_np_sinc(a):
+        return np.sinc(crystal_length * (d2x + d2y) / (4.0 * pump_wavenumber) / np.pi)
+
+    tables, per_axis = [], states._phase_matching
+
+    def recorded(a):
+        tables.append(per_axis(a))
+        return tables[-1].copy()
+
+    with mock.patch.object(states, "_phase_matching", recorded):
+        amp = spdc_state(params, grid)
+    with mock.patch.object(states, "_phase_matching", with_np_sinc):
+        reference = spdc_state(params, grid)
+    assert amp.rank == reference.rank
+    assert abs(amp.truncation_error - reference.truncation_error) <= 1e-12
+    assert abs(coincidence_probability(amp) - coincidence_probability(reference)) <= 1e-12
+    sinc, = tables
+    assert np.abs(sinc - with_np_sinc(None)).max() <= 1e-12
+    i, j = np.meshgrid(np.arange(h), np.arange(h), indexing="ij")
+    assert np.all(sinc[0, 0, i, j, i, j] == 1.0)
 
 
 def _dense_weighted_grams(amp, envelope, mask):

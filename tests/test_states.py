@@ -12,11 +12,11 @@ from scipy.integrate import quad
 from scipy.special import eval_hermite
 
 from biphoton import grids, states
-from biphoton import (GaussianBeamParams, PumpMode, Representation,
-                      SpdcParams, TransverseMode, TwoPhotonAmplitude,
+from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode, Representation,
+                      SpdcParams, SppParams, TransverseMode, TwoPhotonAmplitude,
                       apply_sigma, bell_state, coincidence_probability, fourier_2d,
                       gaussian_g00, hermite_gaussian, inner_product_2d,
-                      make_grid, mode_norm, norm_squared, normalize, oam_ring,
+                      make_grid, mode_norm, mzi_coincidence, norm_squared, normalize, oam_ring,
                       position_representation, product_state, reflect_y,
                       sigma_overlap, spdc_state, symmetry_decompose,
                       thin_crystal_gaussian, to_dense, dense_sigma_overlap)
@@ -96,6 +96,38 @@ def test_hermite_gaussian_and_pump_match_the_scipy_closed_form(m, n, w0, grid_n,
 def test_hermite_gaussian_rejects_negative_indices():
     with pytest.raises(ValueError):
         hermite_gaussian(-1, 0, 1.0, GRID)
+
+
+@pytest.mark.parametrize("build,value", [
+    (lambda grid: hermite_gaussian(1.0, 0, 1.0, grid), "1.0"),
+    (lambda grid: hermite_gaussian(0, np.float64(2.0), 1.0, grid), "2.0"),
+    (lambda grid: oam_ring(2.0, 1.0, grid), "2.0"),
+    (lambda grid: bell_state("psi-minus", 1.5, 1.0, grid), "1.5"),
+], ids=["hg-float-m", "hg-numpy-float-n", "oam-float-l", "bell-float-l"])
+def test_float_mode_indices_fail_alike_from_a_cold_and_a_warm_cache(build, value):
+    # 1.0 and 1 are equal cache keys: a float order raised a TypeError from
+    # an empty cache but returned the integer order's mode once it was cached.
+    grid = make_grid(16, 5.0)
+    message = f"mode indices must be integers, got {value}"
+    states._hg_row.cache_clear()
+    states._MODES.clear()
+    with pytest.raises(ValueError, match=message):
+        build(grid)
+    for l in (1, 2):  # the integer twins of the floats, now cached
+        hermite_gaussian(l, 0, 1.0, grid)
+        hermite_gaussian(0, l, 1.0, grid)
+        oam_ring(l, 1.0, grid)
+    with pytest.raises(ValueError, match=message):
+        build(grid)
+
+
+def test_numpy_integer_mode_indices_are_the_integer_modes():
+    grid = make_grid(16, 5.0)
+    assert hermite_gaussian(np.int64(1), np.uint8(2), 1.0, grid) is hermite_gaussian(1, 2, 1.0, grid)
+    assert oam_ring(np.int32(-2), 1.0, grid) is oam_ring(-2, 1.0, grid)
+    pump = PumpMode("hermite", 1.0, np.int64(1), np.int16(2))
+    assert pump == PumpMode("hermite", 1.0, 1, 2)
+    assert type(pump.m) is int and type(pump.n) is int
 
 
 @pytest.mark.parametrize("waist", [0.0, -1.0, np.nan, np.inf])
@@ -425,6 +457,7 @@ def test_spdc_symmetry_follows_pump_parity(pump, expected_j):
     (lambda: PumpMode("hermite", 1.0, 0, -2), "mode indices"),
     (lambda: PumpMode("laguerre", 1.0), "pump kind"),
     (lambda: PumpMode("gaussian", 1.0, 0, 1), "gaussian pump"),
+    (lambda: PumpMode("hermite", 1.0, 1.0, 0), "mode indices must be integers, got 1.0"),
 ])
 def test_spdc_params_and_pump_reject_bad_values(build, message):
     with pytest.raises(ValueError, match=message):
@@ -587,6 +620,32 @@ def test_thin_crystal_uses_the_leading_vectors_at_unit_quadrature_norm(n, apertu
         assert np.array_equal(np.union1d(axes.ix, axes.iy), np.arange(axes.x.shape[0]))
         norms = np.sum(np.abs(axes.x) ** 2, axis=1) * grid.spacing
         assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("include_phase", [True, False])
+@pytest.mark.parametrize("z", [0.0, 1.0])
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_thin_crystal_parity_split_matches_a_full_svd(n, z, include_phase):
+    # psi(-s, -t) = psi(s, t) on the half-offset grid, so the per-axis SVD
+    # splits into an even and an odd half-size block: every kept vector is
+    # even or odd bit for bit, and the state is the full SVD's.
+    beam = GaussianBeamParams(1.0, z, 2.0)
+    grid = make_grid(n, 6.0 * beam.spot_size)
+    amp = thin_crystal_gaussian(beam, grid, include_phase=include_phase)
+    for axes in amp._form:
+        mirrored = axes.x[:, ::-1]
+        even, odd = (np.all(mirrored == sign * axes.x, axis=1) for sign in (1.0, -1.0))
+        assert np.all(even | odd)
+    with mock.patch.object(states, "_parity_svd", np.linalg.svd):
+        full = thin_crystal_gaussian(beam, grid, include_phase=include_phase)
+    assert amp.rank == full.rank
+    assert abs(amp.truncation_error - full.truncation_error) <= 1e-12
+    assert abs(coincidence_probability(amp) - coincidence_probability(full)) <= 1e-12
+    geom = MziGeometry(1.0, 1.0, aperture_factor=6.0)
+    split, reference = (mzi_coincidence(a, SppParams(1.3), MziPhases(0.4), geom)
+                        for a in (amp, full))
+    assert abs(split.conditional_pc - reference.conditional_pc) <= 1e-12
+    assert abs(split.throughput_eta - reference.throughput_eta) <= 1e-12
 
 
 @pytest.mark.parametrize("waist", [1e-100, 1.0, 1e100])
