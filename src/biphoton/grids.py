@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -60,16 +60,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for values in arrays:
         values.setflags(write=False)
     return arrays
-
-
-@lru_cache(maxsize=4)
-def _polar(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """|q| and the unit phasor (qx + i qy)/|q| = e^{i theta} at every sample,
-    read-only and kept for the last four grids.  The half-cell offset keeps
-    |q| > 0."""
-    qx, qy = grid.meshgrid()
-    q = np.hypot(qx, qy)
-    return _read_only(q, (qx + 1j * qy) / q)
 
 
 def make_grid(n: int, half_width: float) -> Grid:

@@ -13,13 +13,11 @@ Conventions:
   * A position-space mode of waist w0 is the Fourier partner of the momentum
     mode: the momentum profile at width 2/w0 in place of w0, so the Gaussian
     is exp(-|x|^2 / w0^2) and the ring (2 r / w0)^|l| exp(-r^2 / w0^2).
-All outputs are normalized on the grid.  The mode factories read two
-bounded per-grid caches of read-only tables: grids._polar (|q| and e^{i theta},
-4 grids) and _hg_row (1-D Hermite-Gaussian rows, 64 keys).  A third cache,
-_MODES, keeps the normalized modes that hermite_gaussian (and so gaussian_g00)
-and oam_ring return, up to _MODE_CACHE_BYTES of values, least recently used
-out first.  Factory modes are therefore shared and read-only: copy the values
-before writing to them.
+All outputs are normalized on the grid.  One cache, _MODES, keeps the
+normalized modes that hermite_gaussian (and so gaussian_g00) and oam_ring
+return, up to _MODE_CACHE_BYTES of values, least recently used out first.
+Factory modes are therefore shared and read-only: copy the values before
+writing to them.
 """
 
 from __future__ import annotations
@@ -30,13 +28,12 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .amplitudes import (TwoPhotonAmplitude, _AxisFactors, _SectorFactors, from_modes,
                          normalize)
-from .grids import Grid, Representation, TransverseMode, _polar, _read_only, normalize_mode
+from .grids import Grid, Representation, TransverseMode, _read_only, normalize_mode
 
 _MAX_DENSE_SPDC_N = 48
 # A per-axis table [s, i, k] broadcast over the SPDC samples [sx, sy, i, j, k, l].
@@ -92,13 +89,6 @@ def _hg_profile(k: int, q: np.ndarray, w: float) -> np.ndarray:
     return cur * np.exp(q * q * (-w * w / 4.0))
 
 
-@lru_cache(maxsize=64)
-def _hg_row(k: int, w: float, grid: Grid) -> np.ndarray:
-    """`_hg_profile` on the grid's axis, read-only and kept for the last 64
-    (order, width, grid) keys."""
-    return _read_only(_hg_profile(k, grid.axis, w))[0]
-
-
 def _mode_index(k) -> int:
     """k as a Python int: an int or NumPy integer, never a float such as 1.0,
     which would hash as a cache key equal to 1 but fail in a fresh build."""
@@ -142,7 +132,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
         # A high order overflows the Hermite recurrence, or the outer product
         # of two finite rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _hg_row(m, w, grid), _hg_row(n, w, grid)
+            rows = _hg_profile(m, grid.axis, w), _hg_profile(n, grid.axis, w)
             peak = np.abs(rows[0]).max() * np.abs(rows[1]).max()
         if not math.isfinite(peak):
             raise ValueError(f"HG_{m},{n} overflows the float range for w0 = {w0} and "
@@ -161,7 +151,8 @@ def oam_ring(l: int, w0: float, grid: Grid,
     w = _width(w0, representation)
 
     def build() -> TransverseMode:
-        q, phasor = _polar(grid)
+        qx, qy = grid.meshgrid()
+        q = np.hypot(qx, qy)  # > 0: the half-cell offset puts no sample at 0
         # In units of the width, so no tiny or huge w0 alone over- or
         # underflows; a large l or half-width can, and leaves no finite,
         # positive peak.
@@ -175,9 +166,9 @@ def oam_ring(l: int, w0: float, grid: Grid,
         # Exact scaling by a power of two, the peak into [1/2, 1): no product
         # with the winding underflows.
         radial = np.ldexp(radial, -np.frexp(peak)[1])
-        # e^{i l theta} as a power of the unit phasor: a few products per
-        # sample, not a complex exp.
-        winding = phasor ** abs(l)
+        # e^{i l theta} as a power of the unit phasor (qx + i qy)/q: a few
+        # products per sample, not a complex exp.
+        winding = ((qx + 1j * qy) / q) ** abs(l)
         if l < 0:
             winding = winding.conj()
         return normalize_mode(TransverseMode(radial * winding, grid, representation))

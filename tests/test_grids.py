@@ -13,11 +13,15 @@ def test_make_grid_basic():
     g2 = make_grid(64, 20.0)
     assert g2.axis[0] > -20.0 and g2.axis[-1] < 20.0
     assert np.all(np.diff(g2.axis) > 0)
+    # Spacing 2^-511: a cell weight of exactly the smallest normal float.
+    assert make_grid(8, 8.0 * 2.0 ** -512).weight == np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("n,hw", [(7, 1.0), (4, 1.0), (8, 0.0), (8, -2.0),
                                   (8, float("nan")), (8, float("inf")),
-                                  (64, 1e200), (64, 1e-200), (32, 1e-154)])
+                                  (64, 1e200), (64, 1e-200), (32, 1e-154),
+                                  # one ulp under the smallest normal cell weight
+                                  (8, np.nextafter(8.0 * 2.0 ** -512, 0.0))])
 def test_make_grid_rejects(n, hw):
     with pytest.raises(ValueError):
         make_grid(n, hw)

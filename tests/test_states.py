@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from biphoton import grids, states
+from biphoton import states
 from biphoton import (GaussianBeamParams, MziGeometry, MziPhases, PumpMode, Representation,
                       SpdcParams, SppParams, TransverseMode, TwoPhotonAmplitude,
                       apply_sigma, bell_state, coincidence_probability, fourier_2d,
@@ -109,7 +109,6 @@ def test_float_mode_indices_fail_alike_from_a_cold_and_a_warm_cache(build, value
     # an empty cache but returned the integer order's mode once it was cached.
     grid = make_grid(16, 5.0)
     message = f"mode indices must be integers, got {value}"
-    states._hg_row.cache_clear()
     states._MODES.clear()
     with pytest.raises(ValueError, match=message):
         build(grid)
@@ -148,14 +147,12 @@ def test_oam_ring_l0_real_rotation_symmetric():
     assert np.abs(ring.values - ring.values.T).max() < 1e-14
 
 
-def _assert_cached_tables_read_only(cache, tables):
-    # Every caller shares a cached table or mode, so none may write into it,
-    # and the cache holds a bounded number of tables, or of bytes.
-    if cache is states._MODES:
-        assert 0 < cache.nbytes <= cache.budget <= states._MODE_CACHE_BYTES
-        assert cache.nbytes == sum(mode.values.nbytes for mode in cache._modes.values())
-    else:
-        assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
+def _assert_cached_modes_read_only(tables):
+    # Every caller shares a cached mode, so none may write into it, and the
+    # cache holds a bounded number of bytes.
+    cache = states._MODES
+    assert 0 < cache.nbytes <= cache.budget <= states._MODE_CACHE_BYTES
+    assert cache.nbytes == sum(mode.values.nbytes for mode in cache._modes.values())
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -166,7 +163,7 @@ def _assert_cached_tables_read_only(cache, tables):
 @given(l=st.integers(-40, 40), n=st.sampled_from([16, 32, 64]),
        half_width=st.floats(2.0, 12.0), representation=st.sampled_from(list(Representation)))
 def test_oam_ring_matches_the_closed_form(l, n, half_width, representation):
-    # The winding is a power of the grid's cached unit phasor; the closed form
+    # The winding is a power of the grid's unit phasor; the closed form
     # takes arctan2 and a complex exp at every sample.  At waist 1 the ring is
     # q^|l| exp(-q^2/4) in momentum and (2r)^|l| exp(-r^2) in position.
     grid = make_grid(n, half_width)
@@ -180,8 +177,7 @@ def test_oam_ring_matches_the_closed_form(l, n, half_width, representation):
     want /= np.sqrt(np.sum(np.abs(want) ** 2)) * grid.spacing
     ring = oam_ring(l, 1.0, grid, representation)
     assert np.abs(ring.values - want).max() <= 1e-12
-    _assert_cached_tables_read_only(grids._polar, grids._polar(grid))
-    _assert_cached_tables_read_only(states._MODES, [ring.values])
+    _assert_cached_modes_read_only([ring.values])
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -204,20 +200,13 @@ def test_position_factory_is_the_fourier_partner_of_the_momentum_mode(factory, n
 def test_hermite_gaussian_is_the_same_from_a_cold_cache(m, n, w0, grid_n, half_width,
                                                         representation):
     grid = make_grid(grid_n, half_width)
-    w = w0 if representation is Representation.MOMENTUM else 2.0 / w0
-    states._hg_row.cache_clear()
     states._MODES.clear()
     cold = hermite_gaussian(m, n, w0, grid, representation).values
     warm = hermite_gaussian(m, n, w0, grid, representation).values
-    states._hg_row.cache_clear()
     states._MODES.clear()
     again = hermite_gaussian(m, n, w0, grid, representation).values
     assert np.array_equal(cold, warm) and np.array_equal(cold, again)
-    rows = [states._hg_row(k, w, grid) for k in (m, n)]
-    for k, row in zip((m, n), rows):
-        assert np.array_equal(row, states._hg_profile(k, grid.axis, w))
-    _assert_cached_tables_read_only(states._hg_row, rows)
-    _assert_cached_tables_read_only(states._MODES, [warm, again])
+    _assert_cached_modes_read_only([warm, again])
 
 
 @pytest.mark.parametrize("representation", list(Representation))
@@ -240,7 +229,7 @@ def test_factory_mode_from_the_cache_is_the_cold_build(factory, representation):
     rebuilt = factory(1.0, grid, representation)
     assert rebuilt is not cold and np.array_equal(rebuilt.values, hit.values)
     assert hit.grid == grid and hit.representation is representation
-    _assert_cached_tables_read_only(states._MODES, [hit.values, rebuilt.values])
+    _assert_cached_modes_read_only([hit.values, rebuilt.values])
 
 
 def test_mode_cache_keeps_its_byte_budget_and_evicts_the_least_recently_used():
@@ -252,7 +241,7 @@ def test_mode_cache_keeps_its_byte_budget_and_evicts_the_least_recently_used():
     states._MODES.clear()
     modes = [hermite_gaussian(m, n, 1.0, grid) for m, n in keys]
     assert states._MODES.nbytes == capacity * per_mode == states._MODE_CACHE_BYTES
-    _assert_cached_tables_read_only(states._MODES, [mode.values for mode in modes])
+    _assert_cached_modes_read_only([mode.values for mode in modes])
     oldest_kept = len(keys) - capacity
     assert hermite_gaussian(*keys[-1], 1.0, grid) is modes[-1]
     assert hermite_gaussian(*keys[oldest_kept], 1.0, grid) is modes[oldest_kept]  # now newest
@@ -267,6 +256,10 @@ def test_mode_cache_keeps_its_byte_budget_and_evicts_the_least_recently_used():
         big = oam_ring(1, 1.0, grid)
         assert oam_ring(1, 1.0, grid) is not big and not big.values.flags.writeable
         assert states._MODES.nbytes == 0 and not states._MODES._modes
+    # A mode of exactly the budget is kept.
+    with mock.patch.object(states._MODES, "budget", per_mode):
+        whole = oam_ring(1, 1.0, grid)
+        assert oam_ring(1, 1.0, grid) is whole and states._MODES.nbytes == per_mode
 
 
 def test_mode_cache_under_concurrent_callers():
@@ -288,7 +281,7 @@ def test_mode_cache_under_concurrent_callers():
         with mock.patch.object(states._MODES, "budget", 3 * 16 * 16 ** 2):
             with ThreadPoolExecutor(max_workers=4) as pool:
                 churned = list(pool.map(lambda call: call(), calls, timeout=60))
-            _assert_cached_tables_read_only(states._MODES, [])
+            _assert_cached_modes_read_only([])
             assert states._MODES.nbytes == 3 * 16 * 16 ** 2
     finally:
         sys.setswitchinterval(interval)
@@ -582,6 +575,14 @@ def test_spdc_rejects_huge_grids():
         spdc_state(SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0)), make_grid(64, 6.0))
 
 
+def test_spdc_takes_grids_up_to_the_dense_maximum():
+    params = SpdcParams(1.0, 2.0, PumpMode("gaussian", 1.0))
+    n = states._MAX_DENSE_SPDC_N
+    assert spdc_state(params, make_grid(n, 6.0)).grid.n == n
+    with pytest.raises(ValueError, match=f"n = {n + 2} exceeds the supported maximum {n}"):
+        spdc_state(params, make_grid(n + 2, 6.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(weights=st.lists(st.one_of(st.sampled_from([1.0, 0.5, 0.25]), st.floats(1e-3, 1e3)),
                         min_size=1, max_size=40),
@@ -707,6 +708,27 @@ def test_truncation_error_meets_tight_tolerances(rank_tol):
                                 rank_tol=rank_tol)
     assert 0.0 < amp.truncation_error <= rank_tol
     assert amp.rank < 64 * 64
+
+
+@pytest.mark.parametrize("z", [0.5, 1.0, 3.0])
+def test_thin_crystal_is_the_closed_form_phase_included(z):
+    # The docstring's Psi over all four coordinates, with z0 = k_p w0^2 / 2,
+    # w(z)^2 = w0^2 (1 + z^2/z0^2) and R(z) = z + z0^2 / z, normalized on the
+    # grid.  The chirp cancels in J, so only the amplitude itself pins it.
+    w0, kp = 1.0, 2.0
+    z0 = kp * w0 * w0 / 2.0
+    w_sq, r = w0 * w0 * (1.0 + (z / z0) ** 2), z + z0 * z0 / z
+    beam = GaussianBeamParams(w0, z, kp)
+    grid = make_grid(16, 6.0 * np.sqrt(w_sq))
+    x1x, x1y, x2x, x2y = np.meshgrid(*[grid.axis] * 4, indexing="ij")
+    plus_sq = (x1x + x2x) ** 2 + (x1y + x2y) ** 2
+    minus_sq = (x1x - x2x) ** 2 + (x1y - x2y) ** 2
+    chirp = (kp / 4.0) * (z0 * z0 * minus_sq / (2.0 * z * z * r)
+                          + (x1x ** 2 + x1y ** 2 + x2x ** 2 + x2y ** 2) / r)
+    want = np.exp(-plus_sq / (4.0 * w_sq) + 1j * chirp)
+    want /= np.sqrt(np.sum(np.abs(want) ** 2)) * grid.weight
+    got = to_dense(thin_crystal_gaussian(beam, grid, rank_tol=1e-12)).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_thin_crystal_at_focus_real_positive():
