@@ -10,7 +10,7 @@ database), and the file is restored.  A mutant is killed when pytest fails or
 runs longer than three times the unmutated suite.  The survivors are printed
 in source order, one a line:
 
-    states.py:366:53  spdc_state  < -> <=  partner = sector ^ (...)
+    states.py:172:13  oam_ring.build  < -> <=  if l < 0:
 
 The module is rewritten in place, so run this in a throwaway copy of the
 repository.  A directory stands for its test_*.py files, and each test file
@@ -99,7 +99,7 @@ class _Finder(ast.NodeVisitor):
 def find_mutants(source: str) -> list[Mutant]:
     finder = _Finder(source)
     finder.visit(ast.parse(source))
-    return sorted(set(finder.found), key=lambda m: (m.line, m.col))
+    return sorted(finder.found, key=lambda m: (m.line, m.col))
 
 
 def apply(source: str, mutant: Mutant) -> str:
