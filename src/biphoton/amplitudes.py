@@ -15,12 +15,18 @@ when first read.  Given factor arrays drop it; `normalize` and `apply_sigma`
 pass the form on.  Two forms exist:
 
 * per axis (_AxisFactors, the thin-crystal state): f_r = x_{ix[r]} (x) y_{iy[r]}
-  built from a few 1-D vectors.  Its arrays are built only up to rank 4096
-  (_MAX_EXPANDED_RANK), as are rank x rank Grams.  When both photons share
-  one index map and no weight is given, the coefficients scatter into an
-  m_x x m_y core C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms
-  of C in the m x m per-axis Grams: O(m^3) work, against R^2 = m^4 for the
-  rank x rank Grams.
+  built from a few 1-D vectors, each exactly even or odd under the axis
+  reflection (read bit for bit when the form is built).  Its arrays are
+  built only up to rank 4096 (_MAX_EXPANDED_RANK), as are rank x rank and
+  weighted Grams.  When both photons share one index map and no weight is
+  given, the coefficients scatter into an m_x x m_y core
+  C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms of C in the
+  m x m per-axis Grams: O(m^3) work, against R^2 = m^4 for the rank x rank
+  Grams.  Under a weight W, a product of x-parity u and y-parity v sums
+  against the part W_(u,v) of W on the positive quadrant, so weighted
+  Grams go one pair of parity classes of terms at a time on the half axes,
+  and skip the pairs whose part is zero: under the even aperture the
+  self-Grams take only the class-diagonal blocks (_class_grams).
 * per parity sector (_SectorFactors, the SPDC state): f_r is exactly even or
   odd along each axis and is held as its (n^2/4,) vector on the positive
   quadrant with its two signs.  Factors of different sectors are orthogonal,
@@ -31,7 +37,8 @@ An amplitude is immutable: its coefficients and factors are read-only (a
 writable array from the caller is copied once), so it keeps its unweighted
 (||Phi||^2, J) from one evaluation: the one `normalize` made and handed on,
 or else its first report call's.  Weighted Grams (the generic interferometer
-path) are computed on every call.
+path) are computed on every call: by parity class for per-axis factors, and
+from the (rank, n, n) arrays for per-sector ones.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -58,15 +66,21 @@ _PHOTONS = ("photon1", "photon2")
 @dataclass(frozen=True, eq=False)
 class _AxisFactors:
     """One photon's factors held per axis: term r is the outer product
-    x[ix[r]] (x) y[iy[r]] of rows of x (mx, n) and y (my, n)."""
+    x[ix[r]] (x) y[iy[r]] of rows of x (mx, n) and y (my, n).  Every row is
+    exactly even (+1) or odd (-1) under the axis reflection i <-> n-1-i, as
+    x_sign and y_sign say; a row that is neither is a ValueError."""
 
     x: np.ndarray
     y: np.ndarray
     ix: np.ndarray
     iy: np.ndarray
+    x_sign: np.ndarray = field(init=False, repr=False)
+    y_sign: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _read_only(self.x, self.y, self.ix, self.iy)
+        for name in ("x", "y"):
+            object.__setattr__(self, f"{name}_sign", _parities(getattr(self, name), name))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -75,7 +89,7 @@ class _AxisFactors:
         return _read_only(self.x[self.ix][:, :, None] * self.y[self.iy][:, None, :])[0]
 
     def fits(self, rank: int, n: int) -> bool:
-        return (self.ix.size == rank and self.iy.size == rank
+        return (n % 2 == 0 and self.ix.size == rank and self.iy.size == rank
                 and self.x.shape[1] == n and self.y.shape[1] == n)
 
     def check_expandable(self, what: str) -> None:
@@ -87,6 +101,17 @@ class _AxisFactors:
 
     def reflect_y(self) -> _AxisFactors:
         return _AxisFactors(self.x, self.y[:, ::-1], self.ix, self.iy)
+
+
+def _parities(rows: np.ndarray, axis: str) -> np.ndarray:
+    """+1 for each row equal to its reverse bit for bit, -1 for each row equal
+    to minus its reverse; ValueError if a row is neither."""
+    mirrored = rows[:, ::-1]
+    even, odd = np.all(mirrored == rows, axis=1), np.all(mirrored == -rows, axis=1)
+    if not np.all(even | odd):
+        raise ValueError(f"per-axis factors must be exactly even or odd: row "
+                         f"{np.flatnonzero(~(even | odd))[0]} of {axis} is neither")
+    return _read_only(np.where(even, 1.0, -1.0))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,42 +278,31 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
 
 def _gram(a, b=None, weight: float = 1.0, pointwise: np.ndarray | None = None) -> np.ndarray:
     """G[r, s] = <a_r, pointwise b_s> with midpoint weights; b defaults to a.
-    Factors held per axis on both sides contract per axis (_axis_gram);
-    factors held per parity sector contract per sector (_sector_gram) unless
-    a pointwise weight is given, which takes the arrays."""
+    Without a pointwise weight, factors held per axis on both sides contract
+    per axis (_axis_gram) and factors held per parity sector per sector
+    (_sector_gram); with one, factors take their arrays.  The engine reaches
+    here with no weighted per-axis Gram: those go by class (_class_grams)."""
     b = a if b is None else b
     with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
-        if isinstance(a, _AxisFactors):
-            return _axis_gram(a, b, weight, pointwise)
-        if isinstance(a, _SectorFactors):
-            if pointwise is None:
-                return _sector_gram(a, b, weight)
+        if pointwise is None and isinstance(a, _AxisFactors):
+            return _axis_gram(a, b, weight)
+        if pointwise is None and isinstance(a, _SectorFactors):
+            return _sector_gram(a, b, weight)
+        if not isinstance(a, np.ndarray):
             a, b = a.values, b.values
         if pointwise is not None:
             b = b * pointwise
         return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
 
 
-def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float,
-               pointwise: np.ndarray | None) -> np.ndarray:
-    """The Gram of per-axis factors for a real 2-D weight W.  With
-    A[(p, q), i] = conj(a.x[p, i]) b.x[q, i], B likewise on y and
-    K = A W B^T, G[r, s] = K[(a.ix[r], b.ix[s]), (a.iy[r], b.iy[s])], read by
-    one flat gather: m^2 n^2 + m^4 n work for m vectors per axis, against
-    R^2 n^2 for the (R, n, n) arrays.  Without W the integral separates, and
-    G is the product of the two axes' m x m Grams."""
+def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float) -> np.ndarray:
+    """The unweighted Gram of per-axis factors: the integral separates, so
+    G[r, s] is the product of the two axes' m x m Grams at (a.ix[r], b.ix[s])
+    and (a.iy[r], b.iy[s])."""
     a.check_expandable("rank x rank Grams")  # b has a's rank: both hold one amplitude's factors
-    if pointwise is None:
-        gx, gy = _axis_grams(a, b, weight)
-        return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)
-                * np.take(np.take(gy, a.iy, axis=0), b.iy, axis=1))
-    n = a.x.shape[1]
-    ax = (np.conj(a.x)[:, None, :] * b.x[None, :, :]).reshape(-1, n)
-    ay = (np.conj(a.y)[:, None, :] * b.y[None, :, :]).reshape(-1, n)
-    k = ax @ (pointwise * weight) @ ay.T
-    cols = k.shape[1]
-    rows = a.ix * (b.x.shape[0] * cols) + a.iy * b.y.shape[0]
-    return np.take(k.ravel(), rows[:, None] + (b.ix * cols + b.iy)[None, :])
+    gx, gy = _axis_grams(a, b, weight)
+    return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)
+            * np.take(np.take(gy, a.iy, axis=0), b.iy, axis=1))
 
 
 def _sector_gram(a: _SectorFactors, b: _SectorFactors, weight: float) -> np.ndarray:
@@ -347,14 +361,17 @@ def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = No
     weights, an amplitude with a coefficient core (`_core`) takes the per-axis
     m x m Grams instead: ||Phi||^2 = <C, Hx C Hy^T> with Hx = Gx1 o Gx2 for
     the per-axis self-Grams, and J = <C, Kx C Ky^T> with Kx = Xx o Xx^H for
-    the per-axis cross-Gram Xx; Hy and Ky likewise.  ValueError if any of
+    the per-axis cross-Gram Xx; Hy and Ky likewise.  Weighted per-axis
+    factors go by parity class (`_class_grams`).  ValueError if any of
     the three is not finite.  The unweighted values are kept on the
     amplitude, whose factors are read-only, and served on later calls."""
     unweighted = envelope is None and mask is None
     if unweighted and "_grams" in amp.__dict__:
         return amp.__dict__["_grams"]
     core = _core(amp) if unweighted else None
-    if core is None:
+    if not unweighted and isinstance(_factors(amp)[0], _AxisFactors):
+        nsq, nsq_env, j = _class_grams(amp, envelope, mask)
+    elif core is None:
         nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
     else:
         w = amp.grid.weight
@@ -378,6 +395,115 @@ def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
     if abs(j.imag) > 1e-10 * nsq_env:
         raise ValueError(f"sigma overlap has imaginary part {j.imag}")
     return nsq, nsq_env, j.real
+
+
+def _parity_parts(weight: np.ndarray | None, n: int,
+                  scale: float) -> dict[tuple[float, float], np.ndarray]:
+    """The parity parts W_(u,v) = W(x, y) + u W(-x, y) + v W(x, -y)
+    + uv W(-x, -y) of a real weight W on the positive quadrant, times
+    `scale`, for the signs u, v = +-1 whose part is not all zero (W = 1 if
+    None).  A product of x-parity u and y-parity v sums against W over the
+    grid as against W_(u,v) over the quadrant."""
+    h = n // 2
+    weight = np.ones((n, n)) if weight is None else weight
+    parts = {}
+    for u, rows in ((1.0, weight[h:] + weight[h - 1::-1]), (-1.0, weight[h:] - weight[h - 1::-1])):
+        for v, part in ((1.0, rows[:, h:] + rows[:, h - 1::-1]),
+                        (-1.0, rows[:, h:] - rows[:, h - 1::-1])):
+            if np.any(part):
+                parts[u, v] = part * scale
+    return parts
+
+
+@dataclass(frozen=True)
+class _ClassTerms:
+    """One photon's factors on the terms of one parity class: the x and y
+    vectors those terms use, of x- and y-parity `parity`, as columns on the
+    positive half axis, and each term's column in them."""
+
+    x: np.ndarray
+    y: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+    parity: tuple[float, float]
+
+
+def _class_terms(a: _AxisFactors, terms: np.ndarray) -> _ClassTerms:
+    """a's factors on `terms`, all of one parity class of a."""
+    h = a.x.shape[1] // 2
+    p, ix = np.unique(a.ix[terms], return_inverse=True)
+    q, iy = np.unique(a.iy[terms], return_inverse=True)
+    x, y = (np.ascontiguousarray(v.T) for v in (a.x[p, h:], a.y[q, h:]))
+    return _ClassTerms(x, y, ix, iy, (a.x_sign[p[0]], a.y_sign[q[0]]))
+
+
+def _class_block(a: _ClassTerms, b: _ClassTerms, parts: dict) -> np.ndarray | None:
+    """The block G[r, s] = <a_r, W b_s> of a weighted Gram for the terms of
+    two parity classes, from W's part (`_parity_parts`) of their parities:
+    with A[i, (p, q)] = conj(a.x[i, p]) b.x[i, q] on the half axis, B likewise
+    on y and K = A^T W_(u,v) B, G[r, s] = K[(a.ix[r], b.ix[s]), (a.iy[r],
+    b.iy[s])], read by one flat gather.  None where that part is zero."""
+    part = parts.get((a.parity[0] * b.parity[0], a.parity[1] * b.parity[1]))
+    if part is None:
+        return None
+    h, (px, qx), (py, qy) = part.shape[0], (a.x.shape[1], b.x.shape[1]), (a.y.shape[1], b.y.shape[1])
+    ax = (np.conj(a.x)[:, :, None] * b.x[:, None, :]).reshape(h, -1)
+    ay = (np.conj(a.y)[:, :, None] * b.y[:, None, :]).reshape(h, -1)
+    # W^T A as one real product, the real and imaginary parts of A side by side.
+    left = (part.T @ ax.view(float)).view(complex) if ax.dtype == complex else part.T @ ax
+    k = left.T @ ay
+    rows = a.ix * (qx * py * qy) + a.iy * qy
+    return np.take(k.ravel(), rows[:, None] + (b.ix * (py * qy) + b.iy)[None, :])
+
+
+def _hadamard_form(cr: np.ndarray, a: np.ndarray | None, b: np.ndarray | None,
+                   cs: np.ndarray) -> complex:
+    """cr (a o b) cs, or 0 where either block is zero (None)."""
+    return 0j if a is None or b is None else complex(cr @ (a * b) @ cs)
+
+
+def _class_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
+                 mask: np.ndarray | None) -> tuple[float, float, complex]:
+    """`_norms_and_overlap`' three values for per-axis factors under a
+    weight, one pair of parity classes of terms at a time.  A term's class is
+    the parities of its x and y vectors on each photon; the Gram block of a
+    class pair takes one parity part of its weight, and is zero where that
+    part is (`_class_block`).  c^H (G1 o G2) c and c^H (X o X^H) c are
+    Hermitian forms, so the pair (B, A) adds the conjugate of (A, B).  With
+    the even aperture, the self-Grams' blocks are zero off the class
+    diagonal."""
+    f, g = amp._form
+    f.check_expandable("rank x rank Grams")  # the blocks hold up to rank x rank values
+    c, n, w = amp.coeffs, amp.grid.n, amp.grid.weight
+    parities = np.stack([f.x_sign[f.ix], f.y_sign[f.iy], g.x_sign[g.ix], g.y_sign[g.iy]])
+    label = np.unique(parities, axis=1, return_inverse=True)[1].ravel()
+    reflected = g.reflect_y()
+    classes = [(terms, *(_class_terms(a, terms) for a in (f, g, reflected)))
+               for terms in (np.flatnonzero(label == k) for k in np.unique(label))]
+    photon1_weight = _times(envelope, mask)
+    self_parts = _parity_parts(_times(mask, mask), n, w)
+    env_parts = None if envelope is None else _parity_parts(photon1_weight ** 2, n, w)
+    reflected_mask = None if mask is None else mask[:, ::-1]
+    cross_parts = _parity_parts(_times(reflected_mask, photon1_weight), n, w)
+    nsq = nsq_env = 0.0
+    j = 0j
+    with np.errstate(invalid="ignore", over="ignore"):  # the caller checks finiteness
+        for (rows, f_a, g_a, gr_a), (cols, f_b, g_b, gr_b) in combinations_with_replacement(
+                classes, 2):
+            diagonal = cols is rows
+            cr, cs = np.conj(c[rows]), c[cols]
+            g2 = _class_block(g_a, g_b, self_parts)
+            if g2 is not None:
+                pair = 1.0 if diagonal else 2.0
+                nsq += pair * _hadamard_form(cr, _class_block(f_a, f_b, self_parts), g2, cs).real
+                if env_parts is not None:
+                    nsq_env += pair * _hadamard_form(
+                        cr, _class_block(f_a, f_b, env_parts), g2, cs).real
+            cross = _class_block(gr_a, f_b, cross_parts)
+            back = cross if diagonal or cross is None else _class_block(gr_b, f_a, cross_parts)
+            form = _hadamard_form(cr, cross, None if back is None else back.conj().T, cs)
+            j += form if diagonal else 2.0 * form.real
+    return nsq, (nsq if envelope is None else nsq_env), j
 
 
 def _factor_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,

@@ -442,8 +442,8 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
         not geom.circular); aperture_factor and grid_n are not read.  The
         aperture and the sine envelope enter the Grams as pointwise weights,
         so a thin-crystal amplitude, whose factors are held per axis, takes
-        this path by per-axis contractions without building its (R, n, n)
-        factor arrays.
+        this path by parity class on the half axes without building its
+        (R, n, n) factor arrays.
     """
     if isinstance(source, GaussianBeamParams):
         geo = _source_geometry(source, geom, grid_n)

@@ -419,25 +419,30 @@ class GaussianBeamParams:
         return (self.z * self.z + z0 * z0) / self.z
 
 
-def _parity_svd(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`np.linalg.svd` of an (n, n) matrix, n even, with psi[::-1, ::-1] ==
-    psi, from two (n/2, n/2) SVDs.  The reflection e_i <-> e_{n-1-i}
-    commutes with psi, so in the basis (e_i +- e_{n-1-i})/sqrt2 psi splits
-    into an even block upper + mirror and an odd block upper - mirror.  The
-    singular values of both, merged descending (stable: ties put the even
-    block first), are psi's; each singular vector v of a block unfolds to
-    [+-v[::-1], v] / sqrt2 on the full axis, so every vector is exactly even
-    or odd."""
+def _parity_svd(psi: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple[np.ndarray, ...]]]:
+    """The SVD of an (n, n) matrix, n even, with psi[::-1, ::-1] == psi, from
+    two (n/2, n/2) SVDs: its singular values, descending, and `leading(m)`,
+    the first m left and right singular vectors as (m, n) rows.  The
+    reflection e_i <-> e_{n-1-i} commutes with psi, so in the basis
+    (e_i +- e_{n-1-i})/sqrt2 psi splits into an even block upper + mirror
+    and an odd block upper - mirror.  The singular values of both, merged
+    descending (stable: ties put the even block first), are psi's; each
+    singular vector v of a block unfolds to [+-v[::-1], v] / sqrt2 on the
+    full axis, so every vector is exactly even or odd.  Only the m asked for
+    are unfolded."""
     h = psi.shape[0] // 2
     upper, mirror = psi[h:, h:], psi[h:, h - 1::-1]
     u, sv, vh = np.linalg.svd(np.stack([upper + mirror, upper - mirror]))
     order = np.argsort(-sv, axis=None, kind="stable")
-    parity, k = np.divmod(order, h)
-    sign = np.array([1.0, -1.0])[parity, None]
-    # (n, n/2) rows, in order, over sqrt2 before the mirror half is copied.
-    u, vh = u[parity, :, k] / math.sqrt(2.0), vh[parity, k] / math.sqrt(2.0)
-    u, vh = (np.concatenate([sign * v[:, ::-1], v], axis=1) for v in (u, vh))
-    return u.T, sv.ravel()[order], vh
+
+    def leading(m: int) -> tuple[np.ndarray, ...]:
+        parity, k = np.divmod(order[:m], h)
+        sign = np.array([1.0, -1.0])[parity, None]
+        # (m, n/2) rows over sqrt2 before the mirror half is copied.
+        halves = u[parity, :, k] / math.sqrt(2.0), vh[parity, k] / math.sqrt(2.0)
+        return tuple(np.concatenate([sign * v[:, ::-1], v], axis=1) for v in halves)
+
+    return sv.ravel()[order], leading
 
 
 def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
@@ -483,14 +488,14 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     if not np.all(np.isfinite(psi_axis)):
         raise ValueError(f"the thin-crystal amplitude is not finite for z = {params.z} and "
                          f"pump_wavenumber = {params.pump_wavenumber}")
-    u, sv, vh = _parity_svd(psi_axis)
+    sv, leading = _parity_svd(psi_axis)
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
     coeffs, err, kept = _truncate(np.outer(sv, sv).ravel(), rank_tol)
     ix, iy = np.unravel_index(kept, (sv.size, sv.size))
     # (0, k) outweighs any pair holding an index above k and sorts first among
     # equals: the leading m vectors are in use, scaled to unit quadrature norm.
     m, root = max(ix.max(), iy.max()) + 1, math.sqrt(grid.spacing)
-    u_used, vh_used = np.ascontiguousarray(u[:, :m].T) / root, vh[:m] / root
+    u_used, vh_used = (v / root for v in leading(m))
     axes = (_AxisFactors(u_used, u_used, ix, iy), _AxisFactors(vh_used, vh_used, ix, iy))
     return TwoPhotonAmplitude(coeffs, None, None, grid, Representation.POSITION,
                               truncation_error=err, _form=axes)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -384,8 +385,9 @@ def test_gram_products_per_call(monkeypatch, capsys):
     # none for a later call on the same amplitude, three per whole
     # `biphoton pc` or `classify` run (the state's `normalize` hands its
     # evaluation on to the report), at most four products per generic
-    # interferometer call, and on a thin-crystal amplitude at most four
-    # per-axis contractions and no factor array built.
+    # interferometer call, and on a thin-crystal amplitude no rank x rank
+    # Gram and no factor array built, and each block of its weighted Grams
+    # evaluated once.
     calls, kinds = [], set()
     gram = amplitudes._gram
 
@@ -424,15 +426,28 @@ def test_gram_products_per_call(monkeypatch, capsys):
         raise AssertionError("a (rank, n, n) factor array was built")
 
     monkeypatch.setattr(amplitudes._AxisFactors, "values", property(no_factor_arrays))
+    blocks = []
+    class_block = amplitudes._class_block
+
+    def counting_blocks(a, b, parts):
+        block = class_block(a, b, parts)
+        if block is not None:
+            blocks.append(block)
+        return block
+
+    monkeypatch.setattr(amplitudes, "_class_block", counting_blocks)
     beam = GaussianBeamParams(1.0, 1.0, 2.0)
     thin = thin_crystal_gaussian(beam, make_grid(64, 6.0 * beam.spot_size))
     for circular in (True, False):
         calls.clear()
-        kinds.clear()
+        blocks.clear()
         mzi_coincidence(thin, SppParams(1.5), MziPhases(0.3),
                         MziGeometry(1.0, 1.0, aperture_factor=6.0, circular=circular))
-        assert 0 < len(calls) <= 4
-        assert kinds == {amplitudes._AxisFactors}
+        assert calls == []
+        # The terms fall in 4 parity classes.  The aperture (or its absence)
+        # is even, so the three self-Grams take the 4 class-diagonal blocks;
+        # the cross-Gram takes all 16.
+        assert len(blocks) == 3 * 4 + 4 ** 2
 
     # An unweighted report on a thin-crystal amplitude contracts its
     # coefficient core with the per-axis m x m Grams: no rank x rank Gram.
@@ -648,6 +663,14 @@ def _dense_weighted_grams(amp, envelope, mask):
             dense_sigma_overlap(enveloped))
 
 
+def _parity_rows(rng, m, n):
+    """m random complex rows of length n, each exactly even or odd: a random
+    half row, mirrored with a random sign."""
+    half = rng.normal(size=(m, n // 2)) + 1j * rng.normal(size=(m, n // 2))
+    sign = rng.choice([1.0, -1.0], size=(m, 1))
+    return np.concatenate([sign * half[:, ::-1], half], axis=1)
+
+
 def _thin_crystal(n, aperture, z_over_z0, rank_tol):
     beam = GaussianBeamParams(1.0, z_over_z0, 2.0)  # Rayleigh length 1
     return thin_crystal_gaussian(beam, make_grid(n, aperture * beam.spot_size),
@@ -682,17 +705,19 @@ def test_core_path_matches_gather_and_dense_copy(n, aperture, z_over_z0, rank_to
 @given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 12),
        m=st.tuples(st.integers(1, 4), st.integers(1, 4)), n=st.sampled_from([8, 12]))
 def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, n):
-    # Complex, non-orthogonal per-axis vectors and coefficients, with
-    # repeated (ix, iy) pairs, shared by both photons: the core sums them.
-    # With a real envelope, and a 0/1 mask or none, the weighted per-axis
-    # Grams (_axis_gram) give the array copy's (||Phi||^2, ||Phi'||^2, J').
+    # Complex, non-orthogonal, exactly even or odd per-axis vectors and
+    # coefficients, with repeated (ix, iy) pairs, shared by both photons: the
+    # core sums them.  With a real envelope, and a 0/1 mask or none, the
+    # weighted Grams by parity class give the array copy's
+    # (||Phi||^2, ||Phi'||^2, J').
     rng = np.random.default_rng(seed)
 
     def cnormal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     ix, iy = rng.integers(0, m[0], rank), rng.integers(0, m[1], rank)
-    axes = [amplitudes._AxisFactors(cnormal(m[0], n), cnormal(m[1], n), ix, iy)
+    axes = [amplitudes._AxisFactors(_parity_rows(rng, m[0], n), _parity_rows(rng, m[1], n),
+                                    ix, iy)
             for _ in range(2)]
     amp = TwoPhotonAmplitude(cnormal(rank), None, None, make_grid(n, 3.0),
                              Representation.MOMENTUM, _form=tuple(axes))
@@ -718,6 +743,91 @@ def test_per_axis_photons_on_different_index_maps_take_the_gather():
         values = _outputs(swapped)
     assert spy.call_count > 0
     assert np.abs(values - _outputs(_as_arrays(swapped))).max() <= 1e-12
+
+
+def _no_factor_arrays(axes):
+    raise AssertionError("a (rank, n, n) factor array was built")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 12),
+       m=st.tuples(st.integers(1, 4), st.integers(1, 4)), n=st.sampled_from([8, 12, 16]),
+       swapped=st.booleans(), mask=st.sampled_from(["none", "even", "random"]))
+def test_class_grams_match_an_array_copy(seed, rank, m, n, swapped, mask):
+    # Each photon's per-axis vectors are random, complex and exactly even or
+    # odd with random signs, its (ix, iy) pairs repeat, and photon 2 holds its
+    # own vectors on the same index map or on the swapped one (iy, ix).  Under
+    # a random real envelope, with a mask that is none, even in x and y, or
+    # random, the weighted Grams by parity class give the array copy's
+    # (||Phi||^2, ||Phi'||^2, J') without building a factor array.
+    rng = np.random.default_rng(seed)
+    ix, iy = rng.integers(0, m[0], rank), rng.integers(0, m[1], rank)
+    f = amplitudes._AxisFactors(_parity_rows(rng, m[0], n), _parity_rows(rng, m[1], n), ix, iy)
+    g = (amplitudes._AxisFactors(_parity_rows(rng, m[1], n), _parity_rows(rng, m[0], n), iy, ix)
+         if swapped else
+         amplitudes._AxisFactors(_parity_rows(rng, m[0], n), _parity_rows(rng, m[1], n), ix, iy))
+    coeffs = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+    amp = TwoPhotonAmplitude(coeffs, None, None, make_grid(n, 3.0), Representation.POSITION,
+                             _form=(f, g))
+    envelope = rng.normal(size=(n, n))
+    quadrant = (rng.random((n // 2, n // 2)) < 0.7).astype(float)
+    even = np.concatenate([quadrant[::-1], quadrant])
+    weight = {"none": None, "even": np.concatenate([even[:, ::-1], even], axis=1),
+              "random": (rng.random((n, n)) < 0.7).astype(float)}[mask]
+    for state in (amp, apply_sigma(amp)):
+        want = np.array(amplitudes._norms_and_overlap(_as_arrays(state), envelope, weight))
+        with mock.patch.object(amplitudes._AxisFactors, "values", property(_no_factor_arrays)):
+            got = np.array(amplitudes._norms_and_overlap(state, envelope, weight))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(want[0]))
+
+
+def test_per_axis_factors_must_be_exactly_even_or_odd():
+    # The weighted Grams sum over the positive half axes by the parity of
+    # each vector, so the per-axis form reads each parity bit for bit and
+    # takes no vector that has none.
+    rows = _parity_rows(np.random.default_rng(5), 3, 8)
+    index = np.arange(3)
+    axes = amplitudes._AxisFactors(rows, rows[::-1], index, index)
+    assert np.array_equal(axes.x_sign, np.where(rows[:, 0] == rows[:, -1], 1.0, -1.0))
+    assert np.array_equal(axes.y_sign, axes.x_sign[::-1])
+    bent = rows.copy()
+    bent[1, 0] = complex(np.nextafter(bent[1, 0].real, np.inf), bent[1, 0].imag)
+    for x, y, name in ((bent, rows, "x"), (rows, bent, "y")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"per-axis factors must be exactly even or odd: row 1 of {name} is neither")):
+            amplitudes._AxisFactors(x, y, index, index)
+
+
+def test_per_axis_expansion_cap_is_inclusive():
+    # Rank 4096 (_MAX_EXPANDED_RANK) may still be expanded: only a larger rank
+    # is refused.
+    rows = _parity_rows(np.random.default_rng(6), 2, 8)
+    for rank in (amplitudes._MAX_EXPANDED_RANK, amplitudes._MAX_EXPANDED_RANK + 1):
+        index = np.arange(rank) % 2
+        axes = amplitudes._AxisFactors(rows, rows, index, index)
+        if rank == amplitudes._MAX_EXPANDED_RANK:
+            axes.check_expandable("rank x rank Grams")
+        else:
+            with pytest.raises(TruncationError, match=f"rank {rank} is above the cap of 4096"):
+                axes.check_expandable("rank x rank Grams")
+
+
+def test_generic_mzi_on_a_thin_crystal_peaks_below_6_mb():
+    # At n = 128 and aperture 6 the thin crystal has rank 356 on 22 vectors
+    # per axis.  Its weighted Grams go by parity class and form no
+    # (22^2, 22^2) tensor on the full axes: one generic call traces a peak of
+    # about 2.2 MB, against 10.9 MB for that tensor and its rank x rank gather.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    amp = thin_crystal_gaussian(beam, make_grid(128, 6.0 * beam.spot_size))
+    geom, spp, phases = MziGeometry(1.0, 1.0, aperture_factor=6.0), SppParams(1.5), MziPhases(0.3)
+    mzi_coincidence(amp, spp, phases, geom)
+    tracemalloc.start()
+    try:
+        mzi_coincidence(amp, spp, phases, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_from_modes_rejects_modes_that_do_not_combine():
@@ -835,7 +945,8 @@ def test_position_representation_matches_the_unbatched_einsum(seed, rank, n, hal
 def test_norm_and_sigma_overlap_survive_position_representation(form, seed, rank, n, pump):
     # The per-axis Fourier transform is unitary and commutes with sigma, so
     # ||Phi||^2 and J are the same in both representations, for factor arrays,
-    # per-axis factors (complex, on one shared index map) and SPDC sectors.
+    # per-axis factors (complex, exactly even or odd, on one shared index map)
+    # and SPDC sectors.
     rng = np.random.default_rng(seed)
     grid = make_grid(n, 6.0)
 
@@ -848,7 +959,8 @@ def test_norm_and_sigma_overlap_survive_position_representation(form, seed, rank
     elif form == "per-axis":
         m = rng.integers(1, 5, size=2)
         ix, iy = rng.integers(0, m[0], rank), rng.integers(0, m[1], rank)
-        axes = [amplitudes._AxisFactors(cnormal(m[0], n), cnormal(m[1], n), ix, iy)
+        axes = [amplitudes._AxisFactors(_parity_rows(rng, m[0], n), _parity_rows(rng, m[1], n),
+                                        ix, iy)
                 for _ in range(2)]
         amp = TwoPhotonAmplitude(cnormal(rank), None, None, grid, Representation.MOMENTUM,
                                  _form=tuple(axes))

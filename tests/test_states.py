@@ -623,13 +623,31 @@ def test_thin_crystal_uses_the_leading_vectors_at_unit_quadrature_norm(n, apertu
         assert np.abs(norms - 1.0).max() <= 1e-12
 
 
+def _full_svd(psi):
+    """np.linalg.svd of the whole axis matrix, in _parity_svd's form.  Its
+    vectors are even or odd only to rounding, and the per-axis form takes
+    only exact ones, so each is replaced by its mirror average
+    (v +- v[::-1]) / 2, which is exactly even or odd."""
+    u, sv, vh = np.linalg.svd(psi)
+
+    def leading(m):
+        rows = []
+        for v in (u[:, :m].T, vh[:m]):
+            mirrored = v[:, ::-1]
+            even = np.linalg.norm(v + mirrored, axis=1) >= np.linalg.norm(v - mirrored, axis=1)
+            rows.append((v + np.where(even, 1.0, -1.0)[:, None] * mirrored) / 2.0)
+        return tuple(rows)
+
+    return sv, leading
+
+
 @pytest.mark.parametrize("include_phase", [True, False])
 @pytest.mark.parametrize("z", [0.0, 1.0])
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_thin_crystal_parity_split_matches_a_full_svd(n, z, include_phase):
     # psi(-s, -t) = psi(s, t) on the half-offset grid, so the per-axis SVD
     # splits into an even and an odd half-size block: every kept vector is
-    # even or odd bit for bit, and the state is the full SVD's.
+    # even or odd bit for bit, and the state is the full SVD's (_full_svd).
     beam = GaussianBeamParams(1.0, z, 2.0)
     grid = make_grid(n, 6.0 * beam.spot_size)
     amp = thin_crystal_gaussian(beam, grid, include_phase=include_phase)
@@ -637,7 +655,7 @@ def test_thin_crystal_parity_split_matches_a_full_svd(n, z, include_phase):
         mirrored = axes.x[:, ::-1]
         even, odd = (np.all(mirrored == sign * axes.x, axis=1) for sign in (1.0, -1.0))
         assert np.all(even | odd)
-    with mock.patch.object(states, "_parity_svd", np.linalg.svd):
+    with mock.patch.object(states, "_parity_svd", _full_svd):
         full = thin_crystal_gaussian(beam, grid, include_phase=include_phase)
     assert amp.rank == full.rank
     assert abs(amp.truncation_error - full.truncation_error) <= 1e-12

@@ -15,8 +15,10 @@ in source order, one a line:
 The module is rewritten in place, so run this in a throwaway copy of the
 repository.  A directory stands for its test_*.py files, and each test file
 runs once, in the order given: list the module's own test file first, and
-most mutants fail early.  Uses only the standard library; it is not part of
-the test suite.
+most mutants fail early.  --function NAME (repeatable) keeps only the
+mutants inside the function or class NAME, as the survivor lines name it
+(`oam_ring.build` or the whole `oam_ring`).  Uses only the standard library;
+it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -142,13 +144,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", type=Path, help="the source file to mutate")
     parser.add_argument("tests", nargs="+", help="pytest paths, the module's own tests first")
+    parser.add_argument("--function", action="append", default=[], metavar="NAME",
+                        help="mutate only inside this function or class (repeatable)")
     args = parser.parse_args(argv)
     tests = expand_tests(args.tests)
     signal.signal(signal.SIGTERM, signal.default_int_handler)  # restore the module
     original = args.module.read_bytes()
     stat = args.module.stat()
     source = original.decode()
-    mutants = find_mutants(source)
+    mutants = [m for m in find_mutants(source) if not args.function
+               or any(m.function == name or m.function.startswith(name + ".")
+                      for name in args.function)]
     passed, seconds = run_tests(tests, None)
     if not passed:
         print("the tests fail on the unmutated module", file=sys.stderr)
