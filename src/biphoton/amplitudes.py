@@ -6,7 +6,9 @@ the Grams of real factors, such as the SPDC state's, are real products.
 The exchange-reflection involution sigma (swap photons, flip both
 y components) acts term-wise.  The norm, the overlap <sigma Phi, Phi> that
 controls the beamsplitter coincidence rate and the symmetry weights follow
-from two self-Grams and one sigma cross-Gram of the factors.
+from two self-Grams and one sigma cross-Gram of the factors.  For factor
+arrays an unweighted evaluation is exactly those three `_gram` products,
+under one np.errstate, with no probe for a per-axis core.
 
 A factory may hand over the factors in a factored form and no factor
 arrays; only then does the amplitude keep the form: its Grams contract in
@@ -34,11 +36,13 @@ pass the form on.  Two forms exist:
   per matching sector, 1/16 of the work on the full grid.
 
 An amplitude is immutable: its coefficients and factors are read-only (a
-writable array from the caller is copied once), so it keeps its unweighted
-(||Phi||^2, J) from one evaluation: the one `normalize` made and handed on,
-or else its first report call's.  Weighted Grams (the generic interferometer
-path) are computed on every call: by parity class for per-axis factors, and
-from the (rank, n, n) arrays for per-sector ones.
+writable array from the caller is copied once; `from_modes` and `normalize`
+take the arrays the package made and froze itself with no check and no copy,
+and derived amplitudes freeze their fresh arrays in place), so it keeps its
+unweighted (||Phi||^2, J) from one evaluation: the one `normalize` made and
+handed on, or else its first report call's.  Weighted Grams (the generic
+interferometer path) are computed on every call: by parity class for
+per-axis factors, and from the (rank, n, n) arrays for per-sector ones.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -46,15 +50,15 @@ A dense 4D form is kept for small grids purely as a brute-force oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import TruncationError
-from .grids import (Grid, Representation, TransverseMode, _check_compatible, _read_only,
-                    fourier_kernel_1d)
+from .grids import (_TINY, Grid, Representation, TransverseMode, _check_compatible,
+                    _read_only, fourier_kernel_1d)
 
 _DENSE_MAX_N = 32
 # Per-axis factors of a larger rank are never expanded into (rank, n, n)
@@ -231,13 +235,32 @@ def _factors(amp: TwoPhotonAmplitude):
     return amp._form if amp._form is not None else (amp.photon1, amp.photon2)
 
 
+def _built(coeffs: np.ndarray, f, g, grid: Grid, representation: Representation,
+           truncation_error: float | None = None) -> TwoPhotonAmplitude:
+    """An amplitude from parts the package made and froze itself, taken with
+    no copy and no check: read-only complex coefficients (R,) and factor
+    arrays (R, n, n), or f, g in one factored form (see `_factors`)."""
+    amp = object.__new__(TwoPhotonAmplitude)
+    fields = amp.__dict__
+    fields.update(coeffs=coeffs, grid=grid, representation=representation,
+                  truncation_error=truncation_error, _form=None)
+    if isinstance(f, np.ndarray):
+        fields.update(photon1=f, photon2=g)
+    else:
+        fields["_form"] = f, g
+    return amp
+
+
 def _with_factors(amp: TwoPhotonAmplitude, f, g, **changes) -> TwoPhotonAmplitude:
     """amp with factors f, g in the form `_factors` returns, and other changes.
-    Factor arrays must be fresh or already frozen: they are frozen in place."""
+    Coefficients and factor arrays must be fresh or read-only: they are frozen
+    in place, and a factor array over memory still writable is copied."""
     if isinstance(f, np.ndarray):
-        f, g = _read_only(f, g)
-        return replace(amp, photon1=f, photon2=g, **changes)
-    return replace(amp, photon1=None, photon2=None, _form=(f, g), **changes)
+        f, g = (_frozen(values, values.dtype) for values in _read_only(f, g))
+    parts = {"coeffs": amp.coeffs, "grid": amp.grid, "representation": amp.representation,
+             "truncation_error": amp.truncation_error, **changes}
+    _read_only(parts["coeffs"])
+    return _built(f=f, g=g, **parts)
 
 
 def _reflect_y(factors):
@@ -271,9 +294,9 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
         _check_compatible(f, f0)
         _check_compatible(g, f0)
     coeffs = np.array([c for c, _, _ in terms], dtype=complex)
-    photon1, photon2 = _read_only(np.stack([f.values for _, f, _ in terms]),
-                                  np.stack([g.values for _, _, g in terms]))
-    return TwoPhotonAmplitude(coeffs, photon1, photon2, f0.grid, f0.representation)
+    photon1 = np.array([f.values for _, f, _ in terms])
+    photon2 = np.array([g.values for _, _, g in terms])
+    return _built(*_read_only(coeffs, photon1, photon2), f0.grid, f0.representation)
 
 
 def _gram(a, b=None, weight: float = 1.0, pointwise: np.ndarray | None = None) -> np.ndarray:
@@ -281,18 +304,16 @@ def _gram(a, b=None, weight: float = 1.0, pointwise: np.ndarray | None = None) -
     Without a pointwise weight, factors held per axis on both sides contract
     per axis (_axis_gram) and factors held per parity sector per sector
     (_sector_gram); with one, factors take their arrays.  The engine reaches
-    here with no weighted per-axis Gram: those go by class (_class_grams)."""
+    here with no weighted per-axis Gram: those go by class (_class_grams).
+    Overflow is not trapped: the caller checks the values for finiteness."""
     b = a if b is None else b
-    with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
-        if pointwise is None and isinstance(a, _AxisFactors):
-            return _axis_gram(a, b, weight)
-        if pointwise is None and isinstance(a, _SectorFactors):
-            return _sector_gram(a, b, weight)
-        if not isinstance(a, np.ndarray):
-            a, b = a.values, b.values
-        if pointwise is not None:
-            b = b * pointwise
-        return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
+    if not isinstance(a, np.ndarray):
+        if pointwise is None:
+            return (_axis_gram if isinstance(a, _AxisFactors) else _sector_gram)(a, b, weight)
+        a, b = a.values, b.values
+    if pointwise is not None:
+        b = b * pointwise
+    return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
 
 
 def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float) -> np.ndarray:
@@ -339,14 +360,12 @@ def _core_form(core: np.ndarray, ax: np.ndarray, bx: np.ndarray,
                ay: np.ndarray, by: np.ndarray) -> complex:
     """<C, Hx C Hy^T> for Hx = ax o bx and Hy = ay o by: the form
     sum_rs conj(c_r) Hx[ix_r, ix_s] Hy[iy_r, iy_s] c_s in O(m^3)."""
-    with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
-        return complex(np.vdot(core, (ax * bx) @ core @ (ay * by).T))
+    return complex(np.vdot(core, (ax * bx) @ core @ (ay * by).T))
 
 
-def _times(*weights: np.ndarray | None) -> np.ndarray | None:
-    """The product of the pointwise weights given; None (weight 1) if none is."""
-    given = [w for w in weights if w is not None]
-    return math.prod(given) if given else None
+def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """The product of two pointwise weights, None (weight 1) standing for 1."""
+    return b if a is None else a if b is None else a * b
 
 
 def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
@@ -364,22 +383,24 @@ def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = No
     the per-axis cross-Gram Xx; Hy and Ky likewise.  Weighted per-axis
     factors go by parity class (`_class_grams`).  ValueError if any of
     the three is not finite.  The unweighted values are kept on the
-    amplitude, whose factors are read-only, and served on later calls."""
+    amplitude, whose factors are read-only, and served on later calls.
+    Factor arrays go straight to the rank x rank Grams, with no core probe."""
     unweighted = envelope is None and mask is None
     if unweighted and "_grams" in amp.__dict__:
         return amp.__dict__["_grams"]
-    core = _core(amp) if unweighted else None
-    if not unweighted and isinstance(_factors(amp)[0], _AxisFactors):
-        nsq, nsq_env, j = _class_grams(amp, envelope, mask)
-    elif core is None:
-        nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
-    else:
-        w = amp.grid.weight
-        f, g = amp._form
-        (x1, y1), (x2, y2) = _axis_grams(f, f, w), _axis_grams(g, g, w)
-        nsq = nsq_env = _core_form(core, x1, x2, y1, y2).real
-        xx, xy = _axis_grams(_reflect_y(g), f, w)
-        j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
+    f, g = _factors(amp)
+    core = None if isinstance(f, np.ndarray) or not unweighted else _core(amp)
+    with np.errstate(invalid="ignore", over="ignore"):  # checked for finiteness below
+        if not unweighted and isinstance(f, _AxisFactors):
+            nsq, nsq_env, j = _class_grams(amp, envelope, mask)
+        elif core is None:
+            nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
+        else:
+            w = amp.grid.weight
+            (x1, y1), (x2, y2) = _axis_grams(f, f, w), _axis_grams(g, g, w)
+            nsq = nsq_env = _core_form(core, x1, x2, y1, y2).real
+            xx, xy = _axis_grams(_reflect_y(g), f, w)
+            j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
     if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
         raise ValueError(f"non-finite amplitude: squared norm {nsq}, J = {j}")
     if unweighted:
@@ -487,22 +508,20 @@ def _class_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
     cross_parts = _parity_parts(_times(reflected_mask, photon1_weight), n, w)
     nsq = nsq_env = 0.0
     j = 0j
-    with np.errstate(invalid="ignore", over="ignore"):  # the caller checks finiteness
-        for (rows, f_a, g_a, gr_a), (cols, f_b, g_b, gr_b) in combinations_with_replacement(
-                classes, 2):
-            diagonal = cols is rows
-            cr, cs = np.conj(c[rows]), c[cols]
-            g2 = _class_block(g_a, g_b, self_parts)
-            if g2 is not None:
-                pair = 1.0 if diagonal else 2.0
-                nsq += pair * _hadamard_form(cr, _class_block(f_a, f_b, self_parts), g2, cs).real
-                if env_parts is not None:
-                    nsq_env += pair * _hadamard_form(
-                        cr, _class_block(f_a, f_b, env_parts), g2, cs).real
-            cross = _class_block(gr_a, f_b, cross_parts)
-            back = cross if diagonal or cross is None else _class_block(gr_b, f_a, cross_parts)
-            form = _hadamard_form(cr, cross, None if back is None else back.conj().T, cs)
-            j += form if diagonal else 2.0 * form.real
+    for (rows, f_a, g_a, gr_a), (cols, f_b, g_b, gr_b) in combinations_with_replacement(classes, 2):
+        diagonal = cols is rows
+        cr, cs = np.conj(c[rows]), c[cols]
+        g2 = _class_block(g_a, g_b, self_parts)
+        if g2 is not None:
+            pair = 1.0 if diagonal else 2.0
+            nsq += pair * _hadamard_form(cr, _class_block(f_a, f_b, self_parts), g2, cs).real
+            if env_parts is not None:
+                nsq_env += pair * _hadamard_form(
+                    cr, _class_block(f_a, f_b, env_parts), g2, cs).real
+        cross = _class_block(gr_a, f_b, cross_parts)
+        back = cross if diagonal or cross is None else _class_block(gr_b, f_a, cross_parts)
+        form = _hadamard_form(cr, cross, None if back is None else back.conj().T, cs)
+        j += form if diagonal else 2.0 * form.real
     return nsq, (nsq if envelope is None else nsq_env), j
 
 
@@ -546,8 +565,9 @@ def normalize(amp: TwoPhotonAmplitude) -> TwoPhotonAmplitude:
     nsq, _, j = _norms_and_overlap(amp)
     if not nsq > 0.0:
         raise ValueError(f"cannot normalize an amplitude of squared norm {nsq}")
-    unit = _with_factors(amp, *_factors(amp), coeffs=amp.coeffs / np.sqrt(nsq))
-    if nsq >= np.finfo(float).tiny:  # else the scaled coefficients need not give unit norm
+    unit = _built(_read_only(amp.coeffs / np.sqrt(nsq))[0], *_factors(amp), amp.grid,
+                  amp.representation, amp.truncation_error)
+    if nsq >= _TINY:  # else the scaled coefficients need not give unit norm
         unit.__dict__["_grams"] = 1.0, 1.0, j / nsq
     return unit
 

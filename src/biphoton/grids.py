@@ -4,6 +4,13 @@ All physics modules share the same discretization: an n-by-n Cartesian grid,
 symmetric about the origin, with a half-cell offset so that no sample sits at
 zero and the sample set is closed under y -> -y (the beamsplitter reflection
 maps grid points to grid points exactly).
+
+Mode norms are taken on the values scaled by the power of two 2^-e that
+brings the largest real or imaginary part into [1/2, 1), so no square
+over- or underflows.  Inside the fast range, where every part p has
+|p| >= 2^(max(e, 0) - 511) and the norm is a finite, normal float, no
+rounding depends on that scale, and the unscaled sum gives the same bits
+without the scaled copy (see `_norms`).
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float, 2^-1022
 
 
 class Representation(Enum):
@@ -69,7 +78,7 @@ def make_grid(n: int, half_width: float) -> Grid:
     if n % 2 != 0 or n < 8:
         raise ValueError(f"grid size must be even and >= 8, got {n}")
     grid = Grid(n, float(half_width))
-    if not (half_width > 0 and np.finfo(float).tiny <= grid.weight < math.inf):
+    if not (half_width > 0 and _TINY <= grid.weight < math.inf):
         raise ValueError(f"half_width must be finite and positive and give a finite, "
                          f"normal cell weight (2 half_width / n)^2, got {half_width} "
                          f"for n = {n}")
@@ -92,7 +101,7 @@ class TransverseMode:
 
 
 def _check_compatible(a: TransverseMode, b: TransverseMode) -> None:
-    if a.grid != b.grid:
+    if a.grid is not b.grid and a.grid != b.grid:
         raise ValueError("modes live on different grids")
     if a.representation is not b.representation:
         raise ValueError("mixed momentum/position arithmetic is not defined")
@@ -104,37 +113,53 @@ def inner_product_2d(a: TransverseMode, b: TransverseMode) -> complex:
     return complex(np.vdot(a.values, b.values) * a.grid.weight)
 
 
-def _norms(a: TransverseMode) -> tuple[np.ndarray, float, float]:
-    """a's values times 2^-e and their norm on the grid, for the exact power of
-    two that brings the largest real or imaginary part into [1/2, 1), so no
-    square over- or underflows; then a's own norm, inf if it exceeds the float
-    range.  Raises for non-finite values."""
+def _norms(a: TransverseMode) -> tuple[float, np.ndarray | None, float]:
+    """(full, scaled, nrm): a's norm on the grid, inf if it exceeds the float
+    range; then, unless the fast range below gave `full`, a's values times 2^-e
+    for the exact power of two that brings the largest real or imaginary part
+    into [1/2, 1), so no square over- or underflows, and their norm on the
+    grid, of which `full` is the 2^e multiple.  Raises for non-finite values.
+
+    Fast range: if every part p has |p| >= 2^(max(e, 0) - 511) (so none is
+    zero), no square, and so no partial sum, of the unscaled or the scaled
+    sum of squares is subnormal; if the unscaled sum is finite and `full` a
+    normal float as well, scaling by 2^-e changes no rounding, so the
+    unscaled sum gives `full` bit for bit and the scaled copy is not made
+    (None, nan)."""
     parts = np.ascontiguousarray(a.values).view(float)
-    peak = max(parts.max(), -parts.min())  # NaN if any part is
+    mags = np.abs(parts.ravel())
+    peak = float(np.maximum.reduce(mags))  # NaN if any part is
     if not math.isfinite(peak):
         raise ValueError(f"mode values must be finite, got a largest part of {peak}")
-    e = int(np.frexp(peak)[1])
-    scaled = np.ldexp(parts, -e).view(complex)
+    e = math.frexp(peak)[1]
     # The spacing, not the weight, outside the root: on a very coarse or fine
     # grid the weight times sum |v|^2 overflows or underflows.
+    if np.minimum.reduce(mags) >= math.ldexp(1.0, max(e, 0) - 511):
+        values = parts.view(complex)
+        full = math.sqrt(np.vdot(values, values).real) * a.grid.spacing
+        if _TINY <= full < math.inf:
+            return full, None, math.nan
+    scaled = np.ldexp(parts, -e).view(complex)
     nrm = math.sqrt(np.vdot(scaled, scaled).real) * a.grid.spacing
-    with np.errstate(over="ignore"):
-        return scaled, nrm, float(np.ldexp(nrm, e))
+    try:
+        return math.ldexp(nrm, e), scaled, nrm
+    except OverflowError:
+        return math.inf, scaled, nrm
 
 
 def mode_norm(a: TransverseMode) -> float:
     """The L2 norm on the grid; inf if it exceeds the float range."""
-    return _norms(a)[2]
+    return _norms(a)[0]
 
 
 def normalize_mode(a: TransverseMode) -> TransverseMode:
-    scaled, nrm, full = _norms(a)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize a zero mode")
+    full, scaled, nrm = _norms(a)
     # The values over their own norm where it is a normal float, so subnormal
     # parts are rounded once; the scaled values over theirs elsewhere.
-    if np.finfo(float).tiny <= full < math.inf:
+    if _TINY <= full < math.inf:
         return TransverseMode(a.values / full, a.grid, a.representation)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize a zero mode")
     return TransverseMode(scaled / nrm, a.grid, a.representation)
 
 

@@ -37,8 +37,7 @@ class BsOutput:
 
     @property
     def verdict(self) -> Verdict:
-        """Entangled iff P_c > 1/2 + 1e-6, else inconclusive (never 'separable')."""
-        return Verdict.ENTANGLED if self.p_coincidence > 0.5 + 1e-6 else Verdict.INCONCLUSIVE
+        return _verdict(self.p_coincidence)
 
     @property
     def truncation_error(self) -> float | None:
@@ -60,9 +59,15 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _verdict(p_coincidence: float) -> Verdict:
+    """Entangled iff P_c > 1/2 + 1e-6, else inconclusive (never 'separable')."""
+    return Verdict.ENTANGLED if p_coincidence > 0.5 + 1e-6 else Verdict.INCONCLUSIVE
+
+
 def coincidence_probability(amp: TwoPhotonAmplitude) -> float:
-    """P_c = (1 - <sigma Phi, Phi>)/2 for a normalized amplitude."""
-    return beamsplitter_output(amp).p_coincidence
+    """P_c = (1 - <sigma Phi, Phi>)/2 for a normalized amplitude: the
+    antisymmetric weight, read with no `BsOutput` built."""
+    return symmetry_decompose(amp)[1]
 
 
 def beamsplitter_output(amp: TwoPhotonAmplitude, phases: BsPhases = BsPhases()) -> BsOutput:
@@ -81,5 +86,5 @@ def beamsplitter_output(amp: TwoPhotonAmplitude, phases: BsPhases = BsPhases()) 
 
 
 def entanglement_witness(amp: TwoPhotonAmplitude) -> Verdict:
-    """The witness verdict of `beamsplitter_output`."""
-    return beamsplitter_output(amp).verdict
+    """The witness verdict of `beamsplitter_output`, with no `BsOutput` built."""
+    return _verdict(coincidence_probability(amp))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
@@ -51,22 +50,21 @@ class _ModeCache:
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._modes: OrderedDict[Hashable, TransverseMode] = OrderedDict()
+        self._modes: dict[Hashable, TransverseMode] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, build: Callable[[], TransverseMode]) -> TransverseMode:
         with self._lock:
-            mode = self._modes.get(key)
-            if mode is not None:
-                self._modes.move_to_end(key)
-                return mode
-            mode = build()
-            _read_only(mode.values)
-            if mode.values.nbytes <= self.budget:
-                self._modes[key] = mode
+            mode = self._modes.pop(key, None)  # put back last: the most recently used
+            if mode is None:
+                mode = build()
+                _read_only(mode.values)
+                if mode.values.nbytes > self.budget:
+                    return mode
                 self.nbytes += mode.values.nbytes
-                while self.nbytes > self.budget:
-                    self.nbytes -= self._modes.popitem(last=False)[1].values.nbytes
+                while self.nbytes > self.budget:  # the dict iterates oldest first
+                    self.nbytes -= self._modes.pop(next(iter(self._modes))).values.nbytes
+            self._modes[key] = mode
             return mode
 
     def clear(self) -> None:
@@ -124,11 +122,12 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     w = _width(w0, representation)
-    if grid.spacing * 4.0 > 4.0 / w:  # 4 samples across the 1/e^2 intensity width
-        raise ValueError(
-            f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
 
     def build() -> TransverseMode:
+        # The guard reads only the key's grid and width, so a hit passed it.
+        if grid.spacing * 4.0 > 4.0 / w:  # 4 samples across the 1/e^2 intensity width
+            raise ValueError(
+                f"grid spacing {grid.spacing:g} does not resolve a mode of waist {w0:g}")
         # A high order overflows the Hermite recurrence, or the outer product
         # of two finite rows.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -139,7 +138,7 @@ def hermite_gaussian(m: int, n: int, w0: float, grid: Grid,
                              f"half_width = {grid.half_width}")
         return normalize_mode(TransverseMode(np.outer(*rows), grid, representation))
 
-    return _MODES.get(("hg", m, n, w, grid, representation), build)
+    return _MODES.get(("hg", m, n, w, grid.n, grid.half_width, representation.value), build)
 
 
 def oam_ring(l: int, w0: float, grid: Grid,
@@ -173,7 +172,7 @@ def oam_ring(l: int, w0: float, grid: Grid,
             winding = winding.conj()
         return normalize_mode(TransverseMode(radial * winding, grid, representation))
 
-    return _MODES.get(("oam", l, w, grid, representation), build)
+    return _MODES.get(("oam", l, w, grid.n, grid.half_width, representation.value), build)
 
 
 _BELL_KINDS = {

@@ -273,6 +273,20 @@ def test_normalize_of_a_subnormal_norm_reports_the_unscaled_pc_or_raises(kind, s
         assert pc == pytest.approx(coincidence_probability(amp), abs=1e-6)
 
 
+def test_normalize_keeps_its_result_down_to_the_smallest_normal_norm():
+    # Constant factors of exact unit norm on a unit-weight grid, so that
+    # ||Phi||^2 = |c|^2 exactly: at 2^-1022, the smallest normal float, the
+    # coefficients scale exactly to unit norm and the result is kept; one
+    # binade lower it is subnormal and is not.
+    grid = make_grid(8, 4.0)
+    assert grid.weight == 1.0
+    flat = np.full((1, 8, 8), 0.125)
+    for c, kept in [(2.0 ** -511, True), (2.0 ** -512, False)]:
+        unit = normalize(TwoPhotonAmplitude([c], flat, flat, grid, Representation.MOMENTUM))
+        assert ("_grams" in unit.__dict__) is kept
+        assert norm_squared(unit) == 1.0
+
+
 def test_norm_squared_of_nearly_cancelling_terms():
     # ||Phi||^2 = 1e-16 from terms of norm 1: far below the roundoff of Im J,
     # which norm_squared does not read.

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import (Representation, TransverseMode, fourier_2d,
                       inner_product_2d, make_grid, mode_norm, normalize_mode,
                       oam_ring, reflect_y)
+from biphoton import grids
 
 
 def test_make_grid_basic():
@@ -145,3 +150,65 @@ def test_mode_norm_and_normalize_mode_reject_non_finite_values(bad):
     for measure in (mode_norm, normalize_mode):
         with pytest.raises(ValueError, match="mode values must be finite, got a largest part"):
             measure(mode)
+
+
+def _scaled_norms(a):
+    """The scaled evaluation that mode_norm and normalize_mode must match
+    bit for bit: (values * 2^-e, their norm, its 2^e multiple), the peak
+    part brought into [1/2, 1) by the exact power of two 2^-e."""
+    parts = np.ascontiguousarray(a.values).view(float)
+    peak = max(parts.max(), -parts.min())
+    e = int(np.frexp(peak)[1])
+    scaled = np.ldexp(parts, -e).view(complex)
+    nrm = math.sqrt(np.vdot(scaled, scaled).real) * a.grid.spacing
+    with np.errstate(over="ignore"):
+        return scaled, nrm, float(np.ldexp(nrm, e))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16]),
+       half_width=st.sampled_from([1e-140, 1e-3, 5.0, 1e3, 1e150]),
+       exponent=st.integers(-1000, 1000),
+       # binades below the peak: 511 is the fast range's edge at a peak below 1
+       spread=st.one_of(st.integers(0, 1100), st.integers(500, 530)),
+       zeros=st.sampled_from([0.0, 0.0, 0.1, 1.0]),
+       subnormals=st.sampled_from([0.0, 0.0, 0.05, 0.5]))
+def test_mode_norm_and_normalize_mode_give_the_bits_of_the_scaled_evaluation(
+        seed, n, half_width, exponent, spread, zeros, subnormals):
+    # The unscaled sum serves only where it gives the scaled one's bits, on
+    # either side of the fast range, with zero and subnormal parts.
+    rng = np.random.default_rng(seed)
+    parts = np.exp2(rng.uniform(-spread, 0.0, (n, 2 * n))) * rng.choice([-1.0, 1.0], (n, 2 * n))
+    parts = np.ldexp(parts, exponent)
+    parts[rng.random((n, 2 * n)) < subnormals] = rng.integers(1, 2 ** 52) * 2.0 ** -1074
+    parts[rng.random((n, 2 * n)) < zeros] = 0.0
+    mode = TransverseMode(parts.view(complex), make_grid(n, half_width), Representation.MOMENTUM)
+    scaled, nrm, full = _scaled_norms(mode)
+    assert _bits(mode_norm(mode)) == _bits(full)
+    if nrm == 0.0:
+        with pytest.raises(ValueError, match="cannot normalize a zero mode"):
+            normalize_mode(mode)
+        return
+    tiny = np.finfo(float).tiny
+    want = mode.values / full if tiny <= full < math.inf else scaled / nrm
+    assert np.array_equal(_bits(normalize_mode(mode).values), _bits(want))
+
+
+@pytest.mark.parametrize("exponent", [-3, 0, 1, 5])
+def test_mode_norm_skips_the_scaled_copy_exactly_inside_the_fast_range(exponent):
+    # The peak 0.75 * 2^e has the binary exponent e; a smallest part of
+    # 2^(max(e, 0) - 511) is inside the fast range, one ulp less or a zero
+    # part is not.  Both sides give the scaled evaluation's bits.
+    edge = math.ldexp(1.0, max(exponent, 0) - 511)
+    for low, fast in [(edge, True), (math.nextafter(edge, 0.0), False), (0.0, False)]:
+        parts = np.full((8, 16), math.ldexp(0.75, exponent))
+        parts[3, 5] = low
+        mode = TransverseMode(parts.view(complex), make_grid(8, 2.0), Representation.MOMENTUM)
+        full, scaled, _ = grids._norms(mode)
+        assert (scaled is None) is fast
+        assert _bits(full) == _bits(_scaled_norms(mode)[2])
+        assert np.array_equal(_bits(normalize_mode(mode).values), _bits(mode.values / full))

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from biphoton import (BsPhases, PumpMode, SpdcParams, Verdict,
+from biphoton import (BsOutput, BsPhases, PumpMode, SpdcParams, Verdict,
                       beamsplitter_output, bell_state,
                       coincidence_probability, entanglement_witness,
                       make_grid, oam_ring, product_state, sigma_overlap,
@@ -108,3 +110,16 @@ def test_coincidence_invariant_under_representation_change():
         amp = random_amplitude(np.random.default_rng(seed), small_grid())
         assert coincidence_probability(position_representation(amp)) == pytest.approx(
             coincidence_probability(amp), abs=1e-8)
+
+
+def test_witness_is_strict_above_half_plus_1e_6():
+    # A product of rings l = 1 and 2 has P_c = 1/2 and certifies nothing; at
+    # exactly 1/2 + 1e-6 the verdict is still inconclusive, one ulp above it
+    # entangled.
+    half = product_state(oam_ring(1, 1.0, GRID), oam_ring(2, 1.0, GRID))
+    assert coincidence_probability(half) == pytest.approx(0.5, abs=1e-12)
+    assert entanglement_witness(half) is Verdict.INCONCLUSIVE
+    edge = 0.5 + 1e-6
+    for pc, verdict in [(edge, Verdict.INCONCLUSIVE),
+                        (math.nextafter(edge, 1.0), Verdict.ENTANGLED)]:
+        assert BsOutput((1.0 - pc) / 2.0, (1.0 - pc) / 2.0, pc, half).verdict is verdict

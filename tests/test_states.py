@@ -232,6 +232,51 @@ def test_factory_mode_from_the_cache_is_the_cold_build(factory, representation):
     _assert_cached_modes_read_only([hit.values, rebuilt.values])
 
 
+def test_equal_grids_built_apart_share_one_mode_cache_entry():
+    # The key holds the grid's n and half-width, not the Grid, so two equal
+    # grids built separately hit one entry; another half-width, size, waist,
+    # representation or order misses.
+    states._MODES.clear()
+    grid, twin = make_grid(16, 5.0), make_grid(16, 5.0)
+    assert grid is not twin
+    hg, ring = hermite_gaussian(1, 2, 1.0, grid), oam_ring(2, 1.0, grid)
+    assert hermite_gaussian(1, 2, 1.0, twin) is hg and oam_ring(2, 1.0, twin) is ring
+    assert list(states._MODES._modes) == [("hg", 1, 2, 1.0, 16, 5.0, "momentum"),
+                                          ("oam", 2, 1.0, 16, 5.0, "momentum")]
+    misses = [hermite_gaussian(1, 2, 1.0, make_grid(16, 5.5)),
+              hermite_gaussian(1, 2, 1.0, make_grid(32, 5.0)),
+              hermite_gaussian(1, 2, 1.1, twin),
+              # waist 2 in position: the momentum profile of width 1
+              hermite_gaussian(1, 2, 2.0, twin, Representation.POSITION),
+              hermite_gaussian(2, 1, 1.0, twin), hermite_gaussian(1, 3, 1.0, twin),
+              oam_ring(2, 1.0, make_grid(16, 5.5)), oam_ring(2, 1.1, twin),
+              oam_ring(2, 2.0, twin, Representation.POSITION), oam_ring(-2, 1.0, twin)]
+    assert not any(mode is hg or mode is ring for mode in misses)
+    assert len(states._MODES._modes) == 2 + len(misses)
+
+
+def test_from_modes_and_normalize_hold_their_own_read_only_arrays():
+    # The factories build amplitudes with no re-validation: from_modes copies
+    # the modes' values once, normalize takes the factors it was given, and
+    # every array either holds is read-only.
+    grid = make_grid(16, 5.0)
+    rng = np.random.default_rng(30)
+    f, g = smooth_random_mode(rng, grid), smooth_random_mode(rng, grid)
+    assert f.values.flags.writeable
+    amp = states.from_modes([(1.0, f, g), (0.5j, g, f)])
+    f.values[:] = 0.0
+    assert np.abs(amp.photon1[0]).max() > 0.0 and amp.grid is grid
+    unit = normalize(amp)
+    assert unit.photon1 is amp.photon1 and unit.photon2 is amp.photon2
+    assert np.array_equal(unit.coeffs, amp.coeffs / np.sqrt(norm_squared(amp)))
+    for arrays in (amp, unit):
+        for values in (arrays.coeffs, arrays.photon1, arrays.photon2):
+            assert not values.flags.writeable
+    assert unit.truncation_error is None and unit._form is None
+    with pytest.raises(ValueError, match="modes live on different grids"):
+        states.from_modes([(1.0, f, g), (1.0, f, gaussian_g00(1.0, make_grid(16, 5.5)))])
+
+
 def test_mode_cache_keeps_its_byte_budget_and_evicts_the_least_recently_used():
     grid = make_grid(256, 40.0)
     per_mode = 16 * 256 ** 2  # 1 MiB
@@ -302,7 +347,8 @@ def test_hermite_gaussian_of_a_high_order_is_normalized_or_rejected():
             with pytest.raises(ValueError, match=f"HG_{m},{n} overflows the float range "
                                                  "for w0 = 1.0 and half_width = 8.0"):
                 hermite_gaussian(m, n, 1.0, GRID)
-    assert list(states._MODES._modes) == [("hg", 150, 0, 1.0, GRID, Representation.MOMENTUM)]
+    assert list(states._MODES._modes) == [("hg", 150, 0, 1.0, GRID.n, GRID.half_width,
+                                          "momentum")]
     row = states._hg_profile(150, GRID.axis, 1.0)
     assert np.abs(row).max() == pytest.approx(2.3e153, rel=0.05)
     want = np.outer(row / np.abs(row).max(), states._hg_profile(0, GRID.axis, 1.0))
@@ -320,6 +366,7 @@ def test_resolution_guard_raises_exactly_past_one_sample_per_width():
     assert coarse.spacing == pytest.approx(1.001) and fine.spacing == pytest.approx(0.999)
     hermite_gaussian(1, 0, 1.0, fine)
     gaussian_g00(1.0, fine)
+    gaussian_g00(1.0, make_grid(8, 4.0))  # spacing exactly 1/w: resolved
     with pytest.raises(ValueError, match="grid spacing 1.001 does not resolve a mode of waist 1"):
         gaussian_g00(1.0, coarse)
     # The position mode of waist 1 has width 2: half the width it may have.
