@@ -87,4 +87,4 @@ def beamsplitter_output(amp: TwoPhotonAmplitude, phases: BsPhases = BsPhases()) 
 
 def entanglement_witness(amp: TwoPhotonAmplitude) -> Verdict:
     """The witness verdict of `beamsplitter_output`, with no `BsOutput` built."""
-    return _verdict(coincidence_probability(amp))
+    return _verdict(symmetry_decompose(amp)[1])
