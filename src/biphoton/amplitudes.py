@@ -24,16 +24,18 @@ pass the form on.  Two forms exist:
   given, the coefficients scatter into an m_x x m_y core
   C[ix_r, iy_r] += c_r, and the norm and J are quadratic forms of C in the
   m x m per-axis Grams: O(m^3) work, against R^2 = m^4 for the rank x rank
-  Grams.  Under a weight W, a product of x-parity u and y-parity v sums
-  against the part W_(u,v) of W on the positive quadrant, so weighted
-  Grams go one pair of parity classes of terms at a time on the half axes,
-  and skip the pairs whose part is zero: under the even aperture the
-  self-Grams take only the class-diagonal blocks (_class_grams).
+  Grams.
 * per parity sector (_SectorFactors, the SPDC state): f_r is exactly even or
   odd along each axis and is held as its (n^2/4,) vector on the positive
-  quadrant with its two signs.  Factors of different sectors are orthogonal,
-  so an unweighted Gram is block diagonal: one product of quadrant vectors
-  per matching sector, 1/16 of the work on the full grid.
+  quadrant with its two signs.
+
+Every other Gram of either form goes by parity class (_class_grams).  Under
+a weight W, a product of x-parity u and y-parity v sums against the part
+W_(u,v) of W on the positive quadrant, so the Grams go one pair of parity
+classes of terms at a time, on the half axes per axis and on the quadrant
+per sector, and skip the pairs whose part is zero.  Without a weight only
+W_(+,+) is non-zero, so terms of different classes are orthogonal; under
+the even aperture the self-Grams likewise take only class-diagonal blocks.
 
 An amplitude is immutable: its coefficients and factors are read-only (a
 writable array from the caller is copied once; `from_modes` and `normalize`
@@ -41,8 +43,7 @@ take the arrays the package made and froze itself with no check and no copy,
 and derived amplitudes freeze their fresh arrays in place), so it keeps its
 unweighted (||Phi||^2, J) from one evaluation: the one `normalize` made and
 handed on, or else its first report call's.  Weighted Grams (the generic
-interferometer path) are computed on every call: by parity class for
-per-axis factors, and from the (rank, n, n) arrays for per-sector ones.
+interferometer path) are computed on every call.
 
 A dense 4D form is kept for small grids purely as a brute-force oracle.
 """
@@ -92,6 +93,9 @@ class _AxisFactors:
         self.check_expandable("(rank, n, n) factor arrays")
         return _read_only(self.x[self.ix][:, :, None] * self.y[self.iy][:, None, :])[0]
 
+    def term_signs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x_sign[self.ix], self.y_sign[self.iy]
+
     def fits(self, rank: int, n: int) -> bool:
         return (n % 2 == 0 and self.ix.size == rank and self.iy.size == rank
                 and self.x.shape[1] == n and self.y.shape[1] == n)
@@ -138,11 +142,8 @@ class _SectorFactors:
         h = math.isqrt(self.quadrant.shape[1])
         return _read_only(_unfold(self.quadrant.reshape(-1, h, h), self.x_sign, self.y_sign))[0]
 
-    @cached_property
-    def sectors(self) -> list[np.ndarray]:
-        """The indices of the terms in sectors (+, +), (+, -), (-, +), (-, -)."""
-        code = 2 * (self.x_sign < 0) + (self.y_sign < 0)
-        return [np.flatnonzero(code == k) for k in range(4)]
+    def term_signs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x_sign, self.y_sign
 
     def fits(self, rank: int, n: int) -> bool:
         return (n % 2 == 0 and self.quadrant.shape == (rank, (n // 2) ** 2)
@@ -300,43 +301,13 @@ def from_modes(terms: list[tuple[complex, TransverseMode, TransverseMode]]) -> T
 
 
 def _gram(a, b=None, weight: float = 1.0, pointwise: np.ndarray | None = None) -> np.ndarray:
-    """G[r, s] = <a_r, pointwise b_s> with midpoint weights; b defaults to a.
-    Without a pointwise weight, factors held per axis on both sides contract
-    per axis (_axis_gram) and factors held per parity sector per sector
-    (_sector_gram); with one, factors take their arrays.  The engine reaches
-    here with no weighted per-axis Gram: those go by class (_class_grams).
-    Overflow is not trapped: the caller checks the values for finiteness."""
+    """G[r, s] = <a_r, pointwise b_s> with midpoint weights for factor arrays
+    a and b (R, n, n); b defaults to a.  Overflow is not trapped: the caller
+    checks the values for finiteness."""
     b = a if b is None else b
-    if not isinstance(a, np.ndarray):
-        if pointwise is None:
-            return (_axis_gram if isinstance(a, _AxisFactors) else _sector_gram)(a, b, weight)
-        a, b = a.values, b.values
     if pointwise is not None:
         b = b * pointwise
     return (np.conj(a).reshape(a.shape[0], -1) @ b.reshape(b.shape[0], -1).T) * weight
-
-
-def _axis_gram(a: _AxisFactors, b: _AxisFactors, weight: float) -> np.ndarray:
-    """The unweighted Gram of per-axis factors: the integral separates, so
-    G[r, s] is the product of the two axes' m x m Grams at (a.ix[r], b.ix[s])
-    and (a.iy[r], b.iy[s])."""
-    a.check_expandable("rank x rank Grams")  # b has a's rank: both hold one amplitude's factors
-    gx, gy = _axis_grams(a, b, weight)
-    return (np.take(np.take(gx, a.ix, axis=0), b.ix, axis=1)
-            * np.take(np.take(gy, a.iy, axis=0), b.iy, axis=1))
-
-
-def _sector_gram(a: _SectorFactors, b: _SectorFactors, weight: float) -> np.ndarray:
-    """The unweighted Gram of per-sector factors.  Factors of different
-    sectors are orthogonal, and within a sector the unfolded factors have the
-    Gram of their quadrant vectors (the parity basis is orthonormal), so G is
-    block diagonal up to the term order: one product per matching sector, of
-    n^2/4 samples, scattered into the rank x rank array."""
-    gram = np.zeros((a.quadrant.shape[0], b.quadrant.shape[0]),
-                    dtype=np.result_type(a.quadrant, b.quadrant))
-    for rows, cols in zip(a.sectors, b.sectors):
-        gram[np.ix_(rows, cols)] = np.conj(a.quadrant[rows]) @ b.quadrant[cols].T
-    return gram * weight
 
 
 def _axis_grams(a: _AxisFactors, b: _AxisFactors, weight: float) -> tuple[np.ndarray, np.ndarray]:
@@ -380,21 +351,21 @@ def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = No
     weights, an amplitude with a coefficient core (`_core`) takes the per-axis
     m x m Grams instead: ||Phi||^2 = <C, Hx C Hy^T> with Hx = Gx1 o Gx2 for
     the per-axis self-Grams, and J = <C, Kx C Ky^T> with Kx = Xx o Xx^H for
-    the per-axis cross-Gram Xx; Hy and Ky likewise.  Weighted per-axis
-    factors go by parity class (`_class_grams`).  ValueError if any of
-    the three is not finite.  The unweighted values are kept on the
-    amplitude, whose factors are read-only, and served on later calls.
-    Factor arrays go straight to the rank x rank Grams, with no core probe."""
+    the per-axis cross-Gram Xx; Hy and Ky likewise.  Every other factored
+    amplitude goes by parity class (`_class_grams`), unweighted ones as
+    under the weight 1.  ValueError if any of the three is not finite.  The
+    unweighted values are kept on the amplitude, whose factors are
+    read-only, and served on later calls.  Factor arrays go straight to the
+    rank x rank Grams (`_factor_grams`), with no core probe."""
     unweighted = envelope is None and mask is None
     if unweighted and "_grams" in amp.__dict__:
         return amp.__dict__["_grams"]
     f, g = _factors(amp)
-    core = None if isinstance(f, np.ndarray) or not unweighted else _core(amp)
     with np.errstate(invalid="ignore", over="ignore"):  # checked for finiteness below
-        if not unweighted and isinstance(f, _AxisFactors):
-            nsq, nsq_env, j = _class_grams(amp, envelope, mask)
-        elif core is None:
+        if isinstance(f, np.ndarray):
             nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
+        elif not unweighted or (core := _core(amp)) is None:
+            nsq, nsq_env, j = _class_grams(amp, envelope, mask)
         else:
             w = amp.grid.weight
             (x1, y1), (x2, y2) = _axis_grams(f, f, w), _axis_grams(g, g, w)
@@ -438,9 +409,9 @@ def _parity_parts(weight: np.ndarray | None, n: int,
 
 @dataclass(frozen=True)
 class _ClassTerms:
-    """One photon's factors on the terms of one parity class: the x and y
-    vectors those terms use, of x- and y-parity `parity`, as columns on the
-    positive half axis, and each term's column in them."""
+    """One photon's per-axis factors on the terms of one parity class: the x
+    and y vectors those terms use, of x- and y-parity `parity`, as columns on
+    the positive half axis, and each term's column in them."""
 
     x: np.ndarray
     y: np.ndarray
@@ -449,24 +420,42 @@ class _ClassTerms:
     parity: tuple[float, float]
 
 
-def _class_terms(a: _AxisFactors, terms: np.ndarray) -> _ClassTerms:
+@dataclass(frozen=True)
+class _SectorTerms:
+    """One photon's per-sector factors on the terms of one parity class: their
+    quadrant vectors, of x- and y-parity `parity`."""
+
+    quadrant: np.ndarray
+    parity: tuple[float, float]
+
+
+def _class_terms(a: _AxisFactors | _SectorFactors,
+                 terms: np.ndarray) -> _ClassTerms | _SectorTerms:
     """a's factors on `terms`, all of one parity class of a."""
+    parity = tuple(signs[terms[0]] for signs in a.term_signs())
+    if isinstance(a, _SectorFactors):
+        return _SectorTerms(a.quadrant[terms], parity)
     h = a.x.shape[1] // 2
     p, ix = np.unique(a.ix[terms], return_inverse=True)
     q, iy = np.unique(a.iy[terms], return_inverse=True)
     x, y = (np.ascontiguousarray(v.T) for v in (a.x[p, h:], a.y[q, h:]))
-    return _ClassTerms(x, y, ix, iy, (a.x_sign[p[0]], a.y_sign[q[0]]))
+    return _ClassTerms(x, y, ix, iy, parity)
 
 
-def _class_block(a: _ClassTerms, b: _ClassTerms, parts: dict) -> np.ndarray | None:
+def _class_block(a: _ClassTerms | _SectorTerms, b: _ClassTerms | _SectorTerms,
+                 parts: dict) -> np.ndarray | None:
     """The block G[r, s] = <a_r, W b_s> of a weighted Gram for the terms of
-    two parity classes, from W's part (`_parity_parts`) of their parities:
-    with A[i, (p, q)] = conj(a.x[i, p]) b.x[i, q] on the half axis, B likewise
-    on y and K = A^T W_(u,v) B, G[r, s] = K[(a.ix[r], b.ix[s]), (a.iy[r],
-    b.iy[s])], read by one flat gather.  None where that part is zero."""
+    two parity classes, from W's part (`_parity_parts`) of their parities;
+    None where that part is zero.  Per sector, G = conj(a.quadrant)
+    diag(W_(u,v)) b.quadrant^T / 4, the 1/4 from the parity basis (`_unfold`).
+    Per axis, with A[i, (p, q)] = conj(a.x[i, p]) b.x[i, q] on the half axis,
+    B likewise on y and K = A^T W_(u,v) B, G[r, s] = K[(a.ix[r], b.ix[s]),
+    (a.iy[r], b.iy[s])], read by one flat gather."""
     part = parts.get((a.parity[0] * b.parity[0], a.parity[1] * b.parity[1]))
     if part is None:
         return None
+    if isinstance(a, _SectorTerms):
+        return (np.conj(a.quadrant) * (0.25 * part).ravel()) @ b.quadrant.T
     h, (px, qx), (py, qy) = part.shape[0], (a.x.shape[1], b.x.shape[1]), (a.y.shape[1], b.y.shape[1])
     ax = (np.conj(a.x)[:, :, None] * b.x[:, None, :]).reshape(h, -1)
     ay = (np.conj(a.y)[:, :, None] * b.y[:, None, :]).reshape(h, -1)
@@ -485,22 +474,24 @@ def _hadamard_form(cr: np.ndarray, a: np.ndarray | None, b: np.ndarray | None,
 
 def _class_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
                  mask: np.ndarray | None) -> tuple[float, float, complex]:
-    """`_norms_and_overlap`' three values for per-axis factors under a
-    weight, one pair of parity classes of terms at a time.  A term's class is
-    the parities of its x and y vectors on each photon; the Gram block of a
-    class pair takes one parity part of its weight, and is zero where that
-    part is (`_class_block`).  c^H (G1 o G2) c and c^H (X o X^H) c are
-    Hermitian forms, so the pair (B, A) adds the conjugate of (A, B).  With
-    the even aperture, the self-Grams' blocks are zero off the class
-    diagonal."""
+    """`_norms_and_overlap`' three values for factors in a factored form,
+    one pair of parity classes of terms at a time.  A term's class is its
+    x- and y-parity on each photon (`term_signs`); the Gram block of a class
+    pair takes one parity part of its weight, and is zero where that part is
+    (`_class_block`).  c^H (G1 o G2) c and c^H (X o X^H) c are Hermitian
+    forms, so the pair (B, A) adds the conjugate of (A, B).  With the even
+    aperture, the self-Grams' blocks are zero off the class diagonal; with
+    no weight only the part W_(+,+) is non-zero."""
     f, g = amp._form
-    f.check_expandable("rank x rank Grams")  # the blocks hold up to rank x rank values
+    if isinstance(f, _AxisFactors):  # the blocks hold up to rank x rank values
+        f.check_expandable("rank x rank Grams")
     c, n, w = amp.coeffs, amp.grid.n, amp.grid.weight
-    parities = np.stack([f.x_sign[f.ix], f.y_sign[f.iy], g.x_sign[g.ix], g.y_sign[g.iy]])
+    parities = np.stack([*f.term_signs(), *g.term_signs()])
+    # The labels are 0..K-1; np.unique of them would import numpy.ma (9 ms).
     label = np.unique(parities, axis=1, return_inverse=True)[1].ravel()
     reflected = g.reflect_y()
     classes = [(terms, *(_class_terms(a, terms) for a in (f, g, reflected)))
-               for terms in (np.flatnonzero(label == k) for k in np.unique(label))]
+               for terms in (np.flatnonzero(label == k) for k in range(label.max() + 1))]
     photon1_weight = _times(envelope, mask)
     self_parts = _parity_parts(_times(mask, mask), n, w)
     env_parts = None if envelope is None else _parity_parts(photon1_weight ** 2, n, w)
@@ -527,7 +518,7 @@ def _class_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
 
 def _factor_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
                   mask: np.ndarray | None) -> tuple[float, float, complex]:
-    """`_norms_and_overlap`' three values from the rank x rank Grams."""
+    """`_norms_and_overlap`' three values from the rank x rank Grams of arrays."""
     c, w = amp.coeffs, amp.grid.weight
     f, g = _factors(amp)
     self_weight = _times(mask, mask)

@@ -402,12 +402,11 @@ def test_gram_products_per_call(monkeypatch, capsys):
     # interferometer call, and on a thin-crystal amplitude no rank x rank
     # Gram and no factor array built, and each block of its weighted Grams
     # evaluated once.
-    calls, kinds = [], set()
+    calls = []
     gram = amplitudes._gram
 
     def counting(a, b=None, weight=1.0, pointwise=None):
         calls.append("self" if b is None else "cross")
-        kinds.add(type(a))
         return gram(a, b, weight, pointwise)
 
     monkeypatch.setattr(amplitudes, "_gram", counting)
@@ -464,28 +463,30 @@ def test_gram_products_per_call(monkeypatch, capsys):
         assert len(blocks) == 3 * 4 + 4 ** 2
 
     # An unweighted report on a thin-crystal amplitude contracts its
-    # coefficient core with the per-axis m x m Grams: no rank x rank Gram.
-    def no_gather(*args):
-        raise AssertionError("an unweighted per-axis Gram took the rank x rank gather")
-
-    monkeypatch.setattr(amplitudes, "_axis_gram", no_gather)
+    # coefficient core with the per-axis m x m Grams: no rank x rank Gram and
+    # no class block.
     calls.clear()
+    blocks.clear()
     assert cli.main(["pc", "--state", "thin-crystal"]) == cli.EXIT_OK
     assert "verdict = inconclusive" in capsys.readouterr().out
-    assert calls == []
+    assert calls == [] and blocks == []
 
     # An SPDC report contracts its parity-sector factors on the positive
-    # quadrant: three Grams, and no factor array built.  The g00 pump takes
-    # the eigh branch of spdc_state, hg:0,1 the SVD branch.
+    # quadrant by parity class, and builds no factor array.  The g00 pump
+    # takes the eigh branch of spdc_state, hg:0,1 the SVD branch.  Its terms
+    # fall in 4 classes; with no weight the two self-Grams take the 4
+    # class-diagonal blocks, and the cross-Gram the 4 blocks of each class
+    # with its pump-parity partner.
     monkeypatch.setattr(amplitudes._SectorFactors, "values", property(no_factor_arrays))
     for argv, line in [(["classify", "--state", "spdc"], "label = symmetric"),
-                       (["pc", "--state", "spdc", "--pump", "hg:0,1"], "verdict = entangled")]:
+                       (["pc", "--state", "spdc", "--pump", "hg:0,1"], "verdict = entangled"),
+                       (["pc", "--state", "spdc", "--pump", "hg:1,2"], "verdict = inconclusive")]:
         calls.clear()
-        kinds.clear()
+        blocks.clear()
         assert cli.main(argv) == cli.EXIT_OK
         assert line in capsys.readouterr().out
-        assert sorted(calls) == ["cross", "self", "self"], argv
-        assert kinds == {amplitudes._SectorFactors}
+        assert calls == [], argv
+        assert len(blocks) == 2 * 4 + 4, argv
 
 
 def _as_arrays(amp):
@@ -700,11 +701,11 @@ def _without_core(fn, amp):
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([16, 32, 64, 128, 256]), aperture=st.floats(4.0, 40.0),
        z_over_z0=st.floats(0.3, 3.0), rank_tol=st.sampled_from([1e-6, 1e-8]))
-def test_core_path_matches_gather_and_dense_copy(n, aperture, z_over_z0, rank_tol):
-    # The core contraction of a thin-crystal amplitude against the rank x rank
-    # per-axis gather and against the same factors held as plain arrays.  The
-    # rank is capped so that both references fit in memory; the array copy is
-    # taken where its Grams stay small.
+def test_core_path_matches_class_engine_and_dense_copy(n, aperture, z_over_z0, rank_tol):
+    # The core contraction of a thin-crystal amplitude against the parity-class
+    # engine under the weight 1 and against the same factors held as plain
+    # arrays.  The rank is capped so that both references fit in memory; the
+    # array copy is taken where its Grams stay small.
     amp = _thin_crystal(n, aperture, z_over_z0, rank_tol)
     assume(amp.rank <= 1200)
     for state in (amp, apply_sigma(normalize(amp))):
@@ -747,13 +748,14 @@ def test_core_path_matches_dense_copy_on_random_per_axis_factors(seed, rank, m, 
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(want[0]))
 
 
-def test_per_axis_photons_on_different_index_maps_take_the_gather():
+def test_per_axis_photons_on_different_index_maps_take_the_class_engine():
     amp = _thin_crystal(32, 6.0, 1.0, 1e-6)
     f, g = amp._form
     swapped = amplitudes._with_factors(amp, f, amplitudes._AxisFactors(g.x, g.y, g.iy, g.ix))
     assert swapped._form is not None and amplitudes._core(swapped) is None
-    gather = amplitudes._axis_gram
-    with mock.patch.object(amplitudes, "_axis_gram", side_effect=gather) as spy:
+    engine = amplitudes._class_grams
+    with (mock.patch.object(amplitudes, "_class_grams", side_effect=engine) as spy,
+          mock.patch.object(amplitudes._AxisFactors, "values", property(_no_factor_arrays))):
         values = _outputs(swapped)
     assert spy.call_count > 0
     assert np.abs(values - _outputs(_as_arrays(swapped))).max() <= 1e-12
@@ -791,6 +793,30 @@ def test_class_grams_match_an_array_copy(seed, rank, m, n, swapped, mask):
     for state in (amp, apply_sigma(amp)):
         want = np.array(amplitudes._norms_and_overlap(_as_arrays(state), envelope, weight))
         with mock.patch.object(amplitudes._AxisFactors, "values", property(_no_factor_arrays)):
+            got = np.array(amplitudes._norms_and_overlap(state, envelope, weight))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(want[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pump=_PUMPS, n=st.sampled_from([8, 16, 24]),
+       mask=st.sampled_from(["none", "even", "random"]))
+def test_sector_class_grams_match_an_array_copy_under_any_mask(seed, pump, n, mask):
+    # The weighted Grams of an SPDC amplitude by parity class on the positive
+    # quadrant against the same factors held as plain arrays, under a random
+    # real envelope and a mask that is none, even in x and y, or random: a
+    # random mask gives every parity part W_(u,v), so blocks of every pair of
+    # sectors count.  No factor array is built.
+    rng = np.random.default_rng(seed)
+    amp = spdc_state(SpdcParams(1.0, 2.0, pump), make_grid(n, 6.0))
+    envelope = rng.normal(size=(n, n))
+    quadrant = (rng.random((n // 2, n // 2)) < 0.7).astype(float)
+    even = np.concatenate([quadrant[::-1], quadrant])
+    weight = {"none": None, "even": np.concatenate([even[:, ::-1], even], axis=1),
+              "random": (rng.random((n, n)) < 0.7).astype(float)}[mask]
+    for state in (amp, apply_sigma(amp)):
+        assert isinstance(state._form[0], amplitudes._SectorFactors)
+        want = np.array(amplitudes._norms_and_overlap(_as_arrays(state), envelope, weight))
+        with mock.patch.object(amplitudes._SectorFactors, "values", property(_no_factor_arrays)):
             got = np.array(amplitudes._norms_and_overlap(state, envelope, weight))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(want[0]))
 

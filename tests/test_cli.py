@@ -645,6 +645,25 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["classify", "--state", "spdc", "--grid-n", "48"],
+     "symmetric_weight = 1.000000\nantisymmetric_weight = 0.000000\nlabel = symmetric\n"),
+    (["pc", "--state", "spdc", "--pump", "hg:1,2", "--grid-n", "48"],
+     "P_c = 0.000000\nsymmetric_weight = 1.000000\nantisymmetric_weight = 0.000000\n"
+     "verdict = inconclusive\n"),
+], ids=["classify-g00", "pc-hg12"])
+def test_spdc_report_is_the_same_on_one_and_two_blas_threads(argv, expected):
+    # OpenBLAS reads its thread count when numpy loads, so each count runs in
+    # its own interpreter.  The default g00 pump takes the eigh branch of
+    # spdc_state, hg:1,2 the SVD branch.
+    src = os.path.dirname(os.path.dirname(biphoton.__file__))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout == expected, threads
+
+
 # The CLI output, recorded before refactors meant to leave it unchanged.
 # Report text, CSV `#` headers, column names and flags must match exactly;
 # numeric CSV fields within 1e-10, so that another numpy or BLAS build cannot
