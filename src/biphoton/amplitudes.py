@@ -36,6 +36,9 @@ classes of terms at a time, on the half axes per axis and on the quadrant
 per sector, and skip the pairs whose part is zero.  Without a weight only
 W_(+,+) is non-zero, so terms of different classes are orthogonal; under
 the even aperture the self-Grams likewise take only class-diagonal blocks.
+The weights come as their parts (_Weights): folded from whole-grid arrays
+(_grid_weights), or built on the quadrant by the caller.  One call builds
+each half-axis table once and drops it after its last read (_Tables).
 
 An amplitude is immutable: its coefficients and factors are read-only (a
 writable array from the caller is copied once; `from_modes` and `normalize`
@@ -54,6 +57,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +88,9 @@ class _AxisFactors:
 
     def __post_init__(self):
         _read_only(self.x, self.y, self.ix, self.iy)
-        for name in ("x", "y"):
-            object.__setattr__(self, f"{name}_sign", _parities(getattr(self, name), name))
+        x_sign = _parities(self.x, "x")
+        object.__setattr__(self, "x_sign", x_sign)
+        object.__setattr__(self, "y_sign", x_sign if self.y is self.x else _parities(self.y, "y"))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -108,7 +113,11 @@ class _AxisFactors:
                 f"{what}; use a smaller grid half-width or loosen the tolerance")
 
     def reflect_y(self) -> _AxisFactors:
-        return _AxisFactors(self.x, self.y[:, ::-1], self.ix, self.iy)
+        # Reversing a row keeps its parity bit for bit: the signs carry over unread.
+        flipped = object.__new__(_AxisFactors)
+        flipped.__dict__.update(x=self.x, y=self.y[:, ::-1], ix=self.ix, iy=self.iy,
+                                x_sign=self.x_sign, y_sign=self.y_sign)
+        return flipped
 
 
 def _parities(rows: np.ndarray, axis: str) -> np.ndarray:
@@ -190,6 +199,9 @@ class TwoPhotonAmplitude:
     `_form` holds both photons' factors in one factored form (_AxisFactors
     or _SectorFactors) and is kept only when photon1 = photon2 = None; the
     arrays are then built when first read.  Given factor arrays drop `_form`.
+    So `dataclasses.replace` on an amplitude in a factored form reads
+    photon1 and photon2, builds both (R, n, n) arrays and drops the form:
+    every Gram of the copy then goes by the rank x rank array products.
     """
 
     coeffs: np.ndarray
@@ -363,61 +375,114 @@ def _norms_and_overlap(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = No
     f, g = _factors(amp)
     with np.errstate(invalid="ignore", over="ignore"):  # checked for finiteness below
         if isinstance(f, np.ndarray):
-            nsq, nsq_env, j = _factor_grams(amp, envelope, mask)
+            values = _factor_grams(amp, envelope, mask)
         elif not unweighted or (core := _core(amp)) is None:
-            nsq, nsq_env, j = _class_grams(amp, envelope, mask)
+            values = _class_grams(amp, _grid_weights(amp.grid, envelope, mask))
         else:
             w = amp.grid.weight
             (x1, y1), (x2, y2) = _axis_grams(f, f, w), _axis_grams(g, g, w)
-            nsq = nsq_env = _core_form(core, x1, x2, y1, y2).real
+            nsq = _core_form(core, x1, x2, y1, y2).real
             xx, xy = _axis_grams(_reflect_y(g), f, w)
-            j = _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
+            values = nsq, nsq, _core_form(core, xx, xx.conj().T, xy, xy.conj().T)
+    values = _finite(*values)
+    if unweighted:
+        amp.__dict__["_grams"] = values
+    return values
+
+
+def _finite(nsq: float, nsq_env: float, j: complex) -> tuple[float, float, complex]:
+    """The three values, or ValueError if any is not finite."""
     if not all(map(math.isfinite, (nsq, nsq_env, j.real, j.imag))):
         raise ValueError(f"non-finite amplitude: squared norm {nsq}, J = {j}")
-    if unweighted:
-        amp.__dict__["_grams"] = nsq, nsq_env, j
     return nsq, nsq_env, j
 
 
-def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
-                 mask: np.ndarray | None = None) -> tuple[float, float, float]:
-    """`_norms_and_overlap` with J' real: ValueError if its imaginary part is
-    above 1e-10 ||Phi'||^2, as J' / ||Phi'||^2 must be real."""
-    nsq, nsq_env, j = _norms_and_overlap(amp, envelope, mask)
+def _real_overlap(nsq: float, nsq_env: float, j: complex) -> tuple[float, float, float]:
+    """(nsq, nsq_env, Re j): ValueError if Im j is above 1e-10 nsq_env, as
+    J' / ||Phi'||^2 must be real."""
     if abs(j.imag) > 1e-10 * nsq_env:
         raise ValueError(f"sigma overlap has imaginary part {j.imag}")
     return nsq, nsq_env, j.real
 
 
-def _parity_parts(weight: np.ndarray | None, n: int,
-                  scale: float) -> dict[tuple[float, float], np.ndarray]:
+def _sigma_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> tuple[float, float, float]:
+    """`_norms_and_overlap` with J' real (`_real_overlap`)."""
+    return _real_overlap(*_norms_and_overlap(amp, envelope, mask))
+
+
+def _folded_sigma_grams(amp: TwoPhotonAmplitude, weights: _Weights) -> tuple[float, float, float]:
+    """`_sigma_grams` of an amplitude held in a factored form, with the
+    weights given by their parity parts on the positive quadrant."""
+    with np.errstate(invalid="ignore", over="ignore"):  # checked for finiteness here
+        return _real_overlap(*_finite(*_class_grams(amp, weights)))
+
+
+def _parity_fold(quadrants: tuple[np.ndarray, ...],
+                 scale: float) -> dict[tuple[float, float], np.ndarray]:
     """The parity parts W_(u,v) = W(x, y) + u W(-x, y) + v W(x, -y)
     + uv W(-x, -y) of a real weight W on the positive quadrant, times
-    `scale`, for the signs u, v = +-1 whose part is not all zero (W = 1 if
-    None).  A product of x-parity u and y-parity v sums against W over the
-    grid as against W_(u,v) over the quadrant."""
-    h = n // 2
-    weight = np.ones((n, n)) if weight is None else weight
+    `scale`, for the signs u, v = +-1 whose part is not all zero.
+    `quadrants` holds W(x, y), W(-x, y), W(-x, -y) and W(x, -y) at the
+    quadrant's samples x, y > 0.  A product of x-parity u and y-parity v
+    sums against W over the grid as against W_(u,v) over the quadrant."""
+    w0, w1, w2, w3 = quadrants
     parts = {}
-    for u, rows in ((1.0, weight[h:] + weight[h - 1::-1]), (-1.0, weight[h:] - weight[h - 1::-1])):
-        for v, part in ((1.0, rows[:, h:] + rows[:, h - 1::-1]),
-                        (-1.0, rows[:, h:] - rows[:, h - 1::-1])):
+    for u, along_x in ((1.0, np.add), (-1.0, np.subtract)):
+        y_plus, y_minus = along_x(w0, w1), along_x(w3, w2)
+        for v, along_y in ((1.0, np.add), (-1.0, np.subtract)):
+            part = along_y(y_plus, y_minus)
             if np.any(part):
                 parts[u, v] = part * scale
     return parts
+
+
+def _parity_parts(weight: np.ndarray | None, n: int,
+                  scale: float) -> dict[tuple[float, float], np.ndarray]:
+    """`_parity_fold` of a real weight on the whole (n, n) grid (W = 1 if None)."""
+    h = n // 2
+    if weight is None:
+        return _parity_fold((np.ones((h, h)),) * 4, scale)
+    return _parity_fold((weight[h:, h:], weight[h - 1::-1, h:], weight[h - 1::-1, h - 1::-1],
+                         weight[h:, h - 1::-1]), scale)
+
+
+class _Weights(NamedTuple):
+    """The pointwise weights of the parity-class Grams (`_class_grams`) as
+    their parity parts (`_parity_fold`), times the cell weight: mask^2 for
+    both photons' self-Grams, (envelope mask)^2 for photon 1's enveloped
+    self-Gram (None without an envelope), and mask(x, -y) envelope mask for
+    the sigma cross-Gram."""
+
+    self: dict
+    env: dict | None
+    cross: dict
+
+
+def _grid_weights(grid: Grid, envelope: np.ndarray | None,
+                  mask: np.ndarray | None) -> _Weights:
+    """`_Weights` for a real envelope and mask on the whole grid (1 if None)."""
+    n, w = grid.n, grid.weight
+    photon1_weight = _times(envelope, mask)
+    reflected_mask = None if mask is None else mask[:, ::-1]
+    return _Weights(_parity_parts(_times(mask, mask), n, w),
+                    None if envelope is None else _parity_parts(photon1_weight ** 2, n, w),
+                    _parity_parts(_times(reflected_mask, photon1_weight), n, w))
 
 
 @dataclass(frozen=True)
 class _ClassTerms:
     """One photon's per-axis factors on the terms of one parity class: the x
     and y vectors those terms use, of x- and y-parity `parity`, as columns on
-    the positive half axis, and each term's column in them."""
+    the positive half axis, and each term's column in them.  `tables` is
+    the store of the `_class_grams` call that made them."""
 
     x: np.ndarray
     y: np.ndarray
     ix: np.ndarray
     iy: np.ndarray
     parity: tuple[float, float]
+    tables: _Tables = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -429,41 +494,106 @@ class _SectorTerms:
     parity: tuple[float, float]
 
 
-def _class_terms(a: _AxisFactors | _SectorFactors,
-                 terms: np.ndarray) -> _ClassTerms | _SectorTerms:
-    """a's factors on `terms`, all of one parity class of a."""
+class _Tables:
+    """The half-axis tables of one `_class_grams` call, each built once.
+    Keys hold the ids of arrays the call holds until it returns.  Column
+    sets are kept for the whole call (`kept`).  A product table, a weighted
+    product or a gather index (`_block_keys`) is read through `read`, after
+    `expect` has counted every block that will read it, and is dropped
+    after its last read, so the call holds only the tables still to be
+    read."""
+
+    def __init__(self):
+        self._kept, self._tables, self._reads = {}, {}, {}
+
+    def kept(self, key: tuple, build):
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build()
+        return value
+
+    def expect(self, a, b, parts: dict) -> np.ndarray | None:
+        """Count the reads of block (a, b) under `parts`; its part, or None."""
+        part = _part(a, b, parts)
+        if part is not None:
+            for key in _block_keys(a, b, part):
+                self._reads[key] = self._reads.get(key, 0) + 1
+        return part
+
+    def read(self, key: tuple, build):
+        value = self._tables.pop(key, None)
+        if value is None:
+            value = build()
+        left = self._reads.get(key, 0) - 1
+        self._reads[key] = left
+        if left > 0:
+            self._tables[key] = value
+        return value
+
+
+def _part(a, b, parts: dict) -> np.ndarray | None:
+    """The part of `parts` that block (a, b) takes: that of their parities."""
+    return parts.get((a.parity[0] * b.parity[0], a.parity[1] * b.parity[1]))
+
+
+def _block_keys(a: _ClassTerms | _SectorTerms, b: _ClassTerms | _SectorTerms,
+                part: np.ndarray) -> tuple:
+    """The tables block (a, b) reads under the weight part `part`: per axis,
+    the product tables on x and on y, W^T times the first and the gather
+    index; none per sector."""
+    if isinstance(a, _SectorTerms):
+        return ()
+    return (("product", id(a.x), id(b.x)), ("product", id(a.y), id(b.y)),
+            ("weighted", id(part), id(a.x), id(b.x)),
+            ("gather", id(a.ix), id(a.iy), id(b.ix), id(b.iy)))
+
+
+def _class_terms(a: _AxisFactors | _SectorFactors, terms: np.ndarray, label: int,
+                 tables: _Tables) -> _ClassTerms | _SectorTerms:
+    """a's factors on `terms`, all of one parity class of a, the class
+    `label`.  Photons on one index map share its columns per class, and
+    equal column sets of one array are one array."""
     parity = tuple(signs[terms[0]] for signs in a.term_signs())
     if isinstance(a, _SectorFactors):
         return _SectorTerms(a.quadrant[terms], parity)
     h = a.x.shape[1] // 2
-    p, ix = np.unique(a.ix[terms], return_inverse=True)
-    q, iy = np.unique(a.iy[terms], return_inverse=True)
-    x, y = (np.ascontiguousarray(v.T) for v in (a.x[p, h:], a.y[q, h:]))
-    return _ClassTerms(x, y, ix, iy, parity)
+    p, ix, q, iy = tables.kept(("index", id(a.ix), id(a.iy), label), lambda: (
+        *np.unique(a.ix[terms], return_inverse=True), *np.unique(a.iy[terms], return_inverse=True)))
+    x, y = (tables.kept(("columns", id(v), used.tobytes()),
+                        lambda: np.ascontiguousarray(v[used, h:].T))
+            for v, used in ((a.x, p), (a.y, q)))
+    return _ClassTerms(x, y, ix, iy, parity, tables)
 
 
 def _class_block(a: _ClassTerms | _SectorTerms, b: _ClassTerms | _SectorTerms,
                  parts: dict) -> np.ndarray | None:
     """The block G[r, s] = <a_r, W b_s> of a weighted Gram for the terms of
-    two parity classes, from W's part (`_parity_parts`) of their parities;
-    None where that part is zero.  Per sector, G = conj(a.quadrant)
+    two parity classes, from W's part (`_parity_fold`) of their parities; None
+    where that part is zero.  Per sector, G = conj(a.quadrant)
     diag(W_(u,v)) b.quadrant^T / 4, the 1/4 from the parity basis (`_unfold`).
     Per axis, with A[i, (p, q)] = conj(a.x[i, p]) b.x[i, q] on the half axis,
     B likewise on y and K = A^T W_(u,v) B, G[r, s] = K[(a.ix[r], b.ix[s]),
-    (a.iy[r], b.iy[s])], read by one flat gather."""
-    part = parts.get((a.parity[0] * b.parity[0], a.parity[1] * b.parity[1]))
+    (a.iy[r], b.iy[s])], read by one flat gather.  A, B, W^T A and the
+    gather index come from the call's tables (`_Tables.read`)."""
+    part = _part(a, b, parts)
     if part is None:
         return None
     if isinstance(a, _SectorTerms):
         return (np.conj(a.quadrant) * (0.25 * part).ravel()) @ b.quadrant.T
-    h, (px, qx), (py, qy) = part.shape[0], (a.x.shape[1], b.x.shape[1]), (a.y.shape[1], b.y.shape[1])
-    ax = (np.conj(a.x)[:, :, None] * b.x[:, None, :]).reshape(h, -1)
-    ay = (np.conj(a.y)[:, :, None] * b.y[:, None, :]).reshape(h, -1)
+    h, (x_key, y_key, left_key, gather_key) = part.shape[0], _block_keys(a, b, part)
+    ax, ay = (a.tables.read(key, lambda: (np.conj(u)[:, :, None] * v[:, None, :]).reshape(h, -1))
+              for key, u, v in ((x_key, a.x, b.x), (y_key, a.y, b.y)))
     # W^T A as one real product, the real and imaginary parts of A side by side.
-    left = (part.T @ ax.view(float)).view(complex) if ax.dtype == complex else part.T @ ax
+    left = a.tables.read(left_key, lambda: (part.T @ ax.view(float)).view(complex)
+                         if ax.dtype == complex else part.T @ ax)
     k = left.T @ ay
-    rows = a.ix * (qx * py * qy) + a.iy * qy
-    return np.take(k.ravel(), rows[:, None] + (b.ix * (py * qy) + b.iy)[None, :])
+
+    def gather() -> np.ndarray:
+        qx, py, qy = b.x.shape[1], a.y.shape[1], b.y.shape[1]
+        rows = a.ix * (qx * py * qy) + a.iy * qy
+        return rows[:, None] + (b.ix * (py * qy) + b.iy)[None, :]
+
+    return np.take(k.ravel(), a.tables.read(gather_key, gather))
 
 
 def _hadamard_form(cr: np.ndarray, a: np.ndarray | None, b: np.ndarray | None,
@@ -472,48 +602,53 @@ def _hadamard_form(cr: np.ndarray, a: np.ndarray | None, b: np.ndarray | None,
     return 0j if a is None or b is None else complex(cr @ (a * b) @ cs)
 
 
-def _class_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,
-                 mask: np.ndarray | None) -> tuple[float, float, complex]:
-    """`_norms_and_overlap`' three values for factors in a factored form,
-    one pair of parity classes of terms at a time.  A term's class is its
-    x- and y-parity on each photon (`term_signs`); the Gram block of a class
-    pair takes one parity part of its weight, and is zero where that part is
-    (`_class_block`).  c^H (G1 o G2) c and c^H (X o X^H) c are Hermitian
-    forms, so the pair (B, A) adds the conjugate of (A, B).  With the even
-    aperture, the self-Grams' blocks are zero off the class diagonal; with
-    no weight only the part W_(+,+) is non-zero."""
-    f, g = amp._form
-    if isinstance(f, _AxisFactors):  # the blocks hold up to rank x rank values
-        f.check_expandable("rank x rank Grams")
-    c, n, w = amp.coeffs, amp.grid.n, amp.grid.weight
-    parities = np.stack([*f.term_signs(), *g.term_signs()])
-    # The labels are 0..K-1; np.unique of them would import numpy.ma (9 ms).
-    label = np.unique(parities, axis=1, return_inverse=True)[1].ravel()
-    reflected = g.reflect_y()
-    classes = [(terms, *(_class_terms(a, terms) for a in (f, g, reflected)))
-               for terms in (np.flatnonzero(label == k) for k in range(label.max() + 1))]
-    photon1_weight = _times(envelope, mask)
-    self_parts = _parity_parts(_times(mask, mask), n, w)
-    env_parts = None if envelope is None else _parity_parts(photon1_weight ** 2, n, w)
-    reflected_mask = None if mask is None else mask[:, ::-1]
-    cross_parts = _parity_parts(_times(reflected_mask, photon1_weight), n, w)
+def _class_forms(classes: list, weights: _Weights, c: np.ndarray, block,
+                 form) -> tuple[float, float, complex]:
+    """c^H (G1 o G2) c under the self weight and under the envelope, and
+    c^H (X o X^H) c, summed over pairs of classes (A, B), A first, from the
+    blocks block(a, b, parts) (None where zero) and form(cr, a, b, cs)."""
+    self_parts, env_parts, cross_parts = weights
     nsq = nsq_env = 0.0
     j = 0j
     for (rows, f_a, g_a, gr_a), (cols, f_b, g_b, gr_b) in combinations_with_replacement(classes, 2):
         diagonal = cols is rows
         cr, cs = np.conj(c[rows]), c[cols]
-        g2 = _class_block(g_a, g_b, self_parts)
+        g2 = block(g_a, g_b, self_parts)
         if g2 is not None:
             pair = 1.0 if diagonal else 2.0
-            nsq += pair * _hadamard_form(cr, _class_block(f_a, f_b, self_parts), g2, cs).real
+            nsq += pair * form(cr, block(f_a, f_b, self_parts), g2, cs).real
             if env_parts is not None:
-                nsq_env += pair * _hadamard_form(
-                    cr, _class_block(f_a, f_b, env_parts), g2, cs).real
-        cross = _class_block(gr_a, f_b, cross_parts)
-        back = cross if diagonal or cross is None else _class_block(gr_b, f_a, cross_parts)
-        form = _hadamard_form(cr, cross, None if back is None else back.conj().T, cs)
-        j += form if diagonal else 2.0 * form.real
-    return nsq, (nsq if envelope is None else nsq_env), j
+                nsq_env += pair * form(cr, block(f_a, f_b, env_parts), g2, cs).real
+        cross = block(gr_a, f_b, cross_parts)
+        back = cross if diagonal or cross is None else block(gr_b, f_a, cross_parts)
+        cross_form = form(cr, cross, None if back is None else back.conj().T, cs)
+        j += cross_form if diagonal else 2.0 * cross_form.real
+    return nsq, (nsq if env_parts is None else nsq_env), j
+
+
+def _class_grams(amp: TwoPhotonAmplitude, weights: _Weights) -> tuple[float, float, complex]:
+    """`_norms_and_overlap`' three values for factors in a factored form,
+    one pair of parity classes of terms at a time (`_class_forms`).  A term's
+    class is its x- and y-parity on each photon (`term_signs`); the Gram
+    block of a class pair takes one parity part of its weight, and is zero
+    where that part is (`_class_block`).  c^H (G1 o G2) c and c^H (X o X^H) c
+    are Hermitian forms, so the pair (B, A) adds the conjugate of (A, B).
+    With the even aperture, the self-Grams' blocks are zero off the class
+    diagonal; with no weight only the part W_(+,+) is non-zero.  The
+    half-axis tables the blocks are built from are shared across class pairs
+    and weights: a first pass over the pairs, which builds no block, counts
+    the blocks that read each (`_Tables`)."""
+    f, g = amp._form
+    if isinstance(f, _AxisFactors):  # the blocks hold up to rank x rank values
+        f.check_expandable("rank x rank Grams")
+    parities = np.stack([*f.term_signs(), *g.term_signs()])
+    # The labels are 0..K-1; np.unique of them would import numpy.ma (9 ms).
+    label = np.unique(parities, axis=1, return_inverse=True)[1].ravel()
+    reflected, tables = g.reflect_y(), _Tables()
+    classes = [(terms, *(_class_terms(a, terms, k, tables) for a in (f, g, reflected)))
+               for k, terms in ((k, np.flatnonzero(label == k)) for k in range(label.max() + 1))]
+    _class_forms(classes, weights, amp.coeffs, tables.expect, lambda cr, a, b, cs: 0j)
+    return _class_forms(classes, weights, amp.coeffs, _class_block, _hadamard_form)
 
 
 def _factor_grams(amp: TwoPhotonAmplitude, envelope: np.ndarray | None,

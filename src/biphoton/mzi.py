@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import TwoPhotonAmplitude, _sigma_grams, _with_factors, position_representation
+from .amplitudes import (TwoPhotonAmplitude, _folded_sigma_grams, _parity_fold, _sigma_grams,
+                         _Weights, _with_factors, position_representation)
 from .errors import DegenerateInterferenceError
 from .grids import Grid, Representation, TransverseMode, _read_only, make_grid
 from .states import GaussianBeamParams, _check_positive
@@ -423,8 +424,33 @@ def _thin_crystal_fast(geo: _FastGeometry, spp: SppParams, alphas: list[float],
     rows, den = _fold(geo, spp.zeta, basis, map_)
     spectra = list(map_(geo.spectrum, rows))
     mirrored = [geo.weight * s[:, geo.mirror] for s in spectra]
-    num = np.array([[np.vdot(a, b).real for b in mirrored] for a in spectra])
+    # Pairwise np.sum, not np.vdot: a BLAS dot's rounding can follow its thread count
+    num = np.array([[np.sum(np.conj(a) * b).real for b in mirrored] for a in spectra])
     return [(float(v @ num @ v), float(v @ den @ v)) for v in weights]
+
+
+def _quadrant_weights(grid: Grid, spp: SppParams, phases: MziPhases,
+                      circular: bool) -> _Weights:
+    """The generic path's Gram weights (`_Weights`), built on the positive
+    quadrant alone.  There theta_1 = atan2(y, x) is in (0, pi / 2), and at
+    the sample mirrored into quadrant k = 0..3 the sine envelope is
+    p_k s + r_k c with s = sin(zeta theta_1), c = cos(zeta theta_1) and
+    (p_k, r_k) from `_quadrant_coefficients`, as on the fast path.  The
+    aperture M, the inscribed disc or 1, is even, so the weights at the
+    four mirrored samples are M, (E_k M)^2 and M (E_k M)."""
+    h = grid.n // 2
+    p = grid.axis[h:]
+    theta = np.arctan2(p[None, :], p[:, None])  # rows x, columns y
+    mask = ((p[:, None] ** 2 + p[None, :] ** 2 <= grid.half_width ** 2).astype(float)
+            if circular else np.ones((h, h)))
+    turn = theta * spp.zeta
+    s, c = np.sin(turn), np.cos(turn)
+    alpha = phases.alpha_plus
+    enveloped = [(pk * s + rk * c) * mask for pk, rk in
+                 _quadrant_coefficients(spp.zeta, math.cos(alpha), math.sin(alpha))]
+    w = grid.weight
+    return _Weights(_parity_fold((mask,) * 4, w), _parity_fold([e * e for e in enveloped], w),
+                    _parity_fold([mask * e for e in enveloped], w))
 
 
 def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry,
@@ -440,10 +466,14 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
         position-representation input is taken as already at the last BS.
         Its aperture is the disc inscribed in its grid (the whole grid if
         not geom.circular); aperture_factor and grid_n are not read.  The
-        aperture and the sine envelope enter the Grams as pointwise weights,
-        so a thin-crystal amplitude, whose factors are held per axis, takes
-        this path by parity class on the half axes without building its
-        (R, n, n) factor arrays.
+        aperture and the sine envelope enter the Grams as pointwise weights.
+        An amplitude that holds its factors in a factored form, such as the
+        thin crystal's per-axis one, takes this path by parity class on the
+        half axes without building its (R, n, n) factor arrays: its weights
+        are built on the positive quadrant alone, from the fast path's
+        quadrant coefficients (`_quadrant_weights`), and each half-axis
+        table of its Grams is built once per call.  Factor arrays take the
+        weights on the whole grid.
     """
     if isinstance(source, GaussianBeamParams):
         geo = _source_geometry(source, geom, grid_n)
@@ -456,8 +486,12 @@ def mzi_coincidence(source, spp: SppParams, phases: MziPhases, geom: MziGeometry
         # One Gram-engine call with the envelope and the aperture as weights
         # gives the clipped norm, the enveloped norm and J of the envelope; eta
         # is relative to the clipped norm, and no factor array is copied or built.
-        total, kept, j = _sigma_grams(amp, sine_envelope(amp.grid, spp.zeta, phases.alpha_plus),
-                                      _disc(amp.grid) if geom.circular else None)
+        if amp._form is None:
+            total, kept, j = _sigma_grams(amp, sine_envelope(amp.grid, spp.zeta, phases.alpha_plus),
+                                          _disc(amp.grid) if geom.circular else None)
+        else:
+            total, kept, j = _folded_sigma_grams(
+                amp, _quadrant_weights(amp.grid, spp, phases, geom.circular))
         if total <= 0.0:
             raise ValueError("cannot normalize a zero-norm amplitude")
     else:

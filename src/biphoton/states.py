@@ -258,17 +258,33 @@ def _truncate(weights: np.ndarray, rank_tol: float) -> tuple[np.ndarray, float, 
     order = np.argsort(-weights, kind="stable")
     # Exact scaling by a power of two, the largest into [1/2, 1): no square overflows.
     scaled = np.ldexp(weights[order], -np.frexp(weights[order[0]])[1])
+    total = float(np.sum(scaled ** 2))
+    rank, dropped = _cut(scaled, 0.0, rank_tol ** 2 * total)
+    return *_kept(scaled, rank, dropped, total), order[:rank]
+
+
+def _cut(scaled: np.ndarray, outside: float, floor: float) -> tuple[int, float]:
+    """How many of the descending `scaled` weights to keep, the fewest that
+    drop a squared norm of at most `floor`, and the squared norm they drop:
+    the squares after them, summed from the smallest up (total minus a
+    prefix sum loses it to cancellation), plus `outside`, that of the
+    weights not in `scaled`."""
     squares = scaled ** 2
-    total = float(np.sum(squares))
-    # tail[k]: the squared norm dropped when k + 1 weights are kept, summed from
-    # the smallest up (total minus a prefix sum loses it to cancellation).
-    tail = np.append(np.cumsum(squares[::-1])[::-1][1:], 0.0)
-    rank = min(int(np.searchsorted(-tail, -rank_tol ** 2 * total) + 1), weights.size)
-    err = float(np.sqrt(tail[rank - 1] / total))
+    # tail[k]: the squared norm dropped when k + 1 weights are kept
+    tail = np.append(np.cumsum(squares[::-1])[::-1][1:], 0.0) + outside
+    rank = min(int(np.searchsorted(-tail, -floor) + 1), scaled.size)
+    return rank, tail[rank - 1]
+
+
+def _kept(scaled: np.ndarray, rank: int, dropped: float,
+          total: float) -> tuple[np.ndarray, float]:
+    """The first `rank` weights normalized, as coefficients, and the relative
+    error sqrt(dropped / total); ValueError if that is not finite."""
+    err = float(np.sqrt(dropped / total))
     if not math.isfinite(err):
         raise ValueError(f"singular weights must be finite, got a truncation error of {err}")
     kept = scaled[:rank]
-    return (kept / np.linalg.norm(kept)).astype(complex), err, order[:rank]
+    return (kept / np.linalg.norm(kept)).astype(complex), err
 
 
 def _phase_matching(a: np.ndarray) -> np.ndarray:
@@ -418,19 +434,51 @@ class GaussianBeamParams:
         return (self.z * self.z + z0 * z0) / self.z
 
 
-def _parity_svd(psi: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple[np.ndarray, ...]]]:
-    """The SVD of an (n, n) matrix, n even, with psi[::-1, ::-1] == psi, from
-    two (n/2, n/2) SVDs: its singular values, descending, and `leading(m)`,
-    the first m left and right singular vectors as (m, n) rows.  The
-    reflection e_i <-> e_{n-1-i} commutes with psi, so in the basis
-    (e_i +- e_{n-1-i})/sqrt2 psi splits into an even block upper + mirror
-    and an odd block upper - mirror.  The singular values of both, merged
-    descending (stable: ties put the even block first), are psi's; each
-    singular vector v of a block unfolds to [+-v[::-1], v] / sqrt2 on the
-    full axis, so every vector is exactly even or odd.  Only the m asked for
-    are unfolded."""
-    h = psi.shape[0] // 2
-    upper, mirror = psi[h:, h:], psi[h:, h - 1::-1]
+def _truncate_pairs(sv: np.ndarray, rank_tol: float) -> tuple[np.ndarray, float, np.ndarray,
+                                                               np.ndarray]:
+    """`_truncate(np.outer(sv, sv).ravel(), rank_tol)` for descending singular
+    values sv, its kept indices as the pairs (ix, iy), without sorting all
+    n^2 pair weights.  As sv is descending, the kept pairs form a staircase:
+    row i keeps j < c_i, c_i not increasing.  So they lie in the leading
+    b x b block once a cut found there keeps a pair that outweighs sv_0 sv_b,
+    the heaviest pair outside it; b doubles from 32 until one does, or is n.
+    The block's b^2 weights are sorted as `_truncate` sorts them, and the
+    pairs outside it are dropped whole: row i drops sv_i^2 S(b) for i < b
+    and sv_i^2 S(0) for i >= b, where S(c) is the sum of sv_j^2 over j >= c,
+    taken from the smallest up."""
+    n = sv.size
+    shift = -np.frexp(sv[0] * sv[0])[1]  # as _truncate scales the largest weight
+    # The scaled squares per axis: r_i r_j is pair (i, j)'s scaled square.
+    r = np.ldexp(sv, shift) * sv
+    prefix, suffix = np.cumsum(r), np.append(np.cumsum(r[::-1])[::-1], 0.0)  # suffix[c] = S(c)
+    total = suffix[0] * suffix[0]
+    floor = rank_tol ** 2 * total
+    b = min(n, 32)
+    while True:
+        weights = np.outer(sv[:b], sv[:b]).ravel()
+        order = np.argsort(-weights, kind="stable")
+        scaled = np.ldexp(weights[order], shift)
+        rank, dropped = _cut(scaled, suffix[b] * (2.0 * prefix[b - 1] + suffix[b]), floor)
+        if b == n or (dropped <= floor and sv[0] * sv[b] < weights[order[rank - 1]]):
+            break
+        b = min(2 * b, n)
+    return *_kept(scaled, rank, dropped, total), *np.divmod(order[:rank], b)
+
+
+def _parity_svd(upper: np.ndarray,
+                mirror: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple[np.ndarray, ...]]]:
+    """The SVD of an (n, n) matrix psi, n even, with psi[::-1, ::-1] == psi,
+    from its rows on the positive half, upper = psi[h:, h:] and mirror =
+    psi[h:, h-1::-1] for h = n/2, by two (h, h) SVDs: its singular values,
+    descending, and `leading(m)`, the first m left and right singular
+    vectors as (m, n) rows.  The reflection e_i <-> e_{n-1-i} commutes with
+    psi, so in the basis (e_i +- e_{n-1-i})/sqrt2 psi splits into an even
+    block upper + mirror and an odd block upper - mirror.  The singular
+    values of both, merged descending (stable: ties put the even block
+    first), are psi's; each singular vector v of a block unfolds to
+    [+-v[::-1], v] / sqrt2 on the full axis, so every vector is exactly even
+    or odd.  Only the m asked for are unfolded."""
+    h = upper.shape[0]
     u, sv, vh = np.linalg.svd(np.stack([upper + mirror, upper - mirror]))
     order = np.argsort(-sv, axis=None, kind="stable")
 
@@ -469,28 +517,33 @@ def thin_crystal_gaussian(params: GaussianBeamParams, grid: Grid, *,
     relative truncation error is stored on the result as `truncation_error`.
     """
     w = params.spot_size
-    ax = grid.axis
-    s = ax[:, None]
-    t = ax[None, :]
-    # An extreme z or k_p overflows the chirp, or a tiny z divides it by
-    # zero; either shows as a non-finite psi_axis, reported below.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    h = grid.n // 2
+    p = grid.axis[h:]  # the positive half axis: grid.axis[h - 1 - j] = -p[j] exactly
+    s = p[:, None]
+    kp, z0, r = params.pump_wavenumber, params.rayleigh_length, params.curvature_radius
+
+    def rows(t: np.ndarray) -> np.ndarray:
+        """psi on the rows x_i = p_i and the columns t."""
         exponent = -((s + t) ** 2) / (4.0 * (w * w))
         if include_phase and params.z > 0.0:
-            kp = params.pump_wavenumber
-            z0 = params.rayleigh_length
-            r = params.curvature_radius
             exponent = exponent + 1j * (kp / 4.0) * (
                 z0 * z0 * (s - t) ** 2 / (2.0 * (params.z * params.z) * r)
                 + (s ** 2 + t ** 2) / r)
-        psi_axis = np.exp(exponent)
-    if not np.all(np.isfinite(psi_axis)):
+        return np.exp(exponent)
+
+    # An extreme z or k_p overflows the chirp, or a tiny z divides it by
+    # zero; either shows as a non-finite psi, reported below.  The two
+    # column halves are psi[h:, h:] and psi[h:, h-1::-1], bit for bit:
+    # psi(-s, -t) = psi(s, t) gives the rows at x < 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        upper, mirror = rows(p[None, :]), rows(-p[None, :])
+    if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(mirror))):
         raise ValueError(f"the thin-crystal amplitude is not finite for z = {params.z} and "
                          f"pump_wavenumber = {params.pump_wavenumber}")
-    sv, leading = _parity_svd(psi_axis)
+    sv, leading = _parity_svd(upper, mirror)
+    del upper, mirror  # not held through the truncation
     # Pair weights sigma_k sigma_k' over the two axes, truncated together.
-    coeffs, err, kept = _truncate(np.outer(sv, sv).ravel(), rank_tol)
-    ix, iy = np.unravel_index(kept, (sv.size, sv.size))
+    coeffs, err, ix, iy = _truncate_pairs(sv, rank_tol)
     # (0, k) outweighs any pair holding an index above k and sorts first among
     # equals: the leading m vectors are in use, scaled to unit quadrature norm.
     m, root = max(ix.max(), iy.max()) + 1, math.sqrt(grid.spacing)

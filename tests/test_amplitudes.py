@@ -10,6 +10,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from biphoton import amplitudes, cli, states
+from biphoton import mzi as mzi_module
 from biphoton import (DenseAmplitude, GaussianBeamParams, MziGeometry, MziPhases, PumpMode,
                       Representation, SpdcParams, SppParams, TruncationError,
                       TransverseMode, TwoPhotonAmplitude,
@@ -761,6 +762,40 @@ def test_per_axis_photons_on_different_index_maps_take_the_class_engine():
     assert np.abs(values - _outputs(_as_arrays(swapped))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["circular", "square", "sigma", "swapped"])
+def test_class_grams_build_each_table_once_and_match_fresh_tables(case):
+    # One weighted evaluation builds each half-axis product table and gather
+    # index once, shares it across class pairs and weights, and holds none
+    # after the last block that reads it.  The values are those of tables
+    # built afresh for every block, bit for bit.
+    amp = _thin_crystal(64, 6.0, 1.0, 1e-6)
+    if case == "sigma":
+        amp = apply_sigma(amp)
+    elif case == "swapped":
+        f, g = amp._form
+        amp = amplitudes._with_factors(amp, f, amplitudes._AxisFactors(g.x, g.y, g.iy, g.ix))
+    weights = mzi_module._quadrant_weights(amp.grid, SppParams(1.5), MziPhases(0.3),
+                                           case != "square")
+    built, reads, stores = {}, [], set()
+    read = amplitudes._Tables.read
+
+    def counting(tables, key, build):
+        def counted():
+            built[key] = built.get(key, 0) + 1
+            return build()
+        reads.append(key)
+        stores.add(tables)
+        return read(tables, key, counted)
+
+    with mock.patch.object(amplitudes._Tables, "read", counting):
+        shared = amplitudes._class_grams(amp, weights)
+    assert set(built) == set(reads) and set(built.values()) == {1}
+    assert len(reads) > len(built)
+    assert [store._tables for store in stores] == [{}]
+    with mock.patch.object(amplitudes._Tables, "read", lambda tables, key, build: build()):
+        assert amplitudes._class_grams(amp, weights) == shared
+
+
 def _no_factor_arrays(axes):
     raise AssertionError("a (rank, n, n) factor array was built")
 
@@ -856,7 +891,7 @@ def test_generic_mzi_on_a_thin_crystal_peaks_below_6_mb():
     # At n = 128 and aperture 6 the thin crystal has rank 356 on 22 vectors
     # per axis.  Its weighted Grams go by parity class and form no
     # (22^2, 22^2) tensor on the full axes: one generic call traces a peak of
-    # about 2.2 MB, against 10.9 MB for that tensor and its rank x rank gather.
+    # about 2.6 MB, against 10.9 MB for that tensor and its rank x rank gather.
     beam = GaussianBeamParams(1.0, 1.0, 2.0)
     amp = thin_crystal_gaussian(beam, make_grid(128, 6.0 * beam.spot_size))
     geom, spp, phases = MziGeometry(1.0, 1.0, aperture_factor=6.0), SppParams(1.5), MziPhases(0.3)

@@ -821,3 +821,70 @@ def test_scan_rejects_bad_thread_count(monkeypatch, value):
     with pytest.raises(ValueError, match="BIPHOTON_THREADS"):
         scan("zeta", 0.5, 2.5, 2, geom=MziGeometry(1.0, 1.0, aperture_factor=8.0),
              grid_n=16)
+
+
+@lru_cache(maxsize=None)
+def _thin_crystal_on(n):
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    return thin_crystal_gaussian(beam, make_grid(n, 6.0 * beam.spot_size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(zeta=st.one_of(st.floats(1e-3, 8.0), st.integers(1, 8).map(float)),
+       alpha=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])),
+       circular=st.booleans(), n=st.sampled_from([16, 64, 128]))
+def test_quadrant_weights_are_the_parity_parts_of_the_whole_grid_weights(zeta, alpha, circular, n):
+    # On a factored amplitude the generic path builds its weights' parity
+    # parts on the quadrant from the fast path's coefficients.  They are the
+    # parts of the sine envelope and the disc on the whole grid up to the
+    # rounding of the envelope's argument, which grows with zeta: within
+    # 2e-15 (1 + zeta) of 4w, the largest value a part of a unit envelope
+    # takes.  P_c and eta then agree with the whole-grid Grams within 1e-13.
+    amp = _thin_crystal_on(n)
+    grid, spp, phases = amp.grid, SppParams(zeta), MziPhases(alpha)
+    envelope = sine_envelope(grid, zeta, alpha)
+    mask = mzi_module._disc(grid) if circular else None
+    got = mzi_module._quadrant_weights(grid, spp, phases, circular)
+    want = amplitudes._grid_weights(grid, envelope, mask)
+    bound = 2e-15 * (1.0 + zeta) * 4.0 * grid.weight
+    for quadrant, whole in zip(got, want):
+        for key in set(quadrant) | set(whole):
+            assert np.abs(quadrant.get(key, 0.0) - whole.get(key, 0.0)).max() <= bound
+    assert set(got.self) == set(want.self) == {(1.0, 1.0)}
+    np.testing.assert_array_equal(got.self[1.0, 1.0], want.self[1.0, 1.0])
+    total, kept, j = amplitudes._sigma_grams(amp, envelope, mask)
+    result = mzi_coincidence(amp, spp, phases, MziGeometry(1.0, 1.0, aperture_factor=6.0,
+                                                           circular=circular))
+    assert abs(result.conditional_pc - (1.0 - j / kept) / 2.0) <= 1e-13
+    assert abs(result.throughput_eta - kept / total) <= 1e-13
+
+
+def test_generic_thin_crystal_builds_no_whole_grid_weight():
+    # A generic call on a per-axis amplitude builds its weights on the
+    # quadrant: no azimuth, envelope, disc, fold of a whole-grid weight or
+    # meshgrid.  The same state as factor arrays takes the whole-grid weights.
+    amp = _thin_crystal_on(64)
+    dense = replace(amp, photon1=np.array(amp.photon1), photon2=np.array(amp.photon2))
+    spp, phases = SppParams(1.5), MziPhases(0.3)
+    geom = MziGeometry(1.0, 1.0, aperture_factor=6.0)
+    calls = []
+
+    def spy(name, fn):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return called
+
+    with (mock.patch.object(mzi_module, "azimuth", spy("azimuth", mzi_module.azimuth)),
+          mock.patch.object(mzi_module, "sine_envelope",
+                            spy("sine_envelope", mzi_module.sine_envelope)),
+          mock.patch.object(mzi_module, "_disc", spy("_disc", mzi_module._disc)),
+          mock.patch.object(amplitudes, "_parity_parts",
+                            spy("_parity_parts", amplitudes._parity_parts)),
+          mock.patch.object(type(amp.grid), "meshgrid",
+                            spy("meshgrid", type(amp.grid).meshgrid))):
+        for circular in (True, False):
+            mzi_coincidence(amp, spp, phases, replace(geom, circular=circular))
+        assert calls == []
+        mzi_coincidence(dense, spp, phases, geom)
+    assert {"azimuth", "sine_envelope", "_disc", "meshgrid"} <= set(calls)

@@ -1,6 +1,9 @@
+import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -670,12 +673,16 @@ def test_thin_crystal_uses_the_leading_vectors_at_unit_quadrature_norm(n, apertu
         assert np.abs(norms - 1.0).max() <= 1e-12
 
 
-def _full_svd(psi):
-    """np.linalg.svd of the whole axis matrix, in _parity_svd's form.  Its
-    vectors are even or odd only to rounding, and the per-axis form takes
-    only exact ones, so each is replaced by its mirror average
-    (v +- v[::-1]) / 2, which is exactly even or odd."""
-    u, sv, vh = np.linalg.svd(psi)
+def _full_svd(upper, mirror):
+    """np.linalg.svd of the whole axis matrix, in _parity_svd's form.  The
+    matrix is rebuilt bit for bit from the halves _parity_svd takes: its rows
+    on the positive half are [mirror reversed, upper], and psi(-s, -t) =
+    psi(s, t) gives the others.  Its vectors are even or odd only to
+    rounding, and the per-axis form takes only exact ones, so each is
+    replaced by its mirror average (v +- v[::-1]) / 2, which is exactly even
+    or odd."""
+    positive = np.concatenate([mirror[:, ::-1], upper], axis=1)
+    u, sv, vh = np.linalg.svd(np.concatenate([positive[::-1, ::-1], positive]))
 
     def leading(m):
         rows = []
@@ -712,6 +719,114 @@ def test_thin_crystal_parity_split_matches_a_full_svd(n, z, include_phase):
                         for a in (amp, full))
     assert abs(split.conditional_pc - reference.conditional_pc) <= 1e-12
     assert abs(split.throughput_eta - reference.throughput_eta) <= 1e-12
+
+
+def _spectra():
+    """Descending singular values: draws from a few exact values (ties), any
+    values, fast-decaying (Gaussian-like, as the thin crystal's) and flat."""
+    ties = st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.1]), min_size=1, max_size=90)
+    free = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=90)
+    decaying = st.builds(lambda n, rate: list(np.exp(-rate * np.arange(n) ** 2)),
+                         st.integers(1, 130), st.floats(0.005, 0.5))
+    flat = st.builds(lambda n, value: [value] * n, st.integers(1, 70), st.floats(0.1, 10.0))
+    return st.one_of(ties, free, decaying, flat).map(lambda v: np.sort(np.array(v))[::-1].copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sv=_spectra(), log_tol=st.floats(-12.0, -2.0), k=st.integers(-400, 400))
+def test_pair_staircase_is_the_sorted_truncation_of_all_pair_weights(sv, log_tol, k):
+    # The thin crystal truncates its pair weights sv_i sv_j by their
+    # staircase in the leading block, without sorting all n^2 of them.  The
+    # kept pairs, their order (ties in index order) and the coefficients are
+    # _truncate's bit for bit; the error sums the dropped weights in another
+    # order.  A flat spectrum at a small tolerance keeps every pair.  The
+    # values are scaled before squaring, so 2^k times them gives the same
+    # result bit for bit, though the squares of their pair weights over- or
+    # underflow.
+    tol = 10.0 ** log_tol
+    coeffs, err, kept = states._truncate(np.outer(sv, sv).ravel(), tol)
+    got_coeffs, got_err, ix, iy = states._truncate_pairs(sv, tol)
+    assert np.array_equal(ix * sv.size + iy, kept)
+    assert np.array_equal(got_coeffs, coeffs)
+    assert abs(got_err - err) <= 1e-15 * err
+    if np.all(sv == sv[0]) and tol < 1.0 / sv.size ** 2:
+        assert kept.size == sv.size ** 2 and err == got_err == 0.0
+    scaled = states._truncate_pairs(np.ldexp(sv, k), tol)
+    assert scaled[0].tobytes() == got_coeffs.tobytes() and scaled[1] == got_err
+    assert np.array_equal(scaled[2], ix) and np.array_equal(scaled[3], iy)
+
+
+@pytest.mark.parametrize("sv, tol", [
+    ([1.0] * 32 + [0.01] * 10, 0.02),  # the first block keeps all of its pairs
+    ([1.0] * 16 + [0.5] * 17, 0.3),  # its last kept weight ties pair (0, 32)
+], ids=["whole-block", "tie-at-the-edge"])
+def test_pair_staircase_grows_its_block_past_a_tie(sv, tol):
+    # Pair (0, b) is the heaviest outside the leading b x b block and comes
+    # first among its equals, so a block whose cut keeps a pair of the same
+    # weight is grown; a block whose cut keeps all its pairs, each heavier
+    # than any outside, is not, and its error is that of the pairs outside.
+    # The error is the exact one of the scaled pair weights: the sorted sum
+    # of the 740 equal dropped squares of the first case loses more than
+    # 1e-15 of it.
+    sv = np.array(sv)
+    coeffs, _, kept = states._truncate(np.outer(sv, sv).ravel(), tol)
+    got_coeffs, got_err, ix, iy = states._truncate_pairs(sv, tol)
+    assert np.array_equal(ix * sv.size + iy, kept) and np.array_equal(got_coeffs, coeffs)
+    squares = [Fraction(float(w)) ** 2 for w in np.ldexp(np.outer(sv, sv).ravel(), -1)]
+    dropped = sum(squares) - sum(squares[i] for i in kept)
+    exact = math.sqrt(dropped / sum(squares))
+    assert abs(got_err - exact) <= 1e-15 * exact
+
+
+def test_pair_staircase_rejects_values_whose_error_is_not_finite():
+    with pytest.raises(ValueError, match="truncation error of nan"):
+        states._truncate_pairs(np.array([1.0, np.nan, 0.5]), 1e-6)
+
+
+@pytest.mark.parametrize("include_phase", [True, False])
+@pytest.mark.parametrize("z", [0.0, 1.0])
+@pytest.mark.parametrize("n", [16, 64])
+def test_thin_crystal_halves_are_the_axis_matrix_bit_for_bit(n, z, include_phase):
+    # The state evaluates psi's two column halves on its rows at x > 0 from
+    # the half axis, psi[h:, h:] and psi[h:, h-1::-1], and never the whole
+    # (n, n) axis matrix; they are its slices bit for bit.
+    beam = GaussianBeamParams(1.0, z, 2.0)
+    grid = make_grid(n, 6.0 * beam.spot_size)
+    halves = []
+    parity_svd = states._parity_svd
+
+    def spy(upper, mirror):
+        halves.append((upper, mirror))
+        return parity_svd(upper, mirror)
+
+    with mock.patch.object(states, "_parity_svd", spy):
+        thin_crystal_gaussian(beam, grid, include_phase=include_phase)
+    s, t = grid.axis[:, None], grid.axis[None, :]
+    w = beam.spot_size
+    exponent = -((s + t) ** 2) / (4.0 * (w * w))
+    if include_phase and z > 0.0:
+        kp, z0, r = beam.pump_wavenumber, beam.rayleigh_length, beam.curvature_radius
+        exponent = exponent + 1j * (kp / 4.0) * (
+            z0 * z0 * (s - t) ** 2 / (2.0 * (beam.z * beam.z) * r) + (s ** 2 + t ** 2) / r)
+    psi, h = np.exp(exponent), n // 2
+    (upper, mirror), = halves
+    assert np.array_equal(upper, psi[h:, h:]) and np.array_equal(mirror, psi[h:, h - 1::-1])
+
+
+def test_thin_crystal_at_n_1024_traces_at_most_half_the_full_matrix_build():
+    # Evaluating the two (n/2, n/2) halves, and truncating by the staircase
+    # rather than sorting all n^2 pair weights, more than halves the traced
+    # peak of the state at n = 1024: the build of the whole axis matrix and
+    # the sort peaked at 96 MB, this one at about 34 MB.
+    beam = GaussianBeamParams(1.0, 1.0, 2.0)
+    grid = make_grid(1024, 6.0 * beam.spot_size)
+    tracemalloc.start()
+    try:
+        thin_crystal_gaussian(beam, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
 
 
 @pytest.mark.parametrize("waist", [1e-100, 1.0, 1e100])
